@@ -7,18 +7,17 @@ All arithmetic is exact (rationals or prime fields).
 """
 
 from .ring import FieldSpec, RingSpec, Polynomial, parse_polynomial
-from .linalg import PolyMatrix, rank_exact, rank_probabilistic, field_ops
+from .linalg import PolyMatrix, rank_exact, rank_probabilistic
 from .complexes import (
     FreeComplex,
     KoszulComplex,
     koszul,
-    wedge,
     direct_sum,
     Augmentation,
     canonical_augmentation,
     DgaStructure,
     tensor_quotient,
-    homology_k,
+    HomologyData,
     min_generators_of_homology,
 )
 from .chainmaps import (

@@ -11,7 +11,7 @@ import random
 from dataclasses import dataclass
 
 from .ring import RingSpec
-from .complexes import FreeComplex, KoszulComplex, koszul, tensor_quotient, homology_k
+from .complexes import FreeComplex, HomologyData, koszul, tensor_quotient
 from .linalg import PolyMatrix, rank_exact, rank_probabilistic
 
 
@@ -121,9 +121,9 @@ def induced_map_mod(f: ChainMap, a):
     a = tuple(a)
     Fs = tensor_quotient(f.source, a)
     Ft = tensor_quotient(f.target, a)
-    Hs = homology_k(Fs)
-    Ht = homology_k(Ft)
-    ops = Hs.ops
+    Hs = HomologyData(Fs)
+    Ht = HomologyData(Ft)
+    ops = Hs.field
     lookup_t = Ft.tensor_info["lookup"]
     cols = []
     for rep in Hs.representatives:

@@ -33,12 +33,7 @@ from .chainmaps import (
 from .linalg import PolyMatrix, rank_exact
 from .minimal import minimal_model, is_minimal
 from .filtration import compute_filtration, check_properties, bound_checks
-from .lift import (
-    LiftError,
-    pipeline,
-    verify_bounds,
-    case0_improved_bound,
-)
+from .lift import LiftError, pipeline, verify_bounds
 from .fileio import (
     read_complex,
     read_map,
@@ -55,13 +50,14 @@ class MathFailure(Exception):
     """An asserted mathematical identity did not hold."""
 
 
-def _report(args, command, lines):
+def _report(path, command, lines):
+    """Print the report, and also write it to `path` unless that is None."""
     out = [f"# koszulalg report v{REPORT_VERSION}", f"command {command}"]
     out.extend(lines)
     text = "\n".join(out) + "\n"
     sys.stdout.write(text)
-    if getattr(args, "out", None):
-        with open(args.out, "w") as fh:
+    if path:
+        with open(path, "w") as fh:
             fh.write(text)
 
 
@@ -101,7 +97,7 @@ def cmd_fixture(args):
     if rank != 6:
         failures.append(f"rank {rank} != 6")
     lines.append("result " + ("PASS" if not failures else "FAIL: " + "; ".join(failures)))
-    _report(args, "fixture", lines)
+    _report(args.out, "fixture", lines)
     if failures:
         raise MathFailure("; ".join(failures))
 
@@ -130,7 +126,7 @@ def cmd_fixture_weight2(args):
     lines.append(
         "result " + ("PASS (construction correctly rejected)" if ok else "FAIL")
     )
-    _report(args, "fixture --weight 2", lines)
+    _report(args.out, "fixture --weight 2", lines)
     if not ok:
         raise MathFailure("weight-2 homotopy unexpectedly degree-compatible")
 
@@ -160,7 +156,7 @@ def cmd_rank_survey(args):
     ok = worst >= low
     lines.append(_fmt_check("min rank >= 2r", worst, low, ok))
     lines.append("result " + ("PASS" if ok else "FAIL"))
-    _report(args, "rank-survey", lines)
+    _report(args.out, "rank-survey", lines)
     if not ok:
         raise MathFailure(f"found rank {worst} < {low}")
 
@@ -200,11 +196,7 @@ def cmd_search_low_rank(args):
         write_complex(tgt, K0.base, canonical_augmentation(K0))
         write_map(args.out, best_gamma, src, tgt)
         lines.append(f"certificate written to {args.out}")
-        saved_out, args.out = args.out, None
-        _report(args, "search-low-rank", lines)
-        args.out = saved_out
-    else:
-        _report(args, "search-low-rank", lines)
+    _report(None, "search-low-rank", lines)
 
 
 def cmd_verify_bounds(args):
@@ -226,14 +218,13 @@ def cmd_verify_bounds(args):
     lines.append(f"filtration_length {rep['length']}")
     if rep["beta_filtration_violations"]:
         failures.append("beta filtration violations")
-    F = rep["parts"]["filtration"]
-    brep = bound_checks(rep["parts"]["minimal"], F)
+    brep = rep["bound_checks"]
     lines.append(f"bound_checks passed {brep['passed']}")
     if not brep["passed"]:
         failures.append("bound_checks")
     ring = C.ring
-    if ring.var_weight == 2 and ring.field.characteristic == 0 and ring.num_vars >= 3:
-        rep0 = case0_improved_bound(C, args.m, aug)
+    rep0 = rep.get("improved_bound")
+    if rep0 is not None:
         lines.append(
             _fmt_check(
                 "restricted rank (improved bound)",
@@ -254,7 +245,7 @@ def cmd_verify_bounds(args):
         if not ok:
             failures.append("min generators")
     lines.append("result " + ("PASS" if not failures else "FAIL: " + "; ".join(failures)))
-    _report(args, "verify-bounds", lines)
+    _report(args.out, "verify-bounds", lines)
     if failures:
         raise MathFailure("; ".join(failures))
 
@@ -276,9 +267,7 @@ def cmd_minimal(args):
         write_complex(args.out, mm.model, extra_lines=minimal_model_lines(mm))
         lines.append(f"model written to {args.out}")
     lines.append("result " + ("PASS" if not bad else "FAIL: " + "; ".join(bad)))
-    saved_out, args.out = args.out, None
-    _report(args, "minimal", lines)
-    args.out = saved_out
+    _report(None, "minimal", lines)
     if bad:
         raise MathFailure("; ".join(bad))
 
@@ -310,7 +299,7 @@ def cmd_filtration(args):
             lines.append(_fmt_check(key, v[0], v[1], v[2]))
     ok = rep["passed"] and brep["passed"]
     lines.append("result " + ("PASS" if ok else "FAIL"))
-    _report(args, "filtration", lines)
+    _report(args.out, "filtration", lines)
     if not ok:
         raise MathFailure("filtration properties or bounds failed")
 
@@ -347,9 +336,7 @@ def cmd_lift(args):
         lines.append(f"maps written to {args.out}.alpha.map / {args.out}.beta.map")
     ok = rank >= 2 * r
     lines.append("result " + ("PASS" if ok else "FAIL"))
-    saved_out, args.out = args.out, None
-    _report(args, "lift", lines)
-    args.out = saved_out
+    _report(None, "lift", lines)
     if not ok:
         raise MathFailure(f"rank {rank} < {2 * r}")
 
@@ -366,7 +353,7 @@ def cmd_verify_map(args):
         f"rank {rank}",
         "result " + ("PASS" if bad is None else f"FAIL: commutator nonzero at column {bad}"),
     ]
-    _report(args, "verify-map", lines)
+    _report(args.out, "verify-map", lines)
     if bad is not None:
         raise MathFailure(f"not a chain map (column {bad})")
 
@@ -383,9 +370,7 @@ def cmd_koszul(args):
         f"written to {args.out}",
         "result PASS",
     ]
-    saved_out, args.out = args.out, None
-    _report(args, "koszul", lines)
-    args.out = saved_out
+    _report(None, "koszul", lines)
 
 
 class UsageError(Exception):

@@ -3,7 +3,7 @@
 A FreeComplex stores its differential as a square PolyMatrix whose
 column j is d(e_j) in the generator basis.  Koszul complexes carry the
 exterior product (signs keyed to exterior length) so they are honest
-dgas; tensor_quotient and homology_k provide the finite-dimensional
+dgas; tensor_quotient and HomologyData provide the finite-dimensional
 coefficient reductions everything downstream is checked against.
 """
 
@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from .ring import RingSpec, Polynomial, _grlex_key
 from .linalg import (
     PolyMatrix,
-    field_ops,
+    dot,
     rref,
     nullspace,
     solve,
@@ -86,10 +86,6 @@ class FreeComplex:
 
     def __repr__(self):
         return f"FreeComplex({self.n} generators over {self.ring})"
-
-
-def validate(C: FreeComplex):
-    return C.validate()
 
 
 def direct_sum(A: FreeComplex, B: FreeComplex, rename=None) -> FreeComplex:
@@ -217,10 +213,6 @@ def koszul(ring: RingSpec, m: int) -> KoszulComplex:
     return KoszulComplex(ring, m)
 
 
-def wedge(K: KoszulComplex, x, y):
-    return K.wedge(x, y)
-
-
 def canonical_augmentation(K: KoszulComplex) -> "Augmentation":
     values = [K.ring.field.zero] * K.n
     values[K.subset_index[()]] = K.ring.field.one
@@ -238,29 +230,22 @@ class Augmentation:
         if len(self.values) != self.source.n:
             raise ValueError("one scalar per generator required")
 
+    def of_scalars(self, vector):
+        """epsilon applied to a coordinate vector of scalars (a constant element)."""
+        return dot(self.values, vector, self.source.ring.field)
+
     def of_element(self, element):
         """epsilon applied to a coordinate vector of polynomials."""
-        f = self.source.ring.field
-        acc = f.zero
-        for v, p in zip(self.values, element):
-            acc = f.add(acc, f.mul(v, p.constant_coeff()))
-        return acc
+        return self.of_scalars([p.constant_coeff() for p in element])
 
     def validate(self):
         f = self.source.ring.field
-        problems = []
         D = self.source.differential
-        for j in range(self.source.n):
-            acc = f.zero
-            for i in range(self.source.n):
-                p = D.entries.get((i, j))
-                if p is not None:
-                    acc = f.add(acc, f.mul(self.values[i], p.constant_coeff()))
-            if not f.is_zero(acc):
-                problems.append(
-                    f"augmentation does not kill d({self.source.generators[j][0]})"
-                )
-        return problems
+        return [
+            f"augmentation does not kill d({name})"
+            for j, (name, _) in enumerate(self.source.generators)
+            if not f.is_zero(self.of_element(D.column(j)))
+        ]
 
 
 @dataclass
@@ -351,17 +336,21 @@ class FiniteComplex:
             by_degree.setdefault(q, []).append(i)
         return by_degree
 
-    def boundary_squared_is_zero(self) -> bool:
-        f = field_ops(self.field)
+    def columns(self):
+        """The boundary by column: {j: {i: nonzero scalar}}."""
         by_col = {}
         for (i, j), c in self.boundary.items():
-            by_col.setdefault(j, []).append((i, c))
-        for j, col in by_col.items():
+            by_col.setdefault(j, {})[i] = c
+        return by_col
+
+    def boundary_squared_is_zero(self) -> bool:
+        f = self.field
+        by_col = self.columns()
+        for col in by_col.values():
             acc = {}
-            for i, c in col:
-                for (i2, j2), c2 in self.boundary.items():
-                    if j2 == i:
-                        acc[i2] = f.add(acc.get(i2, f.zero), f.mul(c2, c))
+            for i, c in col.items():
+                for i2, c2 in by_col.get(i, {}).items():
+                    acc[i2] = f.add(acc.get(i2, f.zero), f.mul(c2, c))
             if any(not f.is_zero(v) for v in acc.values()):
                 return False
         return True
@@ -433,7 +422,6 @@ class HomologyData:
     def __init__(self, complex: FiniteComplex):
         self.complex = complex
         self.field = complex.field
-        self.ops = field_ops(complex.field)
         self.dims = {}
         self.representatives = []
         self.rep_degrees = []
@@ -444,11 +432,9 @@ class HomologyData:
 
     def _compute(self):
         F = self.complex
-        ops = self.ops
+        ops = self.field
         by_degree = F.degree_indices()
-        cols_by_degree = {}
-        for (i, j), c in F.boundary.items():
-            cols_by_degree.setdefault(F.basis[j][1], {}).setdefault(j, {})[i] = c
+        columns = F.columns()
         for q in sorted(by_degree):
             idx = by_degree[q]
             pos = {b: k for k, b in enumerate(idx)}
@@ -456,16 +442,15 @@ class HomologyData:
             # kernel of d restricted to degree q
             out_rows = {}
             for j in idx:
-                for (i, j2), c in F.boundary.items():
-                    if j2 == j:
-                        out_rows.setdefault(i, [ops.zero] * dim)[pos[j]] = c
+                for i, c in columns.get(j, {}).items():
+                    out_rows.setdefault(i, [ops.zero] * dim)[pos[j]] = c
             kernel = nullspace(list(out_rows.values()), dim, ops)
             # image of d from degree q-1
             img = []
-            for j, col in cols_by_degree.get(q - 1, {}).items():
+            for j in by_degree.get(q - 1, ()):
                 v = [ops.zero] * dim
                 hit = False
-                for i, c in col.items():
+                for i, c in columns.get(j, {}).items():
                     if i in pos:
                         v[pos[i]] = c
                         hit = True
@@ -518,27 +503,15 @@ class HomologyData:
 
     def project(self, vector):
         """Coordinates of a (cycle) vector in the homology basis."""
-        ops = self.ops
-        return [
-            _dot(row, vector, ops)
-            for row in self.projection_rows
-        ]
+        return [dot(row, vector, self.field) for row in self.projection_rows]
 
     def include(self, h_coords):
-        ops = self.ops
+        ops = self.field
         out = [ops.zero] * self.complex.n
         for c, rep in zip(h_coords, self.representatives):
             if not ops.is_zero(c):
                 out = [ops.add(x, ops.mul(c, y)) for x, y in zip(out, rep)]
         return out
-
-
-def _dot(row, vec, ops):
-    acc = ops.zero
-    for a, b in zip(row, vec):
-        if not ops.is_zero(a) and not ops.is_zero(b):
-            acc = ops.add(acc, ops.mul(a, b))
-    return acc
 
 
 def _matrix_inverse_rows(column_vectors, ops):
@@ -556,20 +529,16 @@ def _matrix_inverse_rows(column_vectors, ops):
     return [row[n:] for row in red]
 
 
-def homology_k(F: FiniteComplex) -> HomologyData:
-    return HomologyData(F)
-
-
 def min_generators_of_homology(C: FreeComplex, a) -> int:
     """dim_k of H(C ⊗ R/(t^a)) / (t_1..t_r)·H, via the induced R-action."""
     a = tuple(a)
     if any(x < 2 for x in a):
         raise ValueError("exponents must be >= 2 for a nontrivial R-action")
     F = tensor_quotient(C, a)
-    H = homology_k(F)
+    H = HomologyData(F)
     if H.total_dim == 0:
         return 0
-    ops = H.ops
+    ops = H.field
     info = F.tensor_info
     w = C.ring.var_weight
     # multiplication by t_i raises degree by exactly w, so image coordinates

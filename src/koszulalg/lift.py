@@ -20,9 +20,15 @@ from .complexes import (
     DgaStructure,
 )
 from .chainmaps import ChainMap, is_chain_map, rank_of_map, restricted_rank
-from .linalg import PolyMatrix, field_ops, solve
-from .minimal import minimal_model, MinimalModel, lambda_ops, lambda_length
-from .filtration import Filtration, compute_filtration, check_properties
+from .linalg import PolyMatrix, mat_vec, solve
+from .minimal import minimal_model
+from .filtration import (
+    Filtration,
+    compute_filtration,
+    check_properties,
+    monomial_slices,
+    bound_checks,
+)
 
 
 class LiftError(Exception):
@@ -101,7 +107,6 @@ def solve_boundary_equation(
     """
     ring = C.ring
     f = ring.field
-    ops = field_ops(f)
     if allowed is None:
         allowed = range(C.n)
     unknowns = []
@@ -117,7 +122,7 @@ def solve_boundary_equation(
             if set(img) != set(rhs_terms):
                 continue
             key = next(iter(img))
-            c = ops.div(rhs_terms[key], img[key])
+            c = f.div(rhs_terms[key], img[key])
             if all(
                 f.is_zero(f.sub(rhs_terms[k], f.mul(c, v)))
                 for k, v in img.items()
@@ -138,26 +143,26 @@ def solve_boundary_equation(
     keys = sorted(set(rhs_terms) | {k for col in cols for k in col})
     key_row = {k: r for r, k in enumerate(keys)}
     nrows = len(keys) + (1 if augmentation is not None else 0)
-    rows = [[ops.zero] * len(unknowns) for _ in range(nrows)]
+    rows = [[f.zero] * len(unknowns) for _ in range(nrows)]
     for j, col in enumerate(cols):
         for k, c in col.items():
             rows[key_row[k]][j] = c
-    b = [rhs_terms.get(k, ops.zero) for k in keys]
+    b = [rhs_terms.get(k, f.zero) for k in keys]
     if augmentation is not None:
         for j, (i, exps) in enumerate(unknowns):
             if exps == zero_exps:
                 rows[len(keys)][j] = augmentation.values[i]
         b.append(aug_value)
     if not unknowns:
-        if any(not ops.is_zero(x) for x in b):
+        if any(not f.is_zero(x) for x in b):
             return None
         return C.zero_element()
-    x = solve(rows, b, ops)
+    x = solve(rows, b, f)
     if x is None:
         return None
     y = C.zero_element()
     for (i, exps), c in zip(unknowns, x):
-        if not ops.is_zero(c):
+        if not f.is_zero(c):
             y[i] = y[i] + ring.monomial(exps, c)
     return y
 
@@ -253,7 +258,6 @@ def lift_beta(F: Filtration, augmentation: Augmentation) -> ChainMap:
     model = F.model_complex
     ring = model.ring
     f = ring.field
-    ops = field_ops(f)
     if augmentation.source is not model and augmentation.source != model:
         raise ValueError("augmentation does not belong to the model")
     rep = check_properties(F, augmentation)
@@ -261,8 +265,6 @@ def lift_beta(F: Filtration, augmentation: Augmentation) -> ChainMap:
         raise LiftError("filtration unfit for lifting: " + "; ".join(rep["failures"]))
     K0 = koszul(ring, 0)
     n = model.n
-    from .filtration import monomial_slices
-
     slices = monomial_slices(model)
     defined_vectors = []  # k-basis of the part of the model handled so far
     defined_images = []  # their images in K0
@@ -270,9 +272,9 @@ def lift_beta(F: Filtration, augmentation: Augmentation) -> ChainMap:
         graded = F.graded_basis(level)
         for q in sorted(graded):
             for v in graded[q]:
-                if defined_vectors and _express(defined_vectors, v, ops) is not None:
+                if defined_vectors and _express(defined_vectors, v, f) is not None:
                     continue
-                eps_v = _augmentation_value(augmentation, v, f)
+                eps_v = augmentation.of_scalars(v)
                 if level == 1:
                     img = K0.base.zero_element()
                     if not f.is_zero(eps_v):
@@ -282,16 +284,16 @@ def lift_beta(F: Filtration, augmentation: Augmentation) -> ChainMap:
                     continue
                 rhs = K0.base.zero_element()
                 for exps, mat in slices.items():
-                    w = _apply_scalar_matrix(mat, v, ops)
-                    if all(ops.is_zero(x) for x in w):
+                    w = mat_vec(mat, v, f)
+                    if all(f.is_zero(x) for x in w):
                         continue
-                    coords = _express(defined_vectors, w, ops)
+                    coords = _express(defined_vectors, w, f)
                     if coords is None:
                         raise LiftError(
                             "differential image escapes the processed filtration span"
                         )
                     for c, img in zip(coords, defined_images):
-                        if ops.is_zero(c):
+                        if f.is_zero(c):
                             continue
                         for u, p in enumerate(img):
                             if not p.is_zero():
@@ -319,13 +321,13 @@ def lift_beta(F: Filtration, augmentation: Augmentation) -> ChainMap:
     # express the standard basis through the processed one
     M = PolyMatrix(ring, K0.n, n)
     for j in range(n):
-        e = [ops.zero] * n
-        e[j] = ops.one
-        coords = _express(defined_vectors, e, ops)
+        e = [f.zero] * n
+        e[j] = f.one
+        coords = _express(defined_vectors, e, f)
         if coords is None:
             raise LiftError("filtration basis does not span the model")
         for c, img in zip(coords, defined_images):
-            if ops.is_zero(c):
+            if f.is_zero(c):
                 continue
             for u, p in enumerate(img):
                 if not p.is_zero():
@@ -340,17 +342,6 @@ def lift_beta(F: Filtration, augmentation: Augmentation) -> ChainMap:
     return beta
 
 
-def _apply_scalar_matrix(mat, v, ops):
-    out = []
-    for row in mat:
-        acc = ops.zero
-        for c, x in zip(row, v):
-            if not ops.is_zero(x):
-                acc = ops.add(acc, ops.mul(c, x))
-        out.append(acc)
-    return out
-
-
 def _express(basis_vectors, v, ops):
     """Coordinates of v in the given spanning list, or None."""
     if not basis_vectors:
@@ -360,17 +351,9 @@ def _express(basis_vectors, v, ops):
     return solve(rows, list(v), ops)
 
 
-def _augmentation_value(augmentation, v, f):
-    acc = f.zero
-    for a, x in zip(augmentation.values, v):
-        acc = f.add(acc, f.mul(a, x))
-    return acc
-
-
 def beta_respects_filtration(beta: ChainMap, F: Filtration, K0: KoszulComplex = None):
     """Column-wise check: F_i lands in exterior length <= i-1."""
     model = F.model_complex
-    ops = field_ops(model.ring.field)
     if K0 is None:
         K0 = koszul(model.ring, 0)
     violations = []
@@ -391,11 +374,7 @@ def pipeline(C: FreeComplex, m: int, augmentation: Augmentation = None):
     model_aug = Augmentation(
         mm.model,
         [
-            _augmentation_value(
-                augmentation,
-                [p.constant_coeff() for p in mm.inclusion.matrix.column(j)],
-                C.ring.field,
-            )
+            augmentation.of_element(mm.inclusion.matrix.column(j))
             for j in range(mm.model.n)
         ],
     )
@@ -429,16 +408,21 @@ def _default_augmentation(C: FreeComplex) -> Augmentation:
 
 
 def verify_bounds(C: FreeComplex, m: int, augmentation: Augmentation = None):
-    """Full pipeline report: dimension, rank, length and degree bounds."""
+    """Full pipeline report: dimension, rank, length and degree bounds.
+
+    Also holds the `bound_checks` report of the model, and in the
+    weight-2, char-0 case with r >= 3 the `improved_bound` report of
+    case0_improved_bound, both computed from the same pipeline run.
+    """
     parts = pipeline(C, m, augmentation)
     model = parts["minimal"].model
     F = parts["filtration"]
     r = C.ring.num_vars
     gamma = parts["gamma"]
     rank = rank_of_map(gamma)
-    action = lambda_ops(model)
-    degrees = sorted(set(model.degrees))
-    lam_sum = sum(lambda_length(action, q) for q in degrees)
+    checks = bound_checks(model, F)
+    lam_sum = checks["lambda_sum"]
+    degrees = checks["nonzero_degrees"]
     report = {
         "r": r,
         "m": m,
@@ -446,25 +430,17 @@ def verify_bounds(C: FreeComplex, m: int, augmentation: Augmentation = None):
         "rank_gamma": rank,
         "length": F.length,
         "lambda_sum": lam_sum,
-        "lambda_trivial": action.is_trivial(),
-        "nonzero_degrees": len(degrees),
+        "lambda_trivial": checks["lambda_trivial"],
+        "nonzero_degrees": degrees,
         "a_dim_vs_2r": (model.n, 2 * r, model.n >= 2 * r),
         "a_rank_vs_2r": (rank, 2 * r, rank >= 2 * r),
         "b_length_vs_r_plus_1": (F.length, r + 1, F.length >= r + 1),
         "b_lambda_vs_r_plus_1": (lam_sum, r + 1, lam_sum >= r + 1),
-        "alt_dim_vs_2_length_minus_1": (
-            model.n,
-            2 * (F.length - 1),
-            model.n >= 2 * (F.length - 1),
-        ),
+        "alt_dim_vs_2_length_minus_1": checks["dim_vs_twice_length"],
         "beta_filtration_violations": beta_respects_filtration(parts["beta"], F),
     }
-    if action.is_trivial():
-        report["c_degrees_vs_r_plus_1"] = (
-            len(degrees),
-            r + 1,
-            len(degrees) >= r + 1,
-        )
+    if checks["lambda_trivial"]:
+        report["c_degrees_vs_r_plus_1"] = (degrees, r + 1, degrees >= r + 1)
     report["passed"] = (
         not report["beta_filtration_violations"]
         and all(
@@ -473,6 +449,9 @@ def verify_bounds(C: FreeComplex, m: int, augmentation: Augmentation = None):
             if isinstance(v, tuple) and len(v) == 3
         )
     )
+    report["bound_checks"] = checks
+    if _improved_bound_obstacle(C.ring) is None:
+        report["improved_bound"] = _improved_bound(gamma, koszul(C.ring, m))
     report["parts"] = parts
     return report
 
@@ -483,23 +462,34 @@ def case0_improved_bound(C: FreeComplex, m: int, augmentation: Augmentation = No
     Uses a degree-preserving composite and the restricted rank on the
     singleton generators together with the triple-product generator.
     """
-    ring = C.ring
-    r = ring.num_vars
-    if ring.var_weight != 2:
-        raise LiftError("the improved bound needs the weight-2 grading")
-    if ring.field.characteristic != 0:
-        raise LiftError("the improved bound needs characteristic 0")
-    if r < 3:
-        raise LiftError("the improved bound needs at least 3 variables")
+    obstacle = _improved_bound_obstacle(C.ring)
+    if obstacle is not None:
+        raise LiftError(obstacle)
     parts = pipeline(C, m, augmentation)
-    gamma = parts["gamma"]
-    Km = koszul(ring, m)
+    report = _improved_bound(parts["gamma"], koszul(C.ring, m))
+    report["parts"] = parts
+    return report
+
+
+def _improved_bound_obstacle(ring: RingSpec):
+    """Why the improved bound does not apply over `ring`, or None."""
+    if ring.var_weight != 2:
+        return "the improved bound needs the weight-2 grading"
+    if ring.field.characteristic != 0:
+        return "the improved bound needs characteristic 0"
+    if ring.num_vars < 3:
+        return "the improved bound needs at least 3 variables"
+    return None
+
+
+def _improved_bound(gamma: ChainMap, Km: KoszulComplex):
+    r = Km.ring.num_vars
     if not _is_degree_preserving(gamma, Km):
         raise LiftError("composite lift is not degree-preserving")
     sub = [Km.subset_index[(i,)] for i in range(1, r + 1)]
     sub.append(Km.subset_index[(1, 2, 3)])
     restricted = restricted_rank(gamma, sub)
-    report = {
+    return {
         "r": r,
         "restricted_basis_size": len(sub),
         "restricted_rank": restricted,
@@ -507,9 +497,7 @@ def case0_improved_bound(C: FreeComplex, m: int, augmentation: Augmentation = No
         "odd_rank_at_least": restricted,
         "total_bound": 2 * (r + 1),
         "passed": restricted == r + 1,
-        "parts": parts,
     }
-    return report
 
 
 def _is_degree_preserving(f: ChainMap, Km: KoszulComplex) -> bool:

@@ -264,92 +264,8 @@ def _bareiss_rank(ring: RingSpec, rows: dict) -> int:
 
 
 # ---------------------------------------------------------------------------
-# scalar arithmetic contexts for evaluation-based rank
+# extension fields for evaluation-based rank in characteristic p
 # ---------------------------------------------------------------------------
-
-
-class RationalOps:
-    """Exact rational arithmetic (char-0 evaluation and scalar linalgebra)."""
-
-    zero = Fraction(0)
-    one = Fraction(1)
-
-    def of(self, n):
-        return Fraction(n)
-
-    def of_coeff(self, c):
-        return Fraction(c)
-
-    def add(self, a, b):
-        return a + b
-
-    def sub(self, a, b):
-        return a - b
-
-    def mul(self, a, b):
-        return a * b
-
-    def neg(self, a):
-        return -a
-
-    def inv(self, a):
-        return 1 / a
-
-    def div(self, a, b):
-        return a / b
-
-    def pow(self, a, k):
-        return a**k
-
-    def is_zero(self, a):
-        return a == 0
-
-
-class PrimeFieldOps:
-    """F_p arithmetic on ints in [0, p)."""
-
-    def __init__(self, p: int):
-        self.p = p
-        self.zero = 0
-        self.one = 1 % p
-
-    def of(self, n):
-        return n % self.p
-
-    def of_coeff(self, c):
-        return c % self.p
-
-    def add(self, a, b):
-        return (a + b) % self.p
-
-    def sub(self, a, b):
-        return (a - b) % self.p
-
-    def mul(self, a, b):
-        return (a * b) % self.p
-
-    def neg(self, a):
-        return (-a) % self.p
-
-    def inv(self, a):
-        if a % self.p == 0:
-            raise ZeroDivisionError
-        return pow(a, self.p - 2, self.p)
-
-    def div(self, a, b):
-        return self.mul(a, self.inv(b))
-
-    def pow(self, a, k):
-        return pow(a, k, self.p)
-
-    def is_zero(self, a):
-        return a % self.p == 0
-
-
-def field_ops(field: FieldSpec):
-    if field.characteristic == 0:
-        return RationalOps()
-    return PrimeFieldOps(field.characteristic)
 
 
 class GF2ExtOps:
@@ -657,12 +573,11 @@ _EXT_CACHE = {}
 
 
 def evaluation_domain(field: FieldSpec):
-    """Scalar context with >= 2**61 elements for Schwartz-Zippel evaluation."""
+    """Scalar field with >= 2**61 elements for Schwartz-Zippel evaluation:
+    Q itself in characteristic 0, an extension of F_p otherwise."""
     p = field.characteristic
     if p == 0:
-        return RationalOps()
-    if p >= 2**61:
-        return PrimeFieldOps(p)
+        return field
     key = p
     if key not in _EXT_CACHE:
         k = 1
@@ -693,8 +608,23 @@ def rank_probabilistic(M: PolyMatrix, seed: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# dense scalar linear algebra over an ops context
+# dense scalar linear algebra over a field (any object with the scalar
+# protocol of FieldSpec: a FieldSpec or an evaluation domain)
 # ---------------------------------------------------------------------------
+
+
+def dot(row, vec, ops):
+    """Dot product of two dense vectors; zero entries of vec are skipped."""
+    acc = ops.zero
+    for a, x in zip(row, vec):
+        if not ops.is_zero(x):
+            acc = ops.add(acc, ops.mul(a, x))
+    return acc
+
+
+def mat_vec(rows, vec, ops):
+    """Dense matrix (a list of rows) times a vector."""
+    return [dot(row, vec, ops) for row in rows]
 
 
 def scalar_rank(rows, ops) -> int:

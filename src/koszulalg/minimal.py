@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .complexes import FreeComplex
-from .linalg import PolyMatrix, field_ops
+from .linalg import PolyMatrix, mat_vec, span_rref
 from .chainmaps import ChainMap, Homotopy
 
 
@@ -40,9 +40,9 @@ class MinimalModel:
         rhs = d @ self.homotopy.matrix + self.homotopy.matrix @ d
         if lhs != rhs:
             problems.append("id - inclusion ∘ projection != dH + Hd")
-        if self.inclusion.commutator() and not self.inclusion.commutator().is_zero():
+        if not self.inclusion.commutator().is_zero():
             problems.append("inclusion is not a chain map")
-        if self.projection.commutator() and not self.projection.commutator().is_zero():
+        if not self.projection.commutator().is_zero():
             problems.append("projection is not a chain map")
         return problems
 
@@ -155,7 +155,7 @@ class LambdaAction:
     maps: list  # one scalar matrix (list of rows) per variable
 
     def check_anticommutation(self):
-        f = field_ops(self.model.ring.field)
+        f = self.model.ring.field
         n = self.model.n
         problems = []
         for a in range(len(self.maps)):
@@ -180,7 +180,7 @@ class LambdaAction:
         return problems
 
     def is_trivial(self) -> bool:
-        f = field_ops(self.model.ring.field)
+        f = self.model.ring.field
         return all(
             f.is_zero(x) for mat in self.maps for row in mat for x in row
         )
@@ -214,13 +214,11 @@ def lambda_length(M, q: int) -> int:
     """Minimal i with (Λ⁺)^i H^q = 0; 0 when H^q itself is zero."""
     action = M if isinstance(M, LambdaAction) else lambda_ops(M)
     model = action.model
-    ops = field_ops(model.ring.field)
+    ops = model.ring.field
     n = model.n
     degree_q = [i for i in range(n) if model.degree(i) == q]
     if not degree_q:
         return 0
-    from .linalg import span_rref
-
     current = []
     for i in degree_q:
         v = [ops.zero] * n
@@ -233,9 +231,7 @@ def lambda_length(M, q: int) -> int:
         images = []
         for mat in action.maps:
             for v in current:
-                img = [
-                    _dot_row(mat, row, v, ops) for row in range(n)
-                ]
+                img = mat_vec(mat, v, ops)
                 if any(not ops.is_zero(x) for x in img):
                     images.append(img)
         current = span_rref(images, ops)
@@ -243,23 +239,3 @@ def lambda_length(M, q: int) -> int:
             raise RuntimeError("lambda action is not nilpotent")  # d^2 != 0
     return length
 
-
-def _dot_row(mat, row, v, ops):
-    acc = ops.zero
-    for k, x in enumerate(v):
-        if not ops.is_zero(x):
-            acc = ops.add(acc, ops.mul(mat[row][k], x))
-    return acc
-
-
-def lambda_length_sum(M) -> int:
-    model = M.model if isinstance(M, MinimalModel) else M
-    action = lambda_ops(M)
-    return sum(
-        lambda_length_from_action(action, q)
-        for q in sorted({d for d in model.degrees})
-    )
-
-
-def lambda_length_from_action(action: LambdaAction, q: int) -> int:
-    return lambda_length(action, q)

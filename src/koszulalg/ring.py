@@ -1,7 +1,8 @@
 """Exact scalars and sparse multivariate polynomials over Q and F_p.
 
 Scalars are `fractions.Fraction` in characteristic 0 and plain ints in
-[0, p) in characteristic p.  Polynomials are dicts mapping exponent
+[0, p) in characteristic p; `FieldSpec` is the one place their arithmetic
+is defined.  Polynomials are dicts mapping exponent
 tuples to nonzero scalars; all arithmetic is exact.
 """
 
@@ -39,9 +40,21 @@ def _is_prime(n: int) -> bool:
 
 @dataclass(frozen=True)
 class FieldSpec:
-    """The coefficient field: Q (characteristic 0) or F_p (p prime, p < 2**61)."""
+    """The coefficient field: Q (characteristic 0) or F_p (p prime, p < 2**61).
+
+    `FieldSpec(c)` returns a `RationalField` or a `PrimeField`, so the
+    arithmetic is chosen once, by class, and no scalar operation tests the
+    characteristic.  Both implement the scalar protocol shared with the
+    extension fields in linalg: zero, one, of, of_coeff, add, sub, neg,
+    mul, inv, div, pow, is_zero.
+    """
 
     characteristic: int = 0
+
+    def __new__(cls, characteristic=0):
+        if cls is FieldSpec:
+            cls = RationalField if characteristic == 0 else PrimeField
+        return object.__new__(cls)
 
     def __post_init__(self):
         c = self.characteristic
@@ -50,40 +63,9 @@ class FieldSpec:
         if c >= 2**61:
             raise ValueError("prime characteristic must be < 2**61")
 
-    # -- scalar protocol (shared with the extension fields in linalg) --
-
-    @property
-    def zero(self):
-        return Fraction(0) if self.characteristic == 0 else 0
-
-    @property
-    def one(self):
-        return Fraction(1) if self.characteristic == 0 else 1
-
-    def of(self, n):
-        """Coerce an int (or Fraction, in char 0) into the field."""
-        if self.characteristic == 0:
-            return Fraction(n)
-        return n % self.characteristic
-
-    def add(self, a, b):
-        return a + b if self.characteristic == 0 else (a + b) % self.characteristic
-
-    def sub(self, a, b):
-        return a - b if self.characteristic == 0 else (a - b) % self.characteristic
-
-    def mul(self, a, b):
-        return a * b if self.characteristic == 0 else (a * b) % self.characteristic
-
-    def neg(self, a):
-        return -a if self.characteristic == 0 else (-a) % self.characteristic
-
-    def inv(self, a):
-        if self.is_zero(a):
-            raise ZeroDivisionError("inverse of zero")
-        if self.characteristic == 0:
-            return 1 / Fraction(a)
-        return pow(a, self.characteristic - 2, self.characteristic)
+    def of_coeff(self, c):
+        """Coerce a polynomial coefficient (used by Polynomial.evaluate)."""
+        return self.of(c)
 
     def div(self, a, b):
         return self.mul(a, self.inv(b))
@@ -92,19 +74,79 @@ class FieldSpec:
         return a == 0
 
     def format_scalar(self, a) -> str:
-        if self.characteristic == 0:
-            f = Fraction(a)
-            return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
         return str(a)
 
     def parse_scalar(self, text: str):
-        text = text.strip()
-        if self.characteristic == 0:
-            if "/" in text:
-                num, den = text.split("/")
-                return Fraction(int(num), int(den))
-            return Fraction(int(text))
-        return int(text) % self.characteristic
+        num, slash, den = text.strip().partition("/")
+        return self.of(Fraction(int(num), int(den) if slash else 1))
+
+
+@dataclass(frozen=True)
+class RationalField(FieldSpec):
+    """Q, with scalars as `fractions.Fraction`."""
+
+    zero = Fraction(0)
+    one = Fraction(1)
+
+    def of(self, n):
+        """Coerce an int or a Fraction into the field."""
+        return Fraction(n)
+
+    def add(self, a, b):
+        return a + b
+
+    def sub(self, a, b):
+        return a - b
+
+    def mul(self, a, b):
+        return a * b
+
+    def neg(self, a):
+        return -a
+
+    def inv(self, a):
+        return self.one / a
+
+    def pow(self, a, k):
+        return a**k
+
+
+@dataclass(frozen=True)
+class PrimeField(FieldSpec):
+    """F_p, with scalars as ints in [0, p)."""
+
+    zero = 0
+    one = 1
+
+    def of(self, n):
+        """Coerce an int, or a Fraction whose denominator is prime to p."""
+        p = self.characteristic
+        if isinstance(n, Fraction):
+            if n.denominator % p == 0:
+                raise ValueError(f"{n} has no residue mod {p}")
+            return n.numerator * pow(n.denominator, -1, p) % p
+        return n % p
+
+    def add(self, a, b):
+        return (a + b) % self.characteristic
+
+    def sub(self, a, b):
+        return (a - b) % self.characteristic
+
+    def mul(self, a, b):
+        return (a * b) % self.characteristic
+
+    def neg(self, a):
+        return (-a) % self.characteristic
+
+    def inv(self, a):
+        p = self.characteristic
+        if a % p == 0:
+            raise ZeroDivisionError("inverse of zero")
+        return pow(a, p - 2, p)
+
+    def pow(self, a, k):
+        return pow(a, k, self.characteristic)
 
 
 @dataclass(frozen=True)
@@ -375,14 +417,6 @@ class Polynomial:
 
     def __repr__(self):
         return f"Polynomial({self})"
-
-
-def weighted_degree(p: Polynomial):
-    return p.weighted_degree()
-
-
-def reduce_mod_powers(p: Polynomial, a) -> Polynomial:
-    return p.reduce_mod_powers(a)
 
 
 _TOKEN = re.compile(r"\s*([+*-]|t\d+(?:\^\d+)?|-?\d+(?:/\d+)?)")

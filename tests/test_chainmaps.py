@@ -16,7 +16,7 @@ from koszulalg.chainmaps import (
     random_homotopy,
     rank_six_fixture,
 )
-from koszulalg.linalg import PolyMatrix, rank_exact, scalar_rank, field_ops
+from koszulalg.linalg import PolyMatrix, rank_exact, scalar_rank
 
 Q = FieldSpec(0)
 F2 = FieldSpec(2)
@@ -116,5 +116,5 @@ class TestInducedMap:
         ring = RingSpec(F2, 2, 1)
         iota, Km, K0 = standard_iota(ring, 1)
         rows, Hs, Ht = induced_map_mod(iota, (2, 2))
-        ops = field_ops(ring.field)
+        ops = ring.field
         assert scalar_rank(rows, ops) >= 1

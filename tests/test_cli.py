@@ -2,6 +2,7 @@ import os
 
 import pytest
 
+from koszulalg import lift
 from koszulalg.cli import main
 
 
@@ -140,6 +141,31 @@ class TestFilePipeline:
     def test_missing_file(self, capsys):
         code, _, _ = run(["verify-map", "no-such-file.map"], capsys)
         assert code == 2
+
+    def test_out_is_the_report_or_the_data(self, tmp_path, capsys):
+        cx = tmp_path / "k.cx"
+        run(["koszul", "--char", "2", "--rank", "2", "--m", "1", "--out", str(cx)], capsys)
+        assert not cx.read_text().startswith("# koszulalg report")
+        report = tmp_path / "report.txt"
+        code, out, _ = run(["verify-bounds", str(cx), "--out", str(report)], capsys)
+        assert code == 0
+        assert report.read_text() == out
+        model = tmp_path / "m.cx"
+        code, out, _ = run(["minimal", str(cx), "--out", str(model)], capsys)
+        assert code == 0
+        assert f"model written to {model}" in out
+        assert not model.read_text().startswith("# koszulalg report")
+
+    def test_verify_bounds_runs_the_pipeline_once(self, tmp_path, capsys, monkeypatch):
+        cx = str(tmp_path / "k.cx")
+        run(["koszul", "--char", "0", "--rank", "3", "--weight", "2", "--out", cx], capsys)
+        runs = []
+        original = lift.pipeline
+        monkeypatch.setattr(lift, "pipeline", lambda *a: runs.append(a) or original(*a))
+        code, out, _ = run(["verify-bounds", cx, "--m", "1"], capsys)
+        assert code == 0
+        assert "restricted rank (improved bound): 4 vs 4 -> PASS" in out
+        assert len(runs) == 1
 
     def test_report_written_to_file(self, tmp_path, capsys):
         out_file = tmp_path / "report.txt"

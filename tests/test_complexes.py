@@ -6,12 +6,12 @@ from koszulalg.ring import FieldSpec, RingSpec
 from koszulalg.complexes import (
     FreeComplex,
     koszul,
-    wedge,
     direct_sum,
     canonical_augmentation,
     Augmentation,
     tensor_quotient,
-    homology_k,
+    FiniteComplex,
+    HomologyData,
     min_generators_of_homology,
 )
 from koszulalg.linalg import PolyMatrix
@@ -67,11 +67,11 @@ class TestKoszul:
         K = koszul(RingSpec(Q, 3, 1), 0)
         s1 = K.base.basis_element(K.subset_index[(1,)])
         s2 = K.base.basis_element(K.subset_index[(2,)])
-        s12 = wedge(K, s1, s2)
+        s12 = K.wedge(s1, s2)
         assert s12[K.subset_index[(1, 2)]] == K.ring.one()
-        s21 = wedge(K, s2, s1)
+        s21 = K.wedge(s2, s1)
         assert s21[K.subset_index[(1, 2)]] == -K.ring.one()
-        assert all(p.is_zero() for p in wedge(K, s1, s1))
+        assert all(p.is_zero() for p in K.wedge(s1, s1))
 
     def test_leibniz_via_dga(self):
         for w in (1, 2):
@@ -95,12 +95,23 @@ class TestTensorQuotient:
         assert F.boundary_squared_is_zero()
         assert F.validate() == []
 
+    def test_boundary_squared_nonzero_detected(self):
+        field = FieldSpec(3)
+        basis = [("a", 0), ("b", 1), ("c", 1), ("z", 2)]
+        # d a = b + c; d b = z and d c = -z cancel, then d c = z does not
+        good = {(1, 0): 1, (2, 0): 1, (3, 1): 1, (3, 2): 2}
+        bad = dict(good)
+        bad[(3, 2)] = 1
+        assert FiniteComplex(field, basis, good).boundary_squared_is_zero()
+        assert not FiniteComplex(field, basis, bad).boundary_squared_is_zero()
+        assert FiniteComplex(field, basis, bad).validate() == ["boundary squared is nonzero"]
+
     def test_homology_of_contractible(self):
         ring = RingSpec(Q, 2, 1)
         D = PolyMatrix(ring, 2, 2)
         D.entries[(0, 1)] = ring.one()
         C = FreeComplex(ring, [("a", 1), ("b", 0)], D)
-        H = homology_k(tensor_quotient(C, (2, 2)))
+        H = HomologyData(tensor_quotient(C, (2, 2)))
         assert H.total_dim == 0
 
     def test_homology_dimensions_koszul(self):
@@ -108,14 +119,14 @@ class TestTensorQuotient:
         # homology is the whole truncated module: 2^r * (m+1)^r
         for r, m in [(1, 1), (2, 1), (2, 2)]:
             K = koszul(RingSpec(Q, r, 1), m)
-            H = homology_k(tensor_quotient(K.base, (m + 1,) * r))
+            H = HomologyData(tensor_quotient(K.base, (m + 1,) * r))
             assert H.total_dim == 2 ** r * (m + 1) ** r
 
     def test_projection_include_roundtrip(self):
         K = koszul(RingSpec(F2, 2, 1), 1)
         F = tensor_quotient(K.base, (2, 2))
-        H = homology_k(F)
-        ops = H.ops
+        H = HomologyData(F)
+        ops = H.field
         for rep in H.representatives:
             coords = H.project(rep)
             back = H.include(coords)

@@ -11,7 +11,8 @@ from koszulalg.complexes import (
 from koszulalg.linalg import PolyMatrix
 from koszulalg.chainmaps import is_chain_map, rank_of_map
 from koszulalg.minimal import minimal_model
-from koszulalg.filtration import compute_filtration
+from koszulalg import lift
+from koszulalg.filtration import compute_filtration, bound_checks
 from koszulalg.lift import (
     LiftError,
     monomials_of_weighted_degree,
@@ -156,6 +157,26 @@ class TestPipeline:
         rep = verify_bounds(K.base, 2, canonical_augmentation(K))
         assert rep["dim_H"] == 4 and rep["length"] == 3
         assert rep["a_dim_vs_2r"][2]
+
+
+class TestVerifyBoundsReports:
+    def test_one_pipeline_feeds_every_report(self, monkeypatch):
+        ring = RingSpec(Q, 3, 2)
+        K = koszul(ring, 1)
+        runs = []
+        original = lift.pipeline
+        monkeypatch.setattr(lift, "pipeline", lambda *a: runs.append(a) or original(*a))
+        rep = verify_bounds(K.base, 1, canonical_augmentation(K))
+        assert len(runs) == 1
+        parts = rep["parts"]
+        assert rep["bound_checks"] == bound_checks(parts["minimal"], parts["filtration"])
+        alone = case0_improved_bound(K.base, 1, canonical_augmentation(K))
+        del alone["parts"]
+        assert rep["improved_bound"] == alone
+
+    def test_no_improved_bound_outside_its_case(self):
+        K = koszul(RingSpec(Q, 3, 1), 1)
+        assert "improved_bound" not in verify_bounds(K.base, 1, canonical_augmentation(K))
 
 
 class TestCase0:

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -7,7 +8,6 @@ from koszulalg.linalg import (
     PolyMatrix,
     rank_exact,
     rank_probabilistic,
-    field_ops,
     evaluation_domain,
     rref,
     nullspace,
@@ -117,9 +117,60 @@ class TestEvaluationDomains:
             assert p ** deg >= 2 ** 61
 
 
+def _field_cases():
+    def rational(rng):
+        return Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+
+    def residue(p):
+        return lambda rng: rng.randrange(p)
+
+    cases = [
+        ("Q", Q, rational),
+        ("F2", F2, residue(2)),
+        ("F3", F3, residue(3)),
+        ("F5", FieldSpec(5), residue(5)),
+    ]
+    for p in (2, 3):
+        dom = evaluation_domain(FieldSpec(p))
+        cases.append((f"F{p}-ext", dom, dom.random_element))
+    return cases
+
+
+@pytest.mark.parametrize(
+    "field, element", [pytest.param(f, e, id=name) for name, f, e in _field_cases()]
+)
+def test_scalar_protocol(field, element):
+    f = field
+    rng = random.Random(7)
+    assert f.is_zero(f.zero) and not f.is_zero(f.one)
+    assert f.of(0) == f.zero and f.of(1) == f.one
+    assert f.of_coeff(1) == f.one
+    acc = f.zero
+    for n in range(6):
+        assert f.of(n) == acc
+        acc = f.add(acc, f.one)
+    for _ in range(25):
+        a, b = element(rng), element(rng)
+        assert f.add(a, f.zero) == a and f.mul(a, f.one) == a
+        assert f.is_zero(f.mul(a, f.zero))
+        assert f.sub(f.add(a, b), b) == a
+        assert f.add(a, f.neg(a)) == f.zero and f.is_zero(f.sub(a, a))
+        assert f.sub(a, b) == f.add(a, f.neg(b))
+        assert f.mul(a, b) == f.mul(b, a)
+        power = f.one
+        for k in range(5):
+            assert f.pow(a, k) == power
+            power = f.mul(power, a)
+        if not f.is_zero(b):
+            assert f.mul(b, f.inv(b)) == f.one
+            assert f.div(f.mul(a, b), b) == a
+    with pytest.raises(ZeroDivisionError):
+        f.inv(f.zero)
+
+
 class TestScalarLinalg:
     def test_rref_solve_nullspace(self):
-        ops = field_ops(Q)
+        ops = Q
         rows = [[Q.of(1), Q.of(2), Q.of(3)], [Q.of(2), Q.of(4), Q.of(6)]]
         assert scalar_rank(rows, ops) == 1
         ns = nullspace(rows, 3, ops)
@@ -134,7 +185,7 @@ class TestScalarLinalg:
         assert solve([[Q.of(0), Q.of(0)]], [Q.of(1)], ops) is None
 
     def test_span_membership(self):
-        ops = field_ops(F3)
+        ops = F3
         basis = span_rref([[1, 2, 0], [0, 1, 1]], ops)
         assert in_span(basis, [1, 0, 1], ops)  # (1,2,0) - 2*(0,1,1) = (1,0,-2) = (1,0,1)
         assert not in_span(basis, [0, 0, 1], ops)

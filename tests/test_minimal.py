@@ -4,7 +4,8 @@ import pytest
 
 from koszulalg.ring import FieldSpec, RingSpec
 from koszulalg.complexes import koszul, FreeComplex, direct_sum
-from koszulalg.linalg import PolyMatrix, scalar_rank, field_ops
+from koszulalg.linalg import PolyMatrix, scalar_rank
+from koszulalg.chainmaps import ChainMap
 from koszulalg.minimal import (
     minimal_model,
     is_minimal,
@@ -20,7 +21,7 @@ F2 = FieldSpec(2)
 
 def _dim_homology_mod_k(C):
     """Independent oracle: dim H(C x k) = n - 2 * rank(constant part)."""
-    ops = field_ops(C.ring.field)
+    ops = C.ring.field
     rows = [[ops.zero] * C.n for _ in range(C.n)]
     for (i, j), p in C.differential.entries.items():
         rows[i][j] = p.constant_coeff()
@@ -33,6 +34,26 @@ class TestMinimalModel:
         mm = minimal_model(K.base)
         assert mm.model.n == K.base.n
         assert mm.verify() == []
+
+    def test_corrupted_inclusion_reported(self):
+        K = koszul(RingSpec(Q, 2, 1), 1)
+        mm = minimal_model(K.base)
+        mm.inclusion.matrix.set(0, 0, K.ring.var(1))
+        assert "inclusion is not a chain map" in mm.verify()
+        assert "projection is not a chain map" not in mm.verify()
+
+    def test_verify_builds_each_commutator_once(self, monkeypatch):
+        mm = minimal_model(koszul(RingSpec(Q, 2, 1), 1).base)
+        built = []
+        commutator = ChainMap.commutator
+
+        def counting(f):
+            built.append(f)
+            return commutator(f)
+
+        monkeypatch.setattr(ChainMap, "commutator", counting)
+        assert mm.verify() == []
+        assert len(built) == 2
 
     def test_contractible_pair_collapses(self):
         ring = RingSpec(Q, 2, 1)
