@@ -127,10 +127,8 @@ def induced_map_mod(f: ChainMap, a):
     lookup_t = Ft.tensor_info["lookup"]
     cols = []
     for rep in Hs.representatives:
-        image = [ops.zero] * Ft.n
-        for pos, c in enumerate(rep):
-            if ops.is_zero(c):
-                continue
+        image = {}
+        for pos, c in rep.items():
             gi, mu = Fs.tensor_info["items"][pos]
             for i in range(f.target.n):
                 p = f.matrix.entries.get((i, gi))
@@ -139,7 +137,7 @@ def induced_map_mod(f: ChainMap, a):
                 q = p.multiply_monomial(mu).reduce_mod_powers(a)
                 for e, pc in q.terms.items():
                     k = lookup_t[(i, e)]
-                    image[k] = ops.add(image[k], ops.mul(c, pc))
+                    image[k] = ops.add(image.get(k, ops.zero), ops.mul(c, pc))
         cols.append(Ht.project(image))
     rows = [[cols[j][i] for j in range(len(cols))] for i in range(Ht.total_dim)]
     return rows, Hs, Ht

@@ -13,15 +13,7 @@ import itertools
 from dataclasses import dataclass, field
 
 from .ring import RingSpec, Polynomial, _grlex_key
-from .linalg import (
-    PolyMatrix,
-    dot,
-    rref,
-    nullspace,
-    solve,
-    span_rref,
-    IncrementalSpan,
-)
+from .linalg import PolyMatrix, Echelon, axpy, dot, sparse_dot
 
 
 class FreeComplex:
@@ -414,9 +406,9 @@ def _mono_name(mu):
 class HomologyData:
     """Per-degree homology of a FiniteComplex with certificates.
 
-    representatives: cycle vectors (full coordinates), one per homology
-    class, ordered by degree; projection rows satisfy proj @ incl = id
-    and proj(boundary) = 0.
+    representatives: cycle vectors as sparse dicts {basis index: scalar},
+    one per homology class, ordered by degree; projection_rows (sparse
+    dicts too) satisfy proj @ incl = id and proj(boundary) = 0.
     """
 
     def __init__(self, complex: FiniteComplex):
@@ -427,7 +419,6 @@ class HomologyData:
         self.rep_degrees = []
         self.degree_reps = {}
         self.projection_rows = []
-        self.projection_sparse = []
         self._compute()
 
     def _compute(self):
@@ -437,96 +428,69 @@ class HomologyData:
         columns = F.columns()
         for q in sorted(by_degree):
             idx = by_degree[q]
-            pos = {b: k for k, b in enumerate(idx)}
-            dim = len(idx)
             # kernel of d restricted to degree q
             out_rows = {}
             for j in idx:
                 for i, c in columns.get(j, {}).items():
-                    out_rows.setdefault(i, [ops.zero] * dim)[pos[j]] = c
-            kernel = nullspace(list(out_rows.values()), dim, ops)
-            # image of d from degree q-1
-            img = []
+                    out_rows.setdefault(i, {})[j] = c
+            cycles = Echelon(ops)
+            for row in out_rows.values():
+                cycles.add(row)
+            kernel = cycles.nullspace(idx)
+            # One echelon holds [image | representatives | completing
+            # units] in the columns idx, each representative tagged by a
+            # unit in its own column past F.n.  Once it has full rank its
+            # rows are [I | B^-1 T], and the tag column of a representative
+            # is its projection row.  A vector enters only when it leaves
+            # the span in the columns idx.
+            span = Echelon(ops)
+
+            def grow(v):
+                residual = span.reduce(v)
+                if residual and min(residual) < F.n:
+                    return span.insert(residual)
+                return False
+
+            in_degree = set(idx)
             for j in by_degree.get(q - 1, ()):
-                v = [ops.zero] * dim
-                hit = False
-                for i, c in columns.get(j, {}).items():
-                    if i in pos:
-                        v[pos[i]] = c
-                        hit = True
-                if hit:
-                    img.append(v)
-            img_rref = span_rref(img, ops)
-            # extend image basis to kernel by greedy selection
-            current = IncrementalSpan(ops)
-            for v in img_rref:
-                current.add(v)
-            reps_local = []
-            for v in kernel:
-                if current.add(v):
-                    reps_local.append(v)
-            hdim = len(reps_local)
-            self.dims[q] = hdim
-            if hdim == 0:
+                grow({i: c for i, c in columns.get(j, {}).items() if i in in_degree})
+            reps = []
+            for z in kernel:
+                if grow({**z, F.n + len(reps): ops.one}):
+                    reps.append(z)
+            self.dims[q] = len(reps)
+            if not reps:
                 continue
-            # projection: coordinates w.r.t. reps in a basis [img | reps | extra]
-            basis_vectors = [list(v) for v in img_rref] + [list(v) for v in reps_local]
-            for k in range(dim):
-                unit = [ops.zero] * dim
-                unit[k] = ops.one
-                if current.add(unit):
-                    basis_vectors.append(unit)
-            # invert the basis matrix (columns = basis_vectors)
-            inv_rows = _matrix_inverse_rows(basis_vectors, ops)
-            n_img = len(img_rref)
+            for b in idx:
+                if span.rank == len(idx):
+                    break
+                grow({b: ops.one})
             self.degree_reps[q] = []
-            for k, v in enumerate(reps_local):
-                full = [ops.zero] * F.n
-                for local, b in enumerate(idx):
-                    full[b] = v[local]
+            for k, z in enumerate(reps):
+                tag = F.n + k
                 self.degree_reps[q].append(len(self.representatives))
-                self.representatives.append(full)
+                self.representatives.append(z)
                 self.rep_degrees.append(q)
-                proj_local = inv_rows[n_img + k]
-                proj_full = [ops.zero] * F.n
-                sparse = {}
-                for local, b in enumerate(idx):
-                    proj_full[b] = proj_local[local]
-                    if not ops.is_zero(proj_local[local]):
-                        sparse[b] = proj_local[local]
-                self.projection_rows.append(proj_full)
-                self.projection_sparse.append(sparse)
+                self.projection_rows.append(
+                    {b: row[tag] for b, row in span.rows.items() if tag in row}
+                )
 
     @property
     def total_dim(self):
         return len(self.representatives)
 
     def project(self, vector):
-        """Coordinates of a (cycle) vector in the homology basis."""
-        return [dot(row, vector, self.field) for row in self.projection_rows]
+        """Coordinates of a sparse (cycle) vector in the homology basis."""
+        return [sparse_dot(row, vector, self.field) for row in self.projection_rows]
 
     def include(self, h_coords):
+        """The sparse cycle with the given homology coordinates."""
         ops = self.field
-        out = [ops.zero] * self.complex.n
+        out = {}
         for c, rep in zip(h_coords, self.representatives):
             if not ops.is_zero(c):
-                out = [ops.add(x, ops.mul(c, y)) for x, y in zip(out, rep)]
+                axpy(out, c, rep, ops)
         return out
-
-
-def _matrix_inverse_rows(column_vectors, ops):
-    """Rows of the inverse of the matrix whose columns are the given vectors."""
-    n = len(column_vectors)
-    aug = []
-    for i in range(n):
-        row = [column_vectors[j][i] for j in range(n)]
-        unit = [ops.zero] * n
-        unit[i] = ops.one
-        aug.append(row + unit)
-    red, pivots = rref(aug, ops)
-    if len(red) != n or pivots != list(range(n)):
-        raise ValueError("singular basis matrix")
-    return [row[n:] for row in red]
 
 
 def min_generators_of_homology(C: FreeComplex, a) -> int:
@@ -548,31 +512,27 @@ def min_generators_of_homology(C: FreeComplex, a) -> int:
         targets = H.degree_reps.get(q + w)
         if not targets:
             continue
-        span = IncrementalSpan(ops)
+        span = Echelon(ops)
         for var in range(C.ring.num_vars):
             for k in rep_ids:
-                shifted = _shift_by_variable(
-                    H.representatives[k], var, info, ops, F
-                )
-                coords = [
-                    _sparse_dot(H.projection_sparse[t], shifted, ops)
-                    for t in targets
-                ]
-                if any(not ops.is_zero(c) for c in coords):
-                    span.add(coords)
+                shifted = _shift_by_variable(H.representatives[k], var, info, ops)
+                coords = {}
+                for pos, t in enumerate(targets):
+                    c = sparse_dot(H.projection_rows[t], shifted, ops)
+                    if not ops.is_zero(c):
+                        coords[pos] = c
+                span.add(coords)
         killed += span.rank
     return H.total_dim - killed
 
 
-def _shift_by_variable(vector, var, info, ops, F: FiniteComplex):
-    """Multiply a tensor-basis vector by t_{var+1}, truncating at the bounds."""
+def _shift_by_variable(vector, var, info, ops):
+    """Multiply a sparse tensor-basis vector by t_{var+1}, truncating at the bounds."""
     bounds = info["bounds"]
     lookup = info["lookup"]
     items = info["items"]
     out = {}
-    for pos, c in enumerate(vector):
-        if ops.is_zero(c):
-            continue
+    for pos, c in vector.items():
         gi, mu = items[pos]
         new_mu = list(mu)
         new_mu[var] += 1
@@ -585,15 +545,3 @@ def _shift_by_variable(vector, var, info, ops, F: FiniteComplex):
         else:
             out[key] = s
     return out
-
-
-def _sparse_dot(row, vec, ops):
-    """Dot product of two sparse vectors given as {index: coeff} dicts."""
-    if len(vec) < len(row):
-        row, vec = vec, row
-    acc = ops.zero
-    for pos, c in row.items():
-        other = vec.get(pos)
-        if other is not None:
-            acc = ops.add(acc, ops.mul(c, other))
-    return acc

@@ -16,6 +16,7 @@ read-then-write round-trips byte-identically.
 
 from __future__ import annotations
 
+import contextlib
 import os
 import re
 
@@ -32,6 +33,21 @@ _VAR = re.compile(r"t(\d+)(?:\^(\d+))?$")
 
 class FileFormatError(ValueError):
     pass
+
+
+@contextlib.contextmanager
+def _line(number):
+    """Report a malformed input line as a FileFormatError naming it."""
+    try:
+        yield
+    except ValueError as e:
+        raise FileFormatError(f"line {number}: {e}") from None
+
+
+def _generator(gen_index, name):
+    if name not in gen_index:
+        raise FileFormatError(f"unknown generator {name!r}")
+    return gen_index[name]
 
 
 def _tokenize(text):
@@ -72,7 +88,10 @@ def parse_combination(ring: RingSpec, gen_index: dict, text: str):
             tok = tokens[i]
             m = _VAR.match(tok)
             if m:
-                exps[int(m.group(1)) - 1] += int(m.group(2) or 1)
+                var = int(m.group(1))
+                if not 1 <= var <= ring.num_vars:
+                    raise FileFormatError(f"no variable {tok!r} when r = {ring.num_vars}")
+                exps[var - 1] += int(m.group(2) or 1)
             elif tok[0].isdigit():
                 coeff = f.mul(coeff, f.parse_scalar(tok))
             elif tok in gen_index:
@@ -85,6 +104,8 @@ def parse_combination(ring: RingSpec, gen_index: dict, text: str):
             if i >= len(tokens) or tokens[i] != "*":
                 break
             i += 1
+            if i >= len(tokens):
+                raise FileFormatError("dangling '*'")
         if gen is None:
             raise FileFormatError(f"term without a generator in {text!r}")
         vec[gen] = vec[gen] + ring.monomial(exps, coeff)
@@ -167,18 +188,19 @@ def complex_from_text(text: str):
     header = {}
     gens = []
     body = []
-    for ln in lines[1:]:
+    for number, ln in enumerate(lines[1:], start=2):
         ln = ln.strip()
         if not ln or ln.startswith("#"):
             continue
         key, _, rest = ln.partition(" ")
-        if key in ("char", "r", "weight"):
-            header[key] = int(rest)
-        elif key == "gen":
-            name, q = rest.split()
-            gens.append((name, int(q)))
-        else:
-            body.append((key, rest))
+        with _line(number):
+            if key in ("char", "r", "weight"):
+                header[key] = int(rest)
+            elif key == "gen":
+                name, q = rest.split()
+                gens.append((name, int(q)))
+            else:
+                body.append((number, key, rest))
     for k in ("char", "r", "weight"):
         if k not in header:
             raise FileFormatError(f"missing ring field {k!r}")
@@ -194,38 +216,36 @@ def complex_from_text(text: str):
     unit = None
     parity = [0] * n
     table = {}
-    for key, rest in body:
-        if key == "d":
-            name, _, expr = rest.partition("=")
-            name = name.strip()
-            if name not in gen_index:
-                raise FileFormatError(f"d line for unknown generator {name!r}")
-            vec = parse_combination(ring, gen_index, expr)
-            j = gen_index[name]
-            for i, p in enumerate(vec):
-                if not p.is_zero():
-                    D.entries[(i, j)] = p
-        elif key == "augment":
-            name, _, expr = rest.partition("=")
-            name = name.strip()
-            if aug_values is None:
-                aug_values = [f.zero] * n
-            aug_values[gen_index[name]] = f.parse_scalar(expr.strip())
-        elif key == "unit":
-            unit = gen_index[rest.strip()]
-        elif key == "parity":
-            name, _, expr = rest.partition("=")
-            parity[gen_index[name.strip()]] = int(expr)
-        elif key == "product":
-            head, _, expr = rest.partition("=")
-            a, b = head.split()
-            table[(gen_index[a], gen_index[b])] = parse_combination(
-                ring, gen_index, expr
-            )
-        elif key in ("inclusion", "projection", "homotopy"):
-            continue  # minimal-model annex blocks; not needed to rebuild C
-        else:
-            raise FileFormatError(f"unknown directive {key!r}")
+    for number, key, rest in body:
+        with _line(number):
+            if key == "d":
+                name, _, expr = rest.partition("=")
+                j = _generator(gen_index, name.strip())
+                vec = parse_combination(ring, gen_index, expr)
+                for i, p in enumerate(vec):
+                    if not p.is_zero():
+                        D.entries[(i, j)] = p
+            elif key == "augment":
+                name, _, expr = rest.partition("=")
+                j = _generator(gen_index, name.strip())
+                if aug_values is None:
+                    aug_values = [f.zero] * n
+                aug_values[j] = f.parse_scalar(expr.strip())
+            elif key == "unit":
+                unit = _generator(gen_index, rest.strip())
+            elif key == "parity":
+                name, _, expr = rest.partition("=")
+                parity[_generator(gen_index, name.strip())] = int(expr)
+            elif key == "product":
+                head, _, expr = rest.partition("=")
+                a, b = head.split()
+                table[(_generator(gen_index, a), _generator(gen_index, b))] = (
+                    parse_combination(ring, gen_index, expr)
+                )
+            elif key in ("inclusion", "projection", "homotopy"):
+                continue  # minimal-model annex blocks; not needed to rebuild C
+            else:
+                raise FileFormatError(f"unknown directive {key!r}")
     augmentation = Augmentation(C, aug_values) if aug_values is not None else None
     dga = None
     if unit is not None:
@@ -264,7 +284,7 @@ def read_map(path):
     base = os.path.dirname(os.path.abspath(path))
     source_path = target_path = None
     assignments = []
-    for ln in lines[1:]:
+    for number, ln in enumerate(lines[1:], start=2):
         ln = ln.strip()
         if not ln or ln.startswith("#"):
             continue
@@ -275,7 +295,7 @@ def read_map(path):
             target_path = os.path.join(base, rest.strip())
         elif key == "f":
             name, _, expr = rest.partition("=")
-            assignments.append((name.strip(), expr))
+            assignments.append((number, name.strip(), expr))
         else:
             raise FileFormatError(f"unknown directive {key!r}")
     if source_path is None or target_path is None:
@@ -284,11 +304,13 @@ def read_map(path):
     target, _, _ = read_complex(target_path)
     if source.ring != target.ring:
         raise FileFormatError("source and target rings differ")
+    source_index = {name: j for j, (name, _) in enumerate(source.generators)}
     gen_index = {name: j for j, (name, _) in enumerate(target.generators)}
     M = PolyMatrix(source.ring, target.n, source.n)
-    for name, expr in assignments:
-        j = source.index(name)
-        vec = parse_combination(source.ring, gen_index, expr)
+    for number, name, expr in assignments:
+        with _line(number):
+            j = _generator(source_index, name)
+            vec = parse_combination(source.ring, gen_index, expr)
         for i, p in enumerate(vec):
             if not p.is_zero():
                 M.entries[(i, j)] = p

@@ -20,7 +20,7 @@ from .complexes import (
     DgaStructure,
 )
 from .chainmaps import ChainMap, is_chain_map, rank_of_map, restricted_rank
-from .linalg import PolyMatrix, mat_vec, solve
+from .linalg import PolyMatrix, Echelon, mat_vec, solve, sparse
 from .minimal import minimal_model
 from .filtration import (
     Filtration,
@@ -266,28 +266,41 @@ def lift_beta(F: Filtration, augmentation: Augmentation) -> ChainMap:
     K0 = koszul(ring, 0)
     n = model.n
     slices = monomial_slices(model)
-    defined_vectors = []  # k-basis of the part of the model handled so far
-    defined_images = []  # their images in K0
+    # The processed part of the model: its k-basis d_j, each tagged by a
+    # unit in column n + j.  The d_j are independent, so the residual of
+    # (v | 0) is (0 | -coordinates of v) when v is in their span.
+    defined = Echelon(f)
+    defined_images = []  # images in K0 of the d_j
+
+    def coordinates(v):
+        residual = defined.reduce(sparse(v, f))
+        if any(c < n for c in residual):
+            return None
+        return [f.neg(residual.get(n + j, f.zero)) for j in range(defined.rank)]
+
+    def define(v, img):
+        defined.add({**sparse(v, f), n + defined.rank: f.one})
+        defined_images.append(img)
+
     for level in range(1, F.length + 1):
         graded = F.graded_basis(level)
         for q in sorted(graded):
             for v in graded[q]:
-                if defined_vectors and _express(defined_vectors, v, f) is not None:
+                if coordinates(v) is not None:
                     continue
                 eps_v = augmentation.of_scalars(v)
                 if level == 1:
                     img = K0.base.zero_element()
                     if not f.is_zero(eps_v):
                         img[K0.subset_index[()]] = ring.constant(eps_v)
-                    defined_vectors.append(v)
-                    defined_images.append(img)
+                    define(v, img)
                     continue
                 rhs = K0.base.zero_element()
                 for exps, mat in slices.items():
                     w = mat_vec(mat, v, f)
                     if all(f.is_zero(x) for x in w):
                         continue
-                    coords = _express(defined_vectors, w, f)
+                    coords = coordinates(w)
                     if coords is None:
                         raise LiftError(
                             "differential image escapes the processed filtration span"
@@ -316,14 +329,13 @@ def lift_beta(F: Filtration, augmentation: Augmentation) -> ChainMap:
                     sol = list(sol)
                     k0 = K0.subset_index[()]
                     sol[k0] = sol[k0] + ring.constant(f.sub(eps_v, got_eps))
-                defined_vectors.append(v)
-                defined_images.append(sol)
+                define(v, sol)
     # express the standard basis through the processed one
     M = PolyMatrix(ring, K0.n, n)
     for j in range(n):
         e = [f.zero] * n
         e[j] = f.one
-        coords = _express(defined_vectors, e, f)
+        coords = coordinates(e)
         if coords is None:
             raise LiftError("filtration basis does not span the model")
         for c, img in zip(coords, defined_images):
@@ -340,15 +352,6 @@ def lift_beta(F: Filtration, augmentation: Augmentation) -> ChainMap:
     if bad is not None:
         raise LiftError(f"lift is not a chain map at column {bad}")
     return beta
-
-
-def _express(basis_vectors, v, ops):
-    """Coordinates of v in the given spanning list, or None."""
-    if not basis_vectors:
-        return None
-    n = len(v)
-    rows = [[basis_vectors[k][i] for k in range(len(basis_vectors))] for i in range(n)]
-    return solve(rows, list(v), ops)
 
 
 def beta_respects_filtration(beta: ChainMap, F: Filtration, K0: KoszulComplex = None):

@@ -6,8 +6,10 @@ domain (big integers in char 0, an extension field of size >= 2**61 in
 char p) so the Schwartz-Zippel failure probability stays below 2**-40
 for every matrix this artifact produces (minor degrees < 2**15).
 
-Also hosts the dense scalar linear algebra (RREF, nullspace, solve) used
-by the homology, filtration and lifting code.
+Also hosts the scalar linear algebra used by the homology, filtration
+and lifting code: one sparse-row elimination kernel (`Echelon`, rows kept
+in reduced row echelon form), with the dense entry points rref,
+nullspace, solve, span_rref, scalar_rank and in_span built on it.
 """
 
 from __future__ import annotations
@@ -544,15 +546,14 @@ def _find_gfp_modulus(p: int, k: int):
         return a
 
     def is_irreducible(mod):
-        x = [0, 1]
-        xk = polymod(x, mod)
-        if powmod(x, p**k, mod) != xk:
-            return False
-        for q in _prime_divisors(k):
-            y = powmod(x, p ** (k // q), mod)
-            diff = [(a - b) % p for a, b in zip(y, xk)]
-            g = polygcd(diff, mod)
-            if len(trim(g)) - 1 != 0:
+        # Ben-Or: no factor of degree i <= k/2, i.e. gcd(x^(p^i) - x, mod)
+        # = 1 for each such i; most candidates fail at a small i
+        x = polymod([0, 1], mod)
+        y = x
+        for _ in range(k // 2):
+            y = powmod(y, p, mod)
+            diff = [(a - b) % p for a, b in zip(y, x)]
+            if len(polygcd(diff, mod)) != 1:
                 return False
         return True
 
@@ -608,8 +609,9 @@ def rank_probabilistic(M: PolyMatrix, seed: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# dense scalar linear algebra over a field (any object with the scalar
-# protocol of FieldSpec: a FieldSpec or an evaluation domain)
+# scalar linear algebra over a field (any object with the scalar protocol
+# of FieldSpec: a FieldSpec or an evaluation domain).  All elimination goes
+# through Echelon; the dense functions below wrap it.
 # ---------------------------------------------------------------------------
 
 
@@ -627,56 +629,124 @@ def mat_vec(rows, vec, ops):
     return [dot(row, vec, ops) for row in rows]
 
 
+def sparse_dot(row, vec, ops):
+    """Dot product of two sparse vectors given as {index: coeff} dicts."""
+    if len(vec) < len(row):
+        row, vec = vec, row
+    acc = ops.zero
+    for pos, c in row.items():
+        other = vec.get(pos)
+        if other is not None:
+            acc = ops.add(acc, ops.mul(c, other))
+    return acc
+
+
+def sparse(vec, ops):
+    """{index: entry} of the nonzero entries of a dense vector."""
+    return {c: x for c, x in enumerate(vec) if not ops.is_zero(x)}
+
+
+def dense(vec, ncols, ops):
+    """The dense vector of length ncols with the entries of a sparse one."""
+    out = [ops.zero] * ncols
+    for c, x in vec.items():
+        out[c] = x
+    return out
+
+
+class Echelon:
+    """Row span over a field, kept in reduced row echelon form.
+
+    Rows are sparse dicts {column: nonzero scalar} keyed by their pivot
+    column.  Each pivot entry is 1 and every other row is 0 in that
+    column, so one pass of `reduce` gives the residual of a vector.  A new
+    row is normalised at its leftmost nonzero column, so the rows are the
+    canonical RREF of everything added so far.
+    """
+
+    def __init__(self, ops):
+        self.ops = ops
+        self.rows = {}  # pivot column -> row
+
+    @property
+    def rank(self):
+        return len(self.rows)
+
+    def reduce(self, v):
+        """Residual of the sparse vector v: zero in every pivot column."""
+        ops = self.ops
+        rows = self.rows
+        out = dict(v)
+        for pc in [c for c in v if c in rows]:
+            axpy(out, ops.neg(v[pc]), rows[pc], ops)
+        return out
+
+    def add(self, v):
+        """Insert a sparse vector; True iff the span grew."""
+        return self.insert(self.reduce(v))
+
+    def insert(self, residual):
+        """Insert a residual returned by `reduce`; True iff it is nonzero."""
+        if not residual:
+            return False
+        ops = self.ops
+        lead = min(residual)
+        inv = ops.inv(residual[lead])
+        row = {c: ops.mul(inv, x) for c, x in residual.items()}
+        for other in self.rows.values():
+            f = other.get(lead)
+            if f is not None:
+                axpy(other, ops.neg(f), row, ops)
+        self.rows[lead] = row
+        return True
+
+    def nullspace(self, columns):
+        """Sparse basis of {x : row . x = 0 for every row}, supported on
+        `columns` (which must hold every column of every row): one vector
+        per non-pivot column, in the order of `columns`."""
+        ops = self.ops
+        basis = {c: {c: ops.one} for c in columns if c not in self.rows}
+        for pc, row in self.rows.items():
+            for c, x in row.items():
+                if c != pc:
+                    basis[c][pc] = ops.neg(x)
+        return list(basis.values())
+
+
+def axpy(target, f, row, ops):
+    """target += f * row for sparse vectors, in place; zeros are dropped."""
+    zero = ops.zero
+    for c, x in row.items():
+        s = ops.add(target.get(c, zero), ops.mul(f, x))
+        if ops.is_zero(s):
+            target.pop(c, None)
+        else:
+            target[c] = s
+
+
+def _echelon(rows, ops):
+    E = Echelon(ops)
+    for row in rows:
+        E.add(sparse(row, ops))
+    return E
+
+
 def scalar_rank(rows, ops) -> int:
-    rows = [list(r) for r in rows]
     return len(rref(rows, ops)[1])
 
 
 def rref(rows, ops):
-    """Reduced row echelon form; returns (rows, pivot_column_list).
-
-    Mutates and returns the given row list (callers pass copies).
-    """
+    """Reduced row echelon form of a dense matrix; returns (rows, pivot_column_list)."""
     if not rows:
-        return rows, []
-    ncols = len(rows[0])
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pivot_row = None
-        for i in range(r, len(rows)):
-            if not ops.is_zero(rows[i][c]):
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        inv = ops.inv(rows[r][c])
-        rows[r] = [ops.mul(inv, x) for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and not ops.is_zero(rows[i][c]):
-                f = rows[i][c]
-                rows[i] = [ops.sub(x, ops.mul(f, y)) for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    return rows[:r], pivots
+        return [], []
+    E = _echelon(rows, ops)
+    pivots = sorted(E.rows)
+    return [dense(E.rows[c], len(rows[0]), ops) for c in pivots], pivots
 
 
 def nullspace(rows, ncols, ops):
     """Basis of {v : A v = 0} for A given as a list of rows."""
-    red, pivots = rref([list(r) for r in rows], ops)
-    pivot_set = set(pivots)
-    free = [c for c in range(ncols) if c not in pivot_set]
-    basis = []
-    for fc in free:
-        v = [ops.zero] * ncols
-        v[fc] = ops.one
-        for row, pc in zip(red, pivots):
-            v[pc] = ops.neg(row[fc])
-        basis.append(v)
-    return basis
+    return [dense(v, ncols, ops) for v in _echelon(rows, ops).nullspace(range(ncols))]
 
 
 def solve(rows, rhs, ops):
@@ -684,72 +754,20 @@ def solve(rows, rhs, ops):
     if not rows:
         return None if any(not ops.is_zero(b) for b in rhs) else []
     ncols = len(rows[0])
-    aug = [list(r) + [b] for r, b in zip(rows, rhs)]
-    red, pivots = rref(aug, ops)
+    E = _echelon([list(r) + [b] for r, b in zip(rows, rhs)], ops)
+    if ncols in E.rows:
+        return None  # pivot in the constant column: inconsistent
     x = [ops.zero] * ncols
-    for row, pc in zip(red, pivots):
-        if pc == ncols:
-            return None  # pivot in the constant column: inconsistent
-        x[pc] = row[ncols]
+    for pc, row in E.rows.items():
+        x[pc] = row.get(ncols, ops.zero)
     return x
 
 
 def span_rref(vectors, ops):
     """Canonical RREF basis of the span of the given vectors."""
-    if not vectors:
-        return []
-    red, _ = rref([list(v) for v in vectors], ops)
-    return red
+    return rref(vectors, ops)[0]
 
 
 def in_span(basis_rref, v, ops):
     """Membership test against an RREF basis."""
-    v = list(v)
-    for row in basis_rref:
-        lead = next((c for c, x in enumerate(row) if not ops.is_zero(x)), None)
-        if lead is not None and not ops.is_zero(v[lead]):
-            f = ops.div(v[lead], row[lead])
-            v = [ops.sub(x, ops.mul(f, y)) for x, y in zip(v, row)]
-    return all(ops.is_zero(x) for x in v)
-
-
-def spans_equal(b1, b2, ops):
-    return len(b1) == len(b2) and all(in_span(b2, v, ops) for v in b1)
-
-
-class IncrementalSpan:
-    """Row span kept in echelon form; each insert costs O(rank * ncols).
-
-    Rows are forward-reduced only (no back-elimination), which is enough
-    for rank counting and membership tests.
-    """
-
-    def __init__(self, ops):
-        self.ops = ops
-        self.rows = []
-        self.pivots = []
-
-    def reduce(self, v):
-        ops = self.ops
-        v = list(v)
-        for row, pc in zip(self.rows, self.pivots):
-            if not ops.is_zero(v[pc]):
-                f = v[pc]
-                v = [ops.sub(x, ops.mul(f, y)) for x, y in zip(v, row)]
-        return v
-
-    def add(self, v):
-        """Insert a vector; returns True iff it enlarged the span."""
-        ops = self.ops
-        v = self.reduce(v)
-        lead = next((c for c, x in enumerate(v) if not ops.is_zero(x)), None)
-        if lead is None:
-            return False
-        inv = ops.inv(v[lead])
-        self.rows.append([ops.mul(inv, x) for x in v])
-        self.pivots.append(lead)
-        return True
-
-    @property
-    def rank(self):
-        return len(self.rows)
+    return not _echelon(basis_rref, ops).reduce(sparse(v, ops))

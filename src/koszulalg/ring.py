@@ -78,7 +78,10 @@ class FieldSpec:
 
     def parse_scalar(self, text: str):
         num, slash, den = text.strip().partition("/")
-        return self.of(Fraction(int(num), int(den) if slash else 1))
+        den = int(den) if slash else 1
+        if den == 0:
+            raise ValueError(f"zero denominator in {text.strip()!r}")
+        return self.of(Fraction(int(num), den))
 
 
 @dataclass(frozen=True)
@@ -456,11 +459,10 @@ def parse_polynomial(ring: RingSpec, text: str) -> Polynomial:
         while i < n and expect_factor:
             tok = tokens[i]
             if tok.startswith("t"):
-                if "^" in tok:
-                    var, e = tok[1:].split("^")
-                    exps[int(var) - 1] += int(e)
-                else:
-                    exps[int(tok[1:]) - 1] += 1
+                var, _, e = tok[1:].partition("^")
+                if not 1 <= int(var) <= ring.num_vars:
+                    raise ValueError(f"no variable {tok!r} when r = {ring.num_vars}")
+                exps[int(var) - 1] += int(e or 1)
             elif tok in "+-":
                 break
             else:

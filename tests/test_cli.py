@@ -187,3 +187,38 @@ class TestWeight2Bounds:
         assert code == 0
         assert "restricted rank (improved bound): 4 vs 4 -> PASS" in out
         assert "improved_total_bound 8" in out
+
+
+K1 = "# complex v1\nchar 0\nr 1\nweight 1\ngen s0 0\ngen s1 1\nd s1 = t1^2*s0\naugment s0 = 1\n"
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("augment zz = 1", "unknown generator 'zz'"),
+        ("d s1 = t1*", "dangling '*'"),
+        ("d s1 = t2^2*s0", "no variable 't2^2' when r = 1"),
+        ("d s1 = t0^2*s0", "no variable 't0^2' when r = 1"),
+        ("augment s0 = 1/0", "zero denominator in '1/0'"),
+        ("unit zz", "unknown generator 'zz'"),
+        ("parity zz = 1", "unknown generator 'zz'"),
+        ("product s0 zz = s0", "unknown generator 'zz'"),
+    ],
+)
+def test_malformed_complex_exits_2(tmp_path, capsys, line, message):
+    """A malformed line is an input error naming the line, not a traceback."""
+    cx = tmp_path / "bad.cx"
+    cx.write_text(K1 + line + "\n")
+    code, out, err = run(["verify-bounds", str(cx), "--m", "1"], capsys)
+    assert code == 2
+    assert err == f"error: line 9: {message}\n"
+
+
+def test_malformed_map_exits_2(tmp_path, capsys):
+    cx = tmp_path / "k.cx"
+    cx.write_text(K1)
+    bad = tmp_path / "bad.map"
+    bad.write_text("# map v1\nsource k.cx\ntarget k.cx\nf zz = s0\n")
+    code, _, err = run(["verify-map", str(bad)], capsys)
+    assert code == 2
+    assert err == "error: line 4: unknown generator 'zz'\n"

@@ -14,7 +14,7 @@ from koszulalg.complexes import (
     HomologyData,
     min_generators_of_homology,
 )
-from koszulalg.linalg import PolyMatrix
+from koszulalg.linalg import PolyMatrix, scalar_rank, sparse_dot
 
 from conftest import random_free_complex
 
@@ -132,6 +132,52 @@ class TestTensorQuotient:
             back = H.include(coords)
             # back - rep must be a boundary: project again to compare
             assert H.project(back) == coords
+
+
+def _check_homology_certificates(F):
+    """proj ∘ incl = id, proj(boundary) = 0, the representatives are
+    independent cycles, and dim H^q = dim C^q - rank d^q - rank d^(q-1)."""
+    H = HomologyData(F)
+    ops = H.field
+    columns = F.columns()
+    n = H.total_dim
+    assert len(H.projection_rows) == n == sum(H.dims.values())
+    for t, rep in enumerate(H.representatives):
+        assert rep and all(not ops.is_zero(x) for x in rep.values())
+        assert H.project(rep) == [ops.one if s == t else ops.zero for s in range(n)]
+        assert H.include(H.project(rep)) == rep
+        for i in range(F.n):  # d(rep) = 0, row by row
+            row = {j: c for (i2, j), c in F.boundary.items() if i2 == i}
+            assert ops.is_zero(sparse_dot(row, rep, ops))
+    for col in columns.values():
+        assert H.project(col) == [ops.zero] * n
+
+    def rank_of_d(q):  # rank of d from degree q to q + 1
+        src = by_degree.get(q, [])
+        dst = by_degree.get(q + 1, [])
+        return scalar_rank(
+            [[columns.get(j, {}).get(i, ops.zero) for j in src] for i in dst], ops
+        ) if src and dst else 0
+
+    by_degree = F.degree_indices()
+    for q, idx in by_degree.items():
+        assert H.dims[q] == len(idx) - rank_of_d(q) - rank_of_d(q - 1)
+    return H
+
+
+class TestHomologyCertificates:
+    @pytest.mark.parametrize("field", [Q, F2], ids=["Q", "F2"])
+    def test_koszul_quotients(self, field):
+        K = koszul(RingSpec(field, 2, 1), 1)
+        for a in [(2, 2), (3, 2), (1, 3)]:
+            H = _check_homology_certificates(tensor_quotient(K.base, a))
+            assert H.total_dim > 0
+
+    def test_random_free_complex(self, field, rng):
+        ring = RingSpec(field, 2, 1)
+        for _ in range(3):
+            C, _ = random_free_complex(ring, rng, max_gens=8)
+            _check_homology_certificates(tensor_quotient(C, (2, 3)))
 
 
 class TestMinGenerators:

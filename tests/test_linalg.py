@@ -5,7 +5,12 @@ import pytest
 
 from koszulalg.ring import FieldSpec, RingSpec
 from koszulalg.linalg import (
+    Echelon,
     PolyMatrix,
+    _find_gfp_modulus,
+    dense,
+    dot,
+    sparse,
     rank_exact,
     rank_probabilistic,
     evaluation_domain,
@@ -189,3 +194,142 @@ class TestScalarLinalg:
         basis = span_rref([[1, 2, 0], [0, 1, 1]], ops)
         assert in_span(basis, [1, 0, 1], ops)  # (1,2,0) - 2*(0,1,1) = (1,0,-2) = (1,0,1)
         assert not in_span(basis, [0, 0, 1], ops)
+
+
+# ---------------------------------------------------------------------------
+# the sparse elimination kernel against dense Gauss-Jordan
+# ---------------------------------------------------------------------------
+
+
+def gauss_jordan(rows, ops):
+    """Dense Gauss-Jordan RREF, (rows, pivots): the reference for Echelon."""
+    rows = [list(r) for r in rows]
+    if not rows:
+        return rows, []
+    pivots = []
+    r = 0
+    for c in range(len(rows[0])):
+        pivot_row = next((i for i in range(r, len(rows)) if not ops.is_zero(rows[i][c])), None)
+        if pivot_row is None:
+            continue
+        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
+        inv = ops.inv(rows[r][c])
+        rows[r] = [ops.mul(inv, x) for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and not ops.is_zero(rows[i][c]):
+                f = rows[i][c]
+                rows[i] = [ops.sub(x, ops.mul(f, y)) for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(rows):
+            break
+    return rows[:r], pivots
+
+
+def _oracle_nullspace(rows, ncols, ops):
+    red, pivots = gauss_jordan(rows, ops)
+    basis = []
+    for fc in (c for c in range(ncols) if c not in pivots):
+        v = [ops.zero] * ncols
+        v[fc] = ops.one
+        for row, pc in zip(red, pivots):
+            v[pc] = ops.neg(row[fc])
+        basis.append(v)
+    return basis
+
+
+def _oracle_solve(rows, rhs, ops):
+    if not rows:
+        return None if any(not ops.is_zero(b) for b in rhs) else []
+    ncols = len(rows[0])
+    red, pivots = gauss_jordan([list(r) + [b] for r, b in zip(rows, rhs)], ops)
+    if ncols in pivots:
+        return None
+    x = [ops.zero] * ncols
+    for row, pc in zip(red, pivots):
+        x[pc] = row[ncols]
+    return x
+
+
+def _kernel_fields():
+    yield "Q", Q, lambda rng: Fraction(rng.randint(-4, 4), rng.randint(1, 3)), 4
+    for p in (2, 3, 5):
+        yield f"F{p}", FieldSpec(p), lambda rng, p=p: rng.randrange(p), 4
+    for p in (2, 5):
+        dom = evaluation_domain(FieldSpec(p))
+        # mostly small elements, so that sums cancel and ranks drop; one
+        # round only, as an inverse in F_{5^27} costs milliseconds
+        yield f"F{p}-ext", dom, lambda rng, dom=dom: (
+            dom.random_element(rng) if rng.random() < 0.3 else dom.of(rng.randrange(p))
+        ), 1
+
+
+def _matrices(ops, element, rng):
+    """Empty, all-zero, tall, wide, square and rank-deficient matrices."""
+    def random(n, m, density=0.7):
+        return [[element(rng) if rng.random() < density else ops.zero for _ in range(m)]
+                for _ in range(n)]
+
+    yield []
+    yield [[ops.zero] * 4 for _ in range(3)]
+    yield [[ops.zero] * 3]
+    for n, m in [(1, 1), (1, 5), (5, 1), (7, 3), (3, 7), (5, 5), (6, 6)]:
+        yield random(n, m)
+        yield random(n, m, density=0.25)
+    for n, m, k in [(6, 5, 2), (4, 7, 3), (7, 7, 1)]:
+        left, right = random(n, k, 1.0), random(k, m, 1.0)
+        yield [[dot(a, [right[t][j] for t in range(k)], ops) for j in range(m)] for a in left]
+
+
+KERNEL_CASES = [pytest.param(f, e, n, id=name) for name, f, e, n in _kernel_fields()]
+
+
+@pytest.mark.parametrize("ops, element, rounds", KERNEL_CASES)
+def test_kernel_matches_gauss_jordan(ops, element, rounds):
+    rng = random.Random(2008)
+    for _ in range(rounds):
+        for rows in _matrices(ops, element, rng):
+            ncols = len(rows[0]) if rows else 0
+            red, pivots = gauss_jordan(rows, ops)
+            assert rref(rows, ops) == (red, pivots)
+            assert span_rref(rows, ops) == red
+            assert scalar_rank(rows, ops) == len(pivots)
+            ns = nullspace(rows, ncols, ops)
+            assert ns == _oracle_nullspace(rows, ncols, ops)
+            assert len(ns) == ncols - len(pivots)
+            for v in ns:
+                assert all(ops.is_zero(dot(row, v, ops)) for row in rows)
+            x = [element(rng) for _ in range(ncols)]
+            for rhs in ([dot(row, x, ops) for row in rows], [element(rng) for _ in rows]):
+                got = solve(rows, rhs, ops)
+                assert got == _oracle_solve(rows, rhs, ops)
+                if got is not None:
+                    assert [dot(row, got, ops) for row in rows] == rhs
+            v = [element(rng) for _ in range(ncols)]
+            inside = len(gauss_jordan(rows + [v], ops)[1]) == len(pivots)
+            assert in_span(red, v, ops) == inside
+            y = [element(rng) for _ in rows]
+            assert in_span(red, [dot([row[c] for row in rows], y, ops) for c in range(ncols)], ops)
+
+
+@pytest.mark.parametrize("ops, element, rounds", KERNEL_CASES)
+def test_kernel_add_reports_rank_growth(ops, element, rounds):
+    """add() is True exactly when the rank grows, and the rows are the
+    canonical RREF of the rows added so far at every step."""
+    rng = random.Random(17)
+    for rows in _matrices(ops, element, rng):
+        E = Echelon(ops)
+        rank = 0
+        for k, row in enumerate(rows):
+            red, pivots = gauss_jordan(rows[: k + 1], ops)
+            assert E.add(sparse(row, ops)) == (len(pivots) > rank)
+            rank = len(pivots)
+            assert E.rank == rank and sorted(E.rows) == pivots
+            assert [dense(E.rows[c], len(row), ops) for c in pivots] == red
+            assert all(not ops.is_zero(x) for r in E.rows.values() for x in r.values())
+
+
+def test_gfp_modulus_is_pinned():
+    """The irreducible moduli of the F_3 and F_5 evaluation fields."""
+    assert _find_gfp_modulus(3, 39) == (1, 0, 2, 1, 0, 2) + (0,) * 33
+    assert _find_gfp_modulus(5, 27) == (4, 4) + (0,) * 25

@@ -143,6 +143,11 @@ class TestPolynomialArithmetic:
 
 
 class TestRingSpec:
+    @pytest.mark.parametrize("text", ["t0", "t0^2", "t3", "2*t1*t4^2"])
+    def test_parse_rejects_missing_variables(self, text):
+        with pytest.raises(ValueError, match="no variable"):
+            RingSpec(Q, 2, 1).parse(text)
+
     def test_weight_validation(self):
         with pytest.raises(ValueError):
             RingSpec(Q, 2, 3)
