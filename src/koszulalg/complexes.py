@@ -512,15 +512,20 @@ def min_generators_of_homology(C: FreeComplex, a) -> int:
         targets = H.degree_reps.get(q + w)
         if not targets:
             continue
+        # the projection onto the target classes by basis index:
+        # {basis index: {target position: coeff}}
+        proj = {}
+        for pos, t in enumerate(targets):
+            for b, c in H.projection_rows[t].items():
+                proj.setdefault(b, {})[pos] = c
         span = Echelon(ops)
         for var in range(C.ring.num_vars):
             for k in rep_ids:
-                shifted = _shift_by_variable(H.representatives[k], var, info, ops)
                 coords = {}
-                for pos, t in enumerate(targets):
-                    c = sparse_dot(H.projection_rows[t], shifted, ops)
-                    if not ops.is_zero(c):
-                        coords[pos] = c
+                for b, c in _shift_by_variable(H.representatives[k], var, info, ops).items():
+                    column = proj.get(b)
+                    if column:
+                        axpy(coords, c, column, ops)
                 span.add(coords)
         killed += span.rank
     return H.total_dim - killed

@@ -16,6 +16,8 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import count, zip_longest
+from operator import lshift
 
 from .ring import FieldSpec, Polynomial, RingSpec, RingMismatchError
 
@@ -419,14 +421,29 @@ def _prime_divisors(n: int):
 
 
 class GFPExtOps:
-    """F_{p^k} as tuples of length k over F_p (odd p extension fields)."""
+    """F_{p^k} = F_p[x]/(f) for odd p; elements are tuples of k coefficients
+    over F_p, lowest degree first.  `modulus` holds the k coefficients of
+    x^k mod f, so f = x^k - sum(modulus[j] * x^j).
+
+    `mul` is Kronecker substitution: both operands are packed into ints
+    with slots of S = (k*(p-1)**2).bit_length() bits.  A coefficient of the
+    product is a sum of at most k terms below p**2, so k*(p-1)**2 < 2**S
+    keeps the slots apart, and one int multiply gives all 2k-1 of them;
+    x^(k+i) is then folded back through the nonzero terms of the modulus.
+    `inv` is extended Euclid over F_p[x] on f and the element.
+    """
 
     def __init__(self, p: int, k: int):
         self.p = p
         self.k = k
-        self.modulus = _find_gfp_modulus(p, k)  # monic, list of k coeffs of rem
+        self.modulus = _find_gfp_modulus(p, k)
         self.zero = (0,) * k
         self.one = (1,) + (0,) * (k - 1)
+        self._full = [(-m) % p for m in self.modulus] + [1]
+        self._fold = [(j, m) for j, m in enumerate(self.modulus) if m]
+        slot = (k * (p - 1) ** 2).bit_length()
+        self._shifts = [slot * i for i in range(2 * k - 1)]
+        self._mask = (1 << slot) - 1
 
     def of(self, n):
         return ((n % self.p,) + (0,) * (self.k - 1)) if n % self.p else self.zero
@@ -444,22 +461,15 @@ class GFPExtOps:
         return tuple((-x) % self.p for x in a)
 
     def mul(self, a, b):
-        p, k = self.p, self.k
-        prod = [0] * (2 * k - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    if y:
-                        prod[i + j] = (prod[i + j] + x * y) % p
-        # reduce: x^k = modulus (list of k coeffs)
+        p, k, shifts, mask = self.p, self.k, self._shifts, self._mask
+        n = sum(map(lshift, a, shifts)) * sum(map(lshift, b, shifts))
+        prod = [n >> s & mask for s in shifts]
         for i in range(2 * k - 2, k - 1, -1):
-            c = prod[i]
+            c = prod[i] % p
             if c:
-                prod[i] = 0
-                for j, m in enumerate(self.modulus):
-                    if m:
-                        prod[i - k + j] = (prod[i - k + j] + c * m) % p
-        return tuple(prod[:k])
+                for j, m in self._fold:
+                    prod[i - k + j] += c * m
+        return tuple(map(p.__rmod__, prod[:k]))
 
     def pow(self, a, n):
         acc = self.one
@@ -471,9 +481,18 @@ class GFPExtOps:
         return acc
 
     def inv(self, a):
-        if all(x == 0 for x in a):
+        p = self.p
+        r0, r1 = self._full, _fp_trim(list(a))
+        if not r1:
             raise ZeroDivisionError
-        return self.pow(a, self.p**self.k - 2)
+        s0, s1 = [], [1]
+        while r1:  # invariant r_i = s_i * a mod f
+            q, r = _fp_divmod(r0, r1, p)
+            r0, r1 = r1, r
+            s0, s1 = s1, _fp_sub(s0, _fp_mul(q, s1, p), p)
+        # f is irreducible, so the gcd r0 is a nonzero constant
+        c = pow(r0[0], -1, p)
+        return tuple(x * c % p for x in s0) + (0,) * (self.k - len(s0))
 
     def div(self, a, b):
         return self.mul(a, self.inv(b))
@@ -485,89 +504,75 @@ class GFPExtOps:
         return tuple(rng.randrange(self.p) for _ in range(self.k))
 
 
+# F_p[x] on coefficient lists, lowest degree first; results are trimmed
+# (no zero leading coefficient) and reduced mod p.
+
+
+def _fp_trim(a):
+    while a and a[-1] == 0:
+        a.pop()
+    return a
+
+
+def _fp_mul(a, b, p):
+    prod = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b, i):
+                prod[j] += x * y
+    return _fp_trim([c % p for c in prod])
+
+
+def _fp_sub(a, b, p):
+    return _fp_trim([(x - y) % p for x, y in zip_longest(a, b, fillvalue=0)])
+
+
+def _fp_divmod(a, b, p):
+    """Quotient and remainder of a by b; b must be trimmed and nonzero."""
+    db = len(b) - 1
+    r = list(a)
+    q = [0] * max(len(r) - db, 0)
+    inv_lead = pow(b[-1], -1, p)
+    for s in range(len(q) - 1, -1, -1):
+        c = r[s + db] * inv_lead % p
+        if c:
+            q[s] = c
+            for j, y in enumerate(b, s):
+                r[j] -= c * y
+    return _fp_trim(q), _fp_trim([x % p for x in r[:db]])
+
+
 def _find_gfp_modulus(p: int, k: int):
-    """Find x^k + g irreducible over F_p; return coeffs f with x^k = f mod it."""
-    from itertools import count
+    """Find x^k + g irreducible over F_p; return coeffs f with x^k = f mod it.
 
-    def trim(a):
-        a = list(a)
-        while a and a[-1] == 0:
-            a.pop()
-        return a
-
-    def polymod(a, mod):
-        # mod is monic, length k+1; returns length-k list
-        a = list(a)
-        dm = len(mod) - 1
-        for i in range(len(a) - 1, dm - 1, -1):
-            c = a[i]
-            if c:
-                a[i] = 0
-                for j in range(dm):
-                    a[i - dm + j] = (a[i - dm + j] - c * mod[j]) % p
-        return (a + [0] * dm)[:dm]
-
-    def polymulmod(a, b, mod):
-        prod = [0] * max(1, len(a) + len(b) - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    if y:
-                        prod[i + j] = (prod[i + j] + x * y) % p
-        return polymod(prod, mod)
-
-    def powmod(a, n, mod):
-        acc = polymod([1], mod)
-        base = polymod(a, mod)
-        while n:
-            if n & 1:
-                acc = polymulmod(acc, base, mod)
-            base = polymulmod(base, base, mod)
-            n >>= 1
-        return acc
-
-    def polyrem(a, b):
-        a = trim(a)
-        b = trim(b)
-        db = len(b) - 1
-        inv_lead = pow(b[-1], p - 2, p)
-        while len(a) - 1 >= db and a:
-            c = a[-1] * inv_lead % p
-            shift = len(a) - 1 - db
-            for j in range(db + 1):
-                a[shift + j] = (a[shift + j] - c * b[j]) % p
-            a = trim(a)
-        return a
-
-    def polygcd(a, b):
-        a, b = trim(a), trim(b)
-        while b:
-            a, b = b, polyrem(a, b)
-        return a
-
-    def is_irreducible(mod):
-        # Ben-Or: no factor of degree i <= k/2, i.e. gcd(x^(p^i) - x, mod)
-        # = 1 for each such i; most candidates fail at a small i
-        x = polymod([0, 1], mod)
-        y = x
-        for _ in range(k // 2):
-            y = powmod(y, p, mod)
-            diff = [(a - b) % p for a, b in zip(y, x)]
-            if len(polygcd(diff, mod)) != 1:
-                return False
-        return True
-
+    The candidates x^k + (base-p digits of c), c = 1, 2, ..., are tested by
+    Ben-Or: f is irreducible iff gcd(x^(p^i) - x, f) = 1 for each i <= k/2.
+    Most candidates fail at a small i.
+    """
     for c in count(1):
-        # candidate modulus x^k + (base-p digits of c), monic
         digits = []
         n = c
         for _ in range(k):
             digits.append(n % p)
             n //= p
-        mod = digits + [1]
-        if is_irreducible(mod):
+        f = digits + [1]
+        y = [0, 1]
+        for _ in range(k // 2):
+            # y <- y^p mod f by square and multiply, then g = gcd(y - x, f)
+            z, e = [1], p
+            while e:
+                if e & 1:
+                    z = _fp_divmod(_fp_mul(z, y, p), f, p)[1]
+                y = _fp_divmod(_fp_mul(y, y, p), f, p)[1]
+                e >>= 1
+            y = z
+            g, r = f, _fp_sub(y, [0, 1], p)
+            while r:
+                g, r = r, _fp_divmod(g, r, p)[1]
+            if len(g) != 1:
+                break
+        else:
             return tuple((-d) % p for d in digits)
-    raise RuntimeError("unreachable")
 
 
 _EXT_CACHE = {}
