@@ -125,15 +125,15 @@ def induced_map_mod(f: ChainMap, a):
     Ht = HomologyData(Ft)
     ops = Hs.field
     lookup_t = Ft.tensor_info["lookup"]
+    by_column = {}  # gi -> [(i, f_i,gi)] by increasing i
+    for (i, gi), p in sorted(f.matrix.entries.items()):
+        by_column.setdefault(gi, []).append((i, p))
     cols = []
     for rep in Hs.representatives:
         image = {}
         for pos, c in rep.items():
             gi, mu = Fs.tensor_info["items"][pos]
-            for i in range(f.target.n):
-                p = f.matrix.entries.get((i, gi))
-                if p is None:
-                    continue
+            for i, p in by_column.get(gi, ()):
                 q = p.multiply_monomial(mu).reduce_mod_powers(a)
                 for e, pc in q.terms.items():
                     k = lookup_t[(i, e)]

@@ -10,10 +10,10 @@ coefficient reductions everything downstream is checked against.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .ring import RingSpec, Polynomial, _grlex_key
-from .linalg import PolyMatrix, Echelon, axpy, dot, sparse_dot
+from .ring import RingSpec, _grlex_key
+from .linalg import PolyMatrix, Echelon, axpy, sparse, sparse_dot
 
 
 class FreeComplex:
@@ -223,12 +223,13 @@ class Augmentation:
             raise ValueError("one scalar per generator required")
 
     def of_scalars(self, vector):
-        """epsilon applied to a coordinate vector of scalars (a constant element)."""
-        return dot(self.values, vector, self.source.ring.field)
+        """epsilon applied to a sparse vector {generator: scalar} (a constant element)."""
+        return sparse_dot(vector, dict(enumerate(self.values)), self.source.ring.field)
 
     def of_element(self, element):
         """epsilon applied to a coordinate vector of polynomials."""
-        return self.of_scalars([p.constant_coeff() for p in element])
+        f = self.source.ring.field
+        return self.of_scalars(sparse([p.constant_coeff() for p in element], f))
 
     def validate(self):
         f = self.source.ring.field

@@ -20,9 +20,9 @@ import contextlib
 import os
 import re
 
-from .ring import FieldSpec, RingSpec, Polynomial
+from .ring import FieldSpec, RingSpec
 from .complexes import FreeComplex, Augmentation, DgaStructure
-from .chainmaps import ChainMap, Homotopy
+from .chainmaps import ChainMap
 from .linalg import PolyMatrix
 
 FORMAT_VERSION = 1

@@ -2,17 +2,18 @@
 
 F_1 is the kernel of the differential restricted to constant coordinate
 vectors; F_{i+1} collects the constant vectors whose differential has
-all monomial slices inside span(F_i).  Everything is plain scalar linear
-algebra on the slice matrices (one scalar matrix per monomial occurring
-in the minimal differential).
+all monomial slices inside F_i.  Everything is scalar linear algebra on
+sparse vectors {generator: scalar}: the slices (one scalar matrix per
+monomial occurring in the minimal differential) are stored by column,
+and each level is one Echelon.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .complexes import FreeComplex, Augmentation
-from .linalg import mat_vec, nullspace, span_rref, in_span
+from .linalg import Echelon, apply_columns, span
 from .minimal import MinimalModel, is_minimal, lambda_ops, lambda_length
 
 
@@ -21,74 +22,69 @@ def _model_of(M) -> FreeComplex:
 
 
 def monomial_slices(model: FreeComplex):
-    """{exponent tuple: scalar matrix}; d(x) = sum_mu mu * (A_mu @ x)."""
-    ops = model.ring.field
-    n = model.n
+    """{exponent tuple: {j: {i: scalar}}}, the slices A_mu by column;
+    d(x) = sum_mu mu * (A_mu @ x)."""
     slices = {}
     for (i, j), p in model.differential.entries.items():
         for exps, c in p.terms.items():
-            mat = slices.get(exps)
-            if mat is None:
-                mat = [[ops.zero] * n for _ in range(n)]
-                slices[exps] = mat
-            mat[i][j] = c
+            slices.setdefault(exps, {}).setdefault(j, {})[i] = c
     return slices
 
 
-def _residual_matrix(basis, n, ops):
-    """M with M@v = 0 iff v in span(basis); basis must be RREF rows."""
-    pivots = []
-    for row in basis:
-        pivots.append(next(c for c, x in enumerate(row) if not ops.is_zero(x)))
-    mat = []
-    for c in range(n):
-        row = [ops.zero] * n
-        row[c] = ops.one
-        for k, p in enumerate(pivots):
-            row[p] = ops.sub(row[p], basis[k][c])
-        mat.append(row)
-    return mat
+def slice_images(slices, v, ops):
+    """{mu: A_mu v} for a sparse v, over the slices where it is nonzero."""
+    out = {}
+    for exps, columns in slices.items():
+        img = apply_columns(columns, v, ops)
+        if img:
+            out[exps] = img
+    return out
 
 
 @dataclass
 class Filtration:
     model_complex: FreeComplex
-    subspaces: list  # RREF bases; subspaces[i] spans F_{i+1}
+    subspaces: list  # Echelons; subspaces[i] spans F_{i+1}
     length: int
     minimal: MinimalModel = None
 
     def dims(self):
-        return [len(b) for b in self.subspaces]
+        return [E.rank for E in self.subspaces]
 
-    def basis(self, i):
-        """RREF basis of F_i (1-indexed); F_0 is empty."""
+    def level(self, i):
+        """The Echelon of F_i (1-indexed); F_0 is the zero space."""
         if i <= 0:
-            return []
+            return Echelon(self.model_complex.ring.field)
         return self.subspaces[min(i, len(self.subspaces)) - 1]
 
+    def basis(self, i):
+        """RREF basis of F_i (1-indexed) as sparse rows in pivot order."""
+        rows = self.level(i).rows
+        return [rows[c] for c in sorted(rows)]
+
     def graded_basis(self, i):
-        """Homogeneous basis of F_i as {degree: list of vectors}."""
+        """Homogeneous basis of F_i as {degree: list of sparse vectors}."""
         model = self.model_complex
         ops = model.ring.field
-        n = model.n
-        base = self.basis(i)
-        if not base:
+        level = self.level(i)
+        if not level.rank:
             return {}
-        res = _residual_matrix(base, n, ops)
+        # v lies in F_i iff it is orthogonal to every annihilator row
+        annihilator = level.nullspace(range(model.n))
+        by_degree = {}
+        for c in range(model.n):
+            by_degree.setdefault(model.degree(c), []).append(c)
         out = {}
         total = 0
-        for q in sorted(set(model.degrees)):
-            rows = list(res)
-            for c in range(n):
-                if model.degree(c) != q:
-                    sel = [ops.zero] * n
-                    sel[c] = ops.one
-                    rows.append(sel)
-            vecs = nullspace(rows, n, ops)
+        for q in sorted(by_degree):
+            cols = set(by_degree[q])
+            vecs = span(
+                ({c: x for c, x in w.items() if c in cols} for w in annihilator), ops
+            ).nullspace(by_degree[q])
             if vecs:
                 out[q] = vecs
                 total += len(vecs)
-        if total != len(base):
+        if total != level.rank:
             raise ValueError("filtration level is not degree-homogeneous")
         return out
 
@@ -102,32 +98,24 @@ def compute_filtration(M) -> Filtration:
     ops = model.ring.field
     n = model.n
     slices = monomial_slices(model)
-    stacked = [row for mat in slices.values() for row in mat]
-    levels = [span_rref(nullspace(stacked, n, ops), ops) if stacked else
-              span_rref(_standard_basis(n, ops), ops)]
-    while True:
-        prev = levels[-1]
-        if len(prev) == n:
-            break
-        res = _residual_matrix(prev, n, ops)
-        rows = []
-        for mat in slices.values():
-            # residual of A_mu @ x must vanish
-            for rrow in res:
-                new = [ops.zero] * n
-                for k, c in enumerate(rrow):
-                    if ops.is_zero(c):
-                        continue
-                    for j in range(n):
-                        new[j] = ops.add(new[j], ops.mul(c, mat[k][j]))
-                rows.append(new)
-        nxt = span_rref(nullspace(rows, n, ops) if rows else _standard_basis(n, ops), ops)
-        if len(nxt) == len(prev):
+    levels = []
+    prev = Echelon(ops)
+    while prev.rank < n:
+        # v is in the next level iff every A_mu v reduces to 0 modulo prev;
+        # reduction is linear, so it is the kernel of the residual columns
+        conditions = {}
+        for exps, columns in slices.items():
+            for j, col in columns.items():
+                for c, x in prev.reduce(col).items():
+                    conditions.setdefault((exps, c), {})[j] = x
+        nxt = span(span(conditions.values(), ops).nullspace(range(n)), ops)
+        if nxt.rank == prev.rank:
             raise RuntimeError(
                 "filtration stabilized below the full space; "
                 "the differential's positive-degree part is not nilpotent"
             )
         levels.append(nxt)
+        prev = nxt
     return Filtration(
         model_complex=model,
         subspaces=levels,
@@ -136,50 +124,33 @@ def compute_filtration(M) -> Filtration:
     )
 
 
-def _standard_basis(n, ops):
-    out = []
-    for i in range(n):
-        v = [ops.zero] * n
-        v[i] = ops.one
-        out.append(v)
-    return out
-
-
 def check_properties(F: Filtration, augmentation: Augmentation = None):
     """Report dict; 'failures' is empty iff everything holds."""
     model = F.model_complex
     ops = model.ring.field
-    n = model.n
     slices = monomial_slices(model)
     failures = []
     # (a) strict ascent, exhaustion, stabilization
     prev_dim = 0
-    for i, basis in enumerate(F.subspaces, start=1):
-        if len(basis) <= prev_dim:
+    for i, level in enumerate(F.subspaces, start=1):
+        if level.rank <= prev_dim:
             failures.append(f"(a) F_{i} does not strictly contain F_{i-1}")
-        prev_basis = F.basis(i - 1)
-        for v in prev_basis:
-            if not in_span(basis, v, ops):
-                failures.append(f"(a) F_{i-1} not contained in F_{i}")
-                break
-        prev_dim = len(basis)
-    if F.subspaces and len(F.subspaces[-1]) != n:
+        if any(level.reduce(v) for v in F.basis(i - 1)):
+            failures.append(f"(a) F_{i-1} not contained in F_{i}")
+        prev_dim = level.rank
+    if F.subspaces and F.subspaces[-1].rank != model.n:
         failures.append("(a) filtration does not exhaust the model")
     if F.length != len(F.subspaces):
         failures.append("(a) recorded length disagrees with the chain")
     # (b) every slice of d(F_i) lies in F_{i-1}
     for i in range(1, F.length + 1):
-        prev_basis = F.basis(i - 1)
-        for v in F.basis(i):
-            for mat in slices.values():
-                img = mat_vec(mat, v, ops)
-                if any(not ops.is_zero(x) for x in img):
-                    if not in_span(prev_basis, img, ops):
-                        failures.append(f"(b) d(F_{i}) escapes F_{i-1} x R")
-                        break
-            else:
-                continue
-            break
+        prev = F.level(i - 1)
+        if any(
+            prev.reduce(img)
+            for v in F.basis(i)
+            for img in slice_images(slices, v, ops).values()
+        ):
+            failures.append(f"(b) d(F_{i}) escapes F_{i-1} x R")
     # (c) augmentation surjective on F_1, when one is attached
     if augmentation is not None:
         probs = augmentation.validate()
@@ -193,21 +164,20 @@ def check_properties(F: Filtration, augmentation: Augmentation = None):
     # (d) induced maps on consecutive quotients are nonzero
     witnesses = {}
     for i in range(2, F.length + 1):
-        found = False
-        two_back = F.basis(i - 2)
-        for v in F.basis(i):
-            if in_span(F.basis(i - 1), v, ops):
-                continue
-            for mat in slices.values():
-                img = mat_vec(mat, v, ops)
-                if any(not ops.is_zero(x) for x in img) and not in_span(two_back, img, ops):
-                    found = True
-                    witnesses[i] = v
-                    break
-            if found:
-                break
-        if not found:
+        prev, two_back = F.level(i - 1), F.level(i - 2)
+        witness = next(
+            (
+                v
+                for v in F.basis(i)
+                if prev.reduce(v)
+                and any(two_back.reduce(img) for img in slice_images(slices, v, ops).values())
+            ),
+            None,
+        )
+        if witness is None:
             failures.append(f"(d) induced map F_{i}/F_{i-1} -> F_{i-1}/F_{i-2} x R is zero")
+        else:
+            witnesses[i] = witness
     return {
         "dims": F.dims(),
         "length": F.length,

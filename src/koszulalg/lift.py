@@ -10,23 +10,23 @@ first so the canonical fixtures get their minimal-support solutions
 
 from __future__ import annotations
 
-from .ring import RingSpec, Polynomial
+from .ring import RingSpec
 from .complexes import (
     FreeComplex,
     KoszulComplex,
     koszul,
-    canonical_augmentation,
     Augmentation,
     DgaStructure,
 )
 from .chainmaps import ChainMap, is_chain_map, rank_of_map, restricted_rank
-from .linalg import PolyMatrix, Echelon, mat_vec, solve, sparse
+from .linalg import PolyMatrix, Echelon, solve
 from .minimal import minimal_model
 from .filtration import (
     Filtration,
     compute_filtration,
     check_properties,
     monomial_slices,
+    slice_images,
     bound_checks,
 )
 
@@ -63,14 +63,11 @@ def monomials_of_weighted_degree(ring: RingSpec, wdeg: int):
     return out
 
 
-def _column_image(C: FreeComplex, i: int, exps):
-    """Terms of d(mu * e_i) as {(target gen, exponent): scalar}."""
-    f = C.ring.field
+def _column_image(f, column, exps):
+    """Terms of d(mu * e_i) as {(target gen, exponent): scalar}, where
+    column lists the entries (u, d_ui) of d(e_i) by increasing u."""
     out = {}
-    for u in range(C.n):
-        p = C.differential.entries.get((u, i))
-        if p is None:
-            continue
+    for u, p in column:
         q = p.multiply_monomial(exps)
         for e, c in q.terms.items():
             key = (u, e)
@@ -83,7 +80,6 @@ def _column_image(C: FreeComplex, i: int, exps):
 
 
 def _terms_of_element(C: FreeComplex, element):
-    f = C.ring.field
     out = {}
     for u, p in enumerate(element):
         for e, c in p.terms.items():
@@ -115,10 +111,13 @@ def solve_boundary_equation(
             unknowns.append((i, exps))
     rhs_terms = _terms_of_element(C, rhs)
     zero_exps = (0,) * ring.num_vars
+    by_column = {}
+    for (u, i), p in sorted(C.differential.entries.items()):
+        by_column.setdefault(i, []).append((u, p))
     # shortcut: a single scaled generator already solves the equation
     if rhs_terms:
         for i, exps in unknowns:
-            img = _column_image(C, i, exps)
+            img = _column_image(f, by_column.get(i, ()), exps)
             if set(img) != set(rhs_terms):
                 continue
             key = next(iter(img))
@@ -139,7 +138,7 @@ def solve_boundary_equation(
                 y[i] = ring.monomial(exps, c)
                 return y
     # general graded solve
-    cols = [_column_image(C, i, exps) for i, exps in unknowns]
+    cols = [_column_image(f, by_column.get(i, ()), exps) for i, exps in unknowns]
     keys = sorted(set(rhs_terms) | {k for col in cols for k in col})
     key_row = {k: r for r, k in enumerate(keys)}
     nrows = len(keys) + (1 if augmentation is not None else 0)
@@ -273,13 +272,13 @@ def lift_beta(F: Filtration, augmentation: Augmentation) -> ChainMap:
     defined_images = []  # images in K0 of the d_j
 
     def coordinates(v):
-        residual = defined.reduce(sparse(v, f))
+        residual = defined.reduce(v)
         if any(c < n for c in residual):
             return None
         return [f.neg(residual.get(n + j, f.zero)) for j in range(defined.rank)]
 
     def define(v, img):
-        defined.add({**sparse(v, f), n + defined.rank: f.one})
+        defined.add({**v, n + defined.rank: f.one})
         defined_images.append(img)
 
     for level in range(1, F.length + 1):
@@ -296,10 +295,7 @@ def lift_beta(F: Filtration, augmentation: Augmentation) -> ChainMap:
                     define(v, img)
                     continue
                 rhs = K0.base.zero_element()
-                for exps, mat in slices.items():
-                    w = mat_vec(mat, v, f)
-                    if all(f.is_zero(x) for x in w):
-                        continue
+                for exps, w in slice_images(slices, v, f).items():
                     coords = coordinates(w)
                     if coords is None:
                         raise LiftError(
@@ -333,9 +329,7 @@ def lift_beta(F: Filtration, augmentation: Augmentation) -> ChainMap:
     # express the standard basis through the processed one
     M = PolyMatrix(ring, K0.n, n)
     for j in range(n):
-        e = [f.zero] * n
-        e[j] = f.one
-        coords = coordinates(e)
+        coords = coordinates({j: f.one})
         if coords is None:
             raise LiftError("filtration basis does not span the model")
         for c, img in zip(coords, defined_images):
@@ -362,7 +356,7 @@ def beta_respects_filtration(beta: ChainMap, F: Filtration, K0: KoszulComplex = 
     violations = []
     for i in range(1, F.length + 1):
         for v in F.basis(i):
-            img = beta.apply([model.ring.constant(x) for x in v])
+            img = beta.apply([model.ring.constant(v.get(j, 0)) for j in range(model.n)])
             for u, p in enumerate(img):
                 if not p.is_zero() and K0.exterior_length(u) > i - 1:
                     violations.append((i, u))

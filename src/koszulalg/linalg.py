@@ -8,8 +8,8 @@ for every matrix this artifact produces (minor degrees < 2**15).
 
 Also hosts the scalar linear algebra used by the homology, filtration
 and lifting code: one sparse-row elimination kernel (`Echelon`, rows kept
-in reduced row echelon form), with the dense entry points rref,
-nullspace, solve, span_rref, scalar_rank and in_span built on it.
+in reduced row echelon form) with its sparse helpers, and the dense entry
+points rref, solve and scalar_rank built on it.
 """
 
 from __future__ import annotations
@@ -615,23 +615,10 @@ def rank_probabilistic(M: PolyMatrix, seed: int) -> int:
 
 # ---------------------------------------------------------------------------
 # scalar linear algebra over a field (any object with the scalar protocol
-# of FieldSpec: a FieldSpec or an evaluation domain).  All elimination goes
-# through Echelon; the dense functions below wrap it.
+# of FieldSpec: a FieldSpec or an evaluation domain).  Vectors are sparse
+# {index: nonzero} dicts.  All elimination goes through Echelon; the dense
+# functions at the end wrap it.
 # ---------------------------------------------------------------------------
-
-
-def dot(row, vec, ops):
-    """Dot product of two dense vectors; zero entries of vec are skipped."""
-    acc = ops.zero
-    for a, x in zip(row, vec):
-        if not ops.is_zero(x):
-            acc = ops.add(acc, ops.mul(a, x))
-    return acc
-
-
-def mat_vec(rows, vec, ops):
-    """Dense matrix (a list of rows) times a vector."""
-    return [dot(row, vec, ops) for row in rows]
 
 
 def sparse_dot(row, vec, ops):
@@ -729,10 +716,21 @@ def axpy(target, f, row, ops):
             target[c] = s
 
 
-def _echelon(rows, ops):
+def apply_columns(columns, v, ops):
+    """A v for a matrix stored by column, {j: {i: nonzero}}, and a sparse v."""
+    out = {}
+    for j, x in v.items():
+        col = columns.get(j)
+        if col:
+            axpy(out, x, col, ops)
+    return out
+
+
+def span(vectors, ops):
+    """The Echelon of the span of the given sparse vectors."""
     E = Echelon(ops)
-    for row in rows:
-        E.add(sparse(row, ops))
+    for v in vectors:
+        E.add(v)
     return E
 
 
@@ -744,14 +742,9 @@ def rref(rows, ops):
     """Reduced row echelon form of a dense matrix; returns (rows, pivot_column_list)."""
     if not rows:
         return [], []
-    E = _echelon(rows, ops)
+    E = span((sparse(row, ops) for row in rows), ops)
     pivots = sorted(E.rows)
     return [dense(E.rows[c], len(rows[0]), ops) for c in pivots], pivots
-
-
-def nullspace(rows, ncols, ops):
-    """Basis of {v : A v = 0} for A given as a list of rows."""
-    return [dense(v, ncols, ops) for v in _echelon(rows, ops).nullspace(range(ncols))]
 
 
 def solve(rows, rhs, ops):
@@ -759,20 +752,10 @@ def solve(rows, rhs, ops):
     if not rows:
         return None if any(not ops.is_zero(b) for b in rhs) else []
     ncols = len(rows[0])
-    E = _echelon([list(r) + [b] for r, b in zip(rows, rhs)], ops)
+    E = span((sparse(list(r) + [b], ops) for r, b in zip(rows, rhs)), ops)
     if ncols in E.rows:
         return None  # pivot in the constant column: inconsistent
     x = [ops.zero] * ncols
     for pc, row in E.rows.items():
         x[pc] = row.get(ncols, ops.zero)
     return x
-
-
-def span_rref(vectors, ops):
-    """Canonical RREF basis of the span of the given vectors."""
-    return rref(vectors, ops)[0]
-
-
-def in_span(basis_rref, v, ops):
-    """Membership test against an RREF basis."""
-    return not _echelon(basis_rref, ops).reduce(sparse(v, ops))

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .complexes import FreeComplex
-from .linalg import PolyMatrix, mat_vec, span_rref
+from .linalg import PolyMatrix, apply_columns, axpy, span
 from .chainmaps import ChainMap, Homotopy
 
 
@@ -145,45 +145,44 @@ def minimal_model(C: FreeComplex, pivot_rng=None) -> MinimalModel:
 class LambdaAction:
     """The degree-preserving linear-in-t_i parts of a minimal differential.
 
-    maps[i] is a scalar matrix on the model generators.  With weight-1
-    grading the coefficient of t_i is automatically degree-preserving;
-    with weight 2 a t_i coefficient would shift the total degree, so the
-    degree-preserving part (and hence the whole action) vanishes.
+    maps[i] is a scalar matrix on the model generators, stored by column
+    as {j: {i: nonzero scalar}}.  With weight-1 grading the coefficient
+    of t_i is automatically degree-preserving; with weight 2 a t_i
+    coefficient would shift the total degree, so the degree-preserving
+    part (and hence the whole action) vanishes.
     """
 
     model: FreeComplex
-    maps: list  # one scalar matrix (list of rows) per variable
+    maps: list  # one scalar matrix, by column, per variable
+
+    def _product(self, a, b):
+        """maps[a] @ maps[b], by column."""
+        f = self.model.ring.field
+        return {j: apply_columns(self.maps[a], col, f) for j, col in self.maps[b].items()}
 
     def check_anticommutation(self):
+        """(a, b, i, j) for each nonzero entry of lambda_a lambda_b +
+        lambda_b lambda_a (a <= b), then of each lambda_a^2."""
         f = self.model.ring.field
-        n = self.model.n
         problems = []
+
+        def report(a, b, columns):
+            nonzero = sorted((i, j) for j, col in columns.items() for i in col)
+            problems.extend((a, b, i, j) for i, j in nonzero)
+
         for a in range(len(self.maps)):
             for b in range(a, len(self.maps)):
-                for i in range(n):
-                    for j in range(n):
-                        acc = f.zero
-                        for k in range(n):
-                            acc = f.add(acc, f.mul(self.maps[a][i][k], self.maps[b][k][j]))
-                            acc = f.add(acc, f.mul(self.maps[b][i][k], self.maps[a][k][j]))
-                        if not f.is_zero(acc):
-                            problems.append((a, b, i, j))
+                total = self._product(a, b)
+                for j, col in self._product(b, a).items():
+                    axpy(total.setdefault(j, {}), f.one, col, f)
+                report(a, b, total)
         # lambda_i^2 = 0 follows from d^2 = 0 in every characteristic
         for a in range(len(self.maps)):
-            for i in range(n):
-                for j in range(n):
-                    acc = f.zero
-                    for k in range(n):
-                        acc = f.add(acc, f.mul(self.maps[a][i][k], self.maps[a][k][j]))
-                    if not f.is_zero(acc):
-                        problems.append((a, a, i, j))
+            report(a, a, self._product(a, a))
         return problems
 
     def is_trivial(self) -> bool:
-        f = self.model.ring.field
-        return all(
-            f.is_zero(x) for mat in self.maps for row in mat for x in row
-        )
+        return not any(self.maps)
 
 
 def lambda_ops(M) -> LambdaAction:
@@ -192,20 +191,18 @@ def lambda_ops(M) -> LambdaAction:
     if not is_minimal(model):
         raise ValueError("lambda operators need a minimal differential")
     ring = model.ring
-    f = ring.field
-    n = model.n
     maps = []
     for var in range(ring.num_vars):
         exps = [0] * ring.num_vars
         exps[var] = 1
         exps = tuple(exps)
-        mat = [[f.zero] * n for _ in range(n)]
+        mat = {}
         for (i, j), p in model.differential.entries.items():
             if model.degree(i) != model.degree(j):
                 continue  # only the degree-preserving part acts on H^q
             c = p.terms.get(exps)
             if c is not None:
-                mat[i][j] = c
+                mat.setdefault(j, {})[i] = c
         maps.append(mat)
     return LambdaAction(model, maps)
 
@@ -216,25 +213,14 @@ def lambda_length(M, q: int) -> int:
     model = action.model
     ops = model.ring.field
     n = model.n
-    degree_q = [i for i in range(n) if model.degree(i) == q]
-    if not degree_q:
-        return 0
-    current = []
-    for i in degree_q:
-        v = [ops.zero] * n
-        v[i] = ops.one
-        current.append(v)
-    current = span_rref(current, ops)
+    current = span(({i: ops.one} for i in range(n) if model.degree(i) == q), ops)
     length = 0
-    while current:
+    while current.rank:
         length += 1
-        images = []
-        for mat in action.maps:
-            for v in current:
-                img = mat_vec(mat, v, ops)
-                if any(not ops.is_zero(x) for x in img):
-                    images.append(img)
-        current = span_rref(images, ops)
+        current = span(
+            (apply_columns(mat, v, ops) for mat in action.maps for v in current.rows.values()),
+            ops,
+        )
         if length > n + 1:
             raise RuntimeError("lambda action is not nilpotent")  # d^2 != 0
     return length

@@ -9,17 +9,14 @@ from koszulalg.linalg import (
     PolyMatrix,
     _find_gfp_modulus,
     dense,
-    dot,
     sparse,
     rank_exact,
     rank_probabilistic,
     evaluation_domain,
     rref,
-    nullspace,
     solve,
-    span_rref,
-    in_span,
     scalar_rank,
+    span,
 )
 
 Q = FieldSpec(0)
@@ -178,7 +175,7 @@ class TestScalarLinalg:
         ops = Q
         rows = [[Q.of(1), Q.of(2), Q.of(3)], [Q.of(2), Q.of(4), Q.of(6)]]
         assert scalar_rank(rows, ops) == 1
-        ns = nullspace(rows, 3, ops)
+        ns = [dense(v, 3, ops) for v in _span(rows, ops).nullspace(range(3))]
         assert len(ns) == 2
         for v in ns:
             assert all(
@@ -191,9 +188,22 @@ class TestScalarLinalg:
 
     def test_span_membership(self):
         ops = F3
-        basis = span_rref([[1, 2, 0], [0, 1, 1]], ops)
-        assert in_span(basis, [1, 0, 1], ops)  # (1,2,0) - 2*(0,1,1) = (1,0,-2) = (1,0,1)
-        assert not in_span(basis, [0, 0, 1], ops)
+        E = _span([[1, 2, 0], [0, 1, 1]], ops)
+        assert not E.reduce({0: 1, 2: 1})  # (1,2,0) - 2*(0,1,1) = (1,0,-2) = (1,0,1)
+        assert E.reduce({2: 1})
+
+
+def dot(row, vec, ops):
+    """Dot product of two dense vectors."""
+    acc = ops.zero
+    for a, x in zip(row, vec):
+        acc = ops.add(acc, ops.mul(a, x))
+    return acc
+
+
+def _span(rows, ops):
+    """The Echelon of the rows of a dense matrix."""
+    return span([sparse(row, ops) for row in rows], ops)
 
 
 # ---------------------------------------------------------------------------
@@ -291,9 +301,10 @@ def test_kernel_matches_gauss_jordan(ops, element):
             ncols = len(rows[0]) if rows else 0
             red, pivots = gauss_jordan(rows, ops)
             assert rref(rows, ops) == (red, pivots)
-            assert span_rref(rows, ops) == red
+            E = _span(rows, ops)
+            assert [dense(E.rows[c], ncols, ops) for c in sorted(E.rows)] == red
             assert scalar_rank(rows, ops) == len(pivots)
-            ns = nullspace(rows, ncols, ops)
+            ns = [dense(v, ncols, ops) for v in E.nullspace(range(ncols))]
             assert ns == _oracle_nullspace(rows, ncols, ops)
             assert len(ns) == ncols - len(pivots)
             for v in ns:
@@ -306,9 +317,10 @@ def test_kernel_matches_gauss_jordan(ops, element):
                     assert [dot(row, got, ops) for row in rows] == rhs
             v = [element(rng) for _ in range(ncols)]
             inside = len(gauss_jordan(rows + [v], ops)[1]) == len(pivots)
-            assert in_span(red, v, ops) == inside
+            assert (not E.reduce(sparse(v, ops))) == inside
             y = [element(rng) for _ in rows]
-            assert in_span(red, [dot([row[c] for row in rows], y, ops) for c in range(ncols)], ops)
+            combination = [dot([row[c] for row in rows], y, ops) for c in range(ncols)]
+            assert not E.reduce(sparse(combination, ops))
 
 
 @pytest.mark.parametrize("ops, element", KERNEL_CASES)

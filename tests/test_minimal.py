@@ -9,6 +9,7 @@ from koszulalg.chainmaps import ChainMap
 from koszulalg.minimal import (
     minimal_model,
     is_minimal,
+    LambdaAction,
     lambda_ops,
     lambda_length,
 )
@@ -110,6 +111,22 @@ class TestLambda:
         act = lambda_ops(K.base)
         assert not act.is_trivial()
         assert act.check_anticommutation() == []
+
+    def test_non_anticommuting_pair_flagged(self):
+        ring = RingSpec(Q, 2, 1)
+        C = FreeComplex(ring, [("a", 0), ("b", 0)], PolyMatrix(ring, 2, 2))
+        # lambda_1: e_b -> e_a and lambda_2: e_a -> e_b, each of square 0,
+        # with lambda_1 lambda_2 + lambda_2 lambda_1 the identity
+        act = LambdaAction(C, [{1: {0: Q.one}}, {0: {1: Q.one}}])
+        assert act.check_anticommutation() == [(0, 1, 0, 0), (0, 1, 1, 1)]
+
+    def test_nonzero_square_flagged(self):
+        ring = RingSpec(Q, 1, 1)
+        C = FreeComplex(ring, [("a", 0), ("b", 0), ("c", 0)], PolyMatrix(ring, 3, 3))
+        # e_a -> e_b -> e_c: the square sends e_a to e_c; over Q both the
+        # anticommutator (2 lambda^2) and the square check report it
+        act = LambdaAction(C, [{0: {1: Q.one}, 1: {2: Q.one}}])
+        assert act.check_anticommutation() == [(0, 0, 2, 0), (0, 0, 2, 0)]
 
     def test_lambda_trivial_weight2(self):
         K = koszul(RingSpec(Q, 3, 2), 0)
