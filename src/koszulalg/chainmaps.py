@@ -125,9 +125,7 @@ def induced_map_mod(f: ChainMap, a):
     Ht = HomologyData(Ft)
     ops = Hs.field
     lookup_t = Ft.tensor_info["lookup"]
-    by_column = {}  # gi -> [(i, f_i,gi)] by increasing i
-    for (i, gi), p in sorted(f.matrix.entries.items()):
-        by_column.setdefault(gi, []).append((i, p))
+    by_column = f.matrix.columns()
     cols = []
     for rep in Hs.representatives:
         image = {}

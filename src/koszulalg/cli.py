@@ -456,7 +456,12 @@ def main(argv=None) -> int:
         sys.stderr.write(f"assertion failed: {e}\n")
         return 1
     except LiftError as e:
-        sys.stderr.write(f"assertion failed: {e}\n")
+        details = "" if e.degree is None else f"; degree {e.degree}"
+        if e.obstruction is not None:
+            details += "; obstruction " + ", ".join(
+                f"e{u}: {p}" for u, p in enumerate(e.obstruction) if p
+            )
+        sys.stderr.write(f"assertion failed: {e}{details}\n")
         return 1
     except (UsageError, FileFormatError, FileNotFoundError, ValueError) as e:
         sys.stderr.write(f"error: {e}\n")

@@ -3,14 +3,18 @@ the weight-zero Koszul complex, and the rank/dimension bound reports.
 
 All lifts are produced by graded k-linear solves: a boundary equation
 d(y) = b with y homogeneous of a prescribed degree has finitely many
-monomial unknowns.  A single-generator proportionality shortcut is tried
-first so the canonical fixtures get their minimal-support solutions
-(e.g. the diagonal t^m maps) exactly.
+monomial unknowns, whose images under d are sparse columns read off the
+differential by column.  A single-generator proportionality shortcut is
+tried first so the canonical fixtures get their minimal-support
+solutions (e.g. the diagonal t^m maps) exactly; otherwise the images
+are transposed into sparse rows for `linalg.solve`.
 """
 
 from __future__ import annotations
 
-from .ring import RingSpec
+from operator import add
+
+from .ring import Polynomial, RingSpec
 from .complexes import (
     FreeComplex,
     KoszulComplex,
@@ -19,7 +23,7 @@ from .complexes import (
     DgaStructure,
 )
 from .chainmaps import ChainMap, is_chain_map, rank_of_map, restricted_rank
-from .linalg import PolyMatrix, Echelon, solve
+from .linalg import PolyMatrix, Echelon, axpy, solve
 from .minimal import minimal_model
 from .filtration import (
     Filtration,
@@ -63,28 +67,15 @@ def monomials_of_weighted_degree(ring: RingSpec, wdeg: int):
     return out
 
 
-def _column_image(f, column, exps):
+def _column_image(column, exps):
     """Terms of d(mu * e_i) as {(target gen, exponent): scalar}, where
-    column lists the entries (u, d_ui) of d(e_i) by increasing u."""
-    out = {}
-    for u, p in column:
-        q = p.multiply_monomial(exps)
-        for e, c in q.terms.items():
-            key = (u, e)
-            s = f.add(out.get(key, f.zero), c)
-            if f.is_zero(s):
-                out.pop(key, None)
-            else:
-                out[key] = s
-    return out
-
-
-def _terms_of_element(C: FreeComplex, element):
-    out = {}
-    for u, p in enumerate(element):
-        for e, c in p.terms.items():
-            out[(u, e)] = c
-    return out
+    column lists the entries (u, d_ui) of d(e_i) by increasing u and
+    mu = t^exps.  The keys are distinct, so no two terms combine."""
+    return {
+        (u, tuple(map(add, e, exps))): c
+        for u, p in column
+        for e, c in p.terms.items()
+    }
 
 
 def solve_boundary_equation(
@@ -99,71 +90,68 @@ def solve_boundary_equation(
 
     allowed restricts the generators y may involve; when an augmentation
     and aug_value are given, epsilon(y) = aug_value is imposed as an
-    extra linear condition.
+    extra linear condition.  The unknowns are the monomial multiples
+    mu * e_i of degree `degree`; the image d(mu * e_i) of each is built
+    once and read by both the shortcut and the general solve.
     """
     ring = C.ring
     f = ring.field
     if allowed is None:
         allowed = range(C.n)
+    monomials = {}  # degree of mu -> the exponents of mu, built once
     unknowns = []
     for i in allowed:
-        for exps in monomials_of_weighted_degree(ring, degree - C.degree(i)):
-            unknowns.append((i, exps))
-    rhs_terms = _terms_of_element(C, rhs)
+        q = degree - C.degree(i)
+        if q not in monomials:
+            monomials[q] = monomials_of_weighted_degree(ring, q)
+        unknowns.extend((i, exps) for exps in monomials[q])
+    columns = C.differential.columns()
+    images = [_column_image(columns.get(i, ()), exps) for i, exps in unknowns]
+    rhs_terms = {(u, e): c for u, p in enumerate(rhs) for e, c in p.terms.items()}
     zero_exps = (0,) * ring.num_vars
-    by_column = {}
-    for (u, i), p in sorted(C.differential.entries.items()):
-        by_column.setdefault(i, []).append((u, p))
+
+    def epsilon(i, exps):
+        return augmentation.values[i] if exps == zero_exps else f.zero
+
     # shortcut: a single scaled generator already solves the equation
     if rhs_terms:
-        for i, exps in unknowns:
-            img = _column_image(f, by_column.get(i, ()), exps)
-            if set(img) != set(rhs_terms):
+        for (i, exps), img in zip(unknowns, images):
+            if img.keys() != rhs_terms.keys():
                 continue
             key = next(iter(img))
             c = f.div(rhs_terms[key], img[key])
-            if all(
+            if not all(
                 f.is_zero(f.sub(rhs_terms[k], f.mul(c, v)))
                 for k, v in img.items()
             ):
-                if augmentation is not None:
-                    eps = (
-                        f.mul(c, augmentation.values[i])
-                        if exps == zero_exps
-                        else f.zero
-                    )
-                    if not f.is_zero(f.sub(eps, aug_value)):
-                        continue
-                y = C.zero_element()
-                y[i] = ring.monomial(exps, c)
-                return y
-    # general graded solve
-    cols = [_column_image(f, by_column.get(i, ()), exps) for i, exps in unknowns]
-    keys = sorted(set(rhs_terms) | {k for col in cols for k in col})
-    key_row = {k: r for r, k in enumerate(keys)}
-    nrows = len(keys) + (1 if augmentation is not None else 0)
-    rows = [[f.zero] * len(unknowns) for _ in range(nrows)]
-    for j, col in enumerate(cols):
-        for k, c in col.items():
-            rows[key_row[k]][j] = c
-    b = [rhs_terms.get(k, f.zero) for k in keys]
+                continue
+            if augmentation is not None and not f.is_zero(
+                f.sub(f.mul(c, epsilon(i, exps)), aug_value)
+            ):
+                continue
+            y = C.zero_element()
+            y[i] = ring.monomial(exps, c)
+            return y
+    # general graded solve: one sparse row per (generator, exponent) key,
+    # the right-hand side in column len(unknowns)
+    n = len(unknowns)
+    by_key = {k: {n: b} for k, b in rhs_terms.items()}
+    for j, img in enumerate(images):
+        for k, c in img.items():
+            by_key.setdefault(k, {})[j] = c
+    rows = list(by_key.values())
     if augmentation is not None:
-        for j, (i, exps) in enumerate(unknowns):
-            if exps == zero_exps:
-                rows[len(keys)][j] = augmentation.values[i]
-        b.append(aug_value)
-    if not unknowns:
-        if any(not f.is_zero(x) for x in b):
-            return None
-        return C.zero_element()
-    x = solve(rows, b, f)
+        eps = {j: epsilon(i, exps) for j, (i, exps) in enumerate(unknowns)}
+        eps[n] = aug_value
+        rows.append({j: c for j, c in eps.items() if not f.is_zero(c)})
+    x = solve(rows, n, f)
     if x is None:
         return None
-    y = C.zero_element()
-    for (i, exps), c in zip(unknowns, x):
-        if not f.is_zero(c):
-            y[i] = y[i] + ring.monomial(exps, c)
-    return y
+    y = [{} for _ in range(C.n)]
+    for j in sorted(x):
+        i, exps = unknowns[j]
+        y[i][exps] = x[j]
+    return [Polynomial(ring, terms) for terms in y]
 
 
 def _solve_in_koszul(K: KoszulComplex, rhs, degree: int, max_length: int):
@@ -219,15 +207,11 @@ def lift_alpha(
             "no augmentation-1 cycle of degree 0 exists", degree=0
         )
     images.append(one)
+    columns = Km.base.differential.columns()
     for j in range(1, Km.n):
-        I = Km.subsets[j]
         rhs = C.zero_element()
-        for u in range(Km.n):
-            p = Km.base.differential.entries.get((u, j))
-            if p is None:
-                continue
-            img = images[u]
-            rhs = [a + b * p for a, b in zip(rhs, img)]
+        for u, p in columns.get(j, ()):
+            rhs = [a + b * p for a, b in zip(rhs, images[u])]
         deg = Km.base.degree(j)
         sol = solve_boundary_equation(C, rhs, deg)
         if sol is None:
@@ -238,16 +222,7 @@ def lift_alpha(
                 obstruction=rhs,
             )
         images.append(sol)
-    M = PolyMatrix(ring, C.n, Km.n)
-    for j, img in enumerate(images):
-        for u, p in enumerate(img):
-            if not p.is_zero():
-                M.entries[(u, j)] = p
-    alpha = ChainMap(Km.base, C, M)
-    bad = is_chain_map(alpha)
-    if bad is not None:
-        raise LiftError(f"lift is not a chain map at column {bad}")
-    return alpha
+    return _chain_map(Km.base, C, images, "lift is not a chain map at column {}")
 
 
 def lift_beta(F: Filtration, augmentation: Augmentation) -> ChainMap:
@@ -306,7 +281,7 @@ def lift_beta(F: Filtration, augmentation: Augmentation) -> ChainMap:
                             continue
                         for u, p in enumerate(img):
                             if not p.is_zero():
-                                rhs[u] = rhs[u] + p.multiply_monomial(exps, c)
+                                rhs[u] = rhs[u] + p * ring.monomial(exps, c)
                 sol = _solve_in_koszul(K0, rhs, q, max_length=level - 1)
                 if sol is None:
                     raise LiftError(
@@ -327,39 +302,57 @@ def lift_beta(F: Filtration, augmentation: Augmentation) -> ChainMap:
                     sol[k0] = sol[k0] + ring.constant(f.sub(eps_v, got_eps))
                 define(v, sol)
     # express the standard basis through the processed one
-    M = PolyMatrix(ring, K0.n, n)
+    images = []
     for j in range(n):
         coords = coordinates({j: f.one})
         if coords is None:
             raise LiftError("filtration basis does not span the model")
+        col = K0.base.zero_element()
         for c, img in zip(coords, defined_images):
             if f.is_zero(c):
                 continue
             for u, p in enumerate(img):
                 if not p.is_zero():
-                    M.entries[(u, j)] = M.entry(u, j) + p.scale(c)
-        for u in range(K0.n):
-            if (u, j) in M.entries and M.entries[(u, j)].is_zero():
-                del M.entries[(u, j)]
-    beta = ChainMap(model, K0.base, M)
-    bad = is_chain_map(beta)
+                    col[u] = col[u] + p.scale(c)
+        images.append(col)
+    return _chain_map(model, K0.base, images, "lift is not a chain map at column {}")
+
+
+def _chain_map(source: FreeComplex, target: FreeComplex, images, message):
+    """The chain map sending e_j to images[j]; LiftError with `message`
+    (formatted with the first bad column) if it is not one."""
+    M = PolyMatrix(target.ring, target.n, source.n)
+    for j, img in enumerate(images):
+        for u, p in enumerate(img):
+            M.set(u, j, p)
+    g = ChainMap(source, target, M)
+    bad = is_chain_map(g)
     if bad is not None:
-        raise LiftError(f"lift is not a chain map at column {bad}")
-    return beta
+        raise LiftError(message.format(bad))
+    return g
 
 
 def beta_respects_filtration(beta: ChainMap, F: Filtration, K0: KoszulComplex = None):
-    """Column-wise check: F_i lands in exterior length <= i-1."""
+    """Column-wise check: F_i lands in exterior length <= i-1.
+
+    Returns the pairs (i, u), one per basis vector v of F_i and generator
+    u of exterior length > i-1 where beta(v) is nonzero.  beta(v) is read
+    off the columns of beta over the support of the sparse vector v.
+    """
     model = F.model_complex
+    f = model.ring.field
     if K0 is None:
         K0 = koszul(model.ring, 0)
+    columns = beta.matrix.columns()
     violations = []
     for i in range(1, F.length + 1):
         for v in F.basis(i):
-            img = beta.apply([model.ring.constant(v.get(j, 0)) for j in range(model.n)])
-            for u, p in enumerate(img):
-                if not p.is_zero() and K0.exterior_length(u) > i - 1:
-                    violations.append((i, u))
+            too_long = {}  # u -> terms of beta(v)_u
+            for j, c in v.items():
+                for u, p in columns.get(j, ()):
+                    if K0.exterior_length(u) > i - 1:
+                        axpy(too_long.setdefault(u, {}), c, p.terms, f)
+            violations.extend((i, u) for u in sorted(too_long) if too_long[u])
     return violations
 
 
@@ -540,16 +533,11 @@ def multiplicative_alpha(
         for i in I[1:]:
             acc = dga.multiply(acc, images[Km.subset_index[(i,)]])
         images[j] = acc
-    M = PolyMatrix(ring, C.n, Km.n)
-    for j, img in enumerate(images):
-        for u, p in enumerate(img):
-            if not p.is_zero():
-                M.entries[(u, j)] = p
-    alpha = ChainMap(Km.base, C, M)
-    bad = is_chain_map(alpha)
-    if bad is not None:
-        raise LiftError(
-            "multiplicative extension fails the chain-map law at column "
-            f"{bad}; the product structure does not support this lift"
-        )
+    alpha = _chain_map(
+        Km.base,
+        C,
+        images,
+        "multiplicative extension fails the chain-map law at column {}; "
+        "the product structure does not support this lift",
+    )
     return alpha, rank_of_map(alpha)

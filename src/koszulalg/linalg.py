@@ -8,8 +8,9 @@ for every matrix this artifact produces (minor degrees < 2**15).
 
 Also hosts the scalar linear algebra used by the homology, filtration
 and lifting code: one sparse-row elimination kernel (`Echelon`, rows kept
-in reduced row echelon form) with its sparse helpers, and the dense entry
-points rref, solve and scalar_rank built on it.
+in reduced row echelon form) with its sparse helpers, the sparse solve
+of the lifts, and the dense entry points rref and scalar_rank, all built
+on it.
 """
 
 from __future__ import annotations
@@ -48,16 +49,6 @@ class PolyMatrix:
             m.entries[(i, i)] = one
         return m
 
-    @classmethod
-    def from_columns(cls, ring, rows, columns):
-        """columns: list of length-`rows` lists of polynomials."""
-        m = cls(ring, rows, len(columns))
-        for j, col in enumerate(columns):
-            for i, p in enumerate(col):
-                if p and not p.is_zero():
-                    m.entries[(i, j)] = p
-        return m
-
     def set(self, i, j, p: Polynomial):
         if not 0 <= i < self.rows or not 0 <= j < self.cols:
             raise IndexError((i, j))
@@ -75,7 +66,11 @@ class PolyMatrix:
         return [self.entry(i, j) for i in range(self.rows)]
 
     def columns(self):
-        return [self.column(j) for j in range(self.cols)]
+        """The entries by column: {j: [(i, p), ...]} with i increasing."""
+        by_col = {}
+        for (i, j), p in sorted(self.entries.items()):
+            by_col.setdefault(j, []).append((i, p))
+        return by_col
 
     def is_zero(self) -> bool:
         return not self.entries
@@ -616,7 +611,7 @@ def rank_probabilistic(M: PolyMatrix, seed: int) -> int:
 # ---------------------------------------------------------------------------
 # scalar linear algebra over a field (any object with the scalar protocol
 # of FieldSpec: a FieldSpec or an evaluation domain).  Vectors are sparse
-# {index: nonzero} dicts.  All elimination goes through Echelon; the dense
+# {index: nonzero} dicts.  All elimination goes through Echelon; the
 # functions at the end wrap it.
 # ---------------------------------------------------------------------------
 
@@ -747,15 +742,11 @@ def rref(rows, ops):
     return [dense(E.rows[c], len(rows[0]), ops) for c in pivots], pivots
 
 
-def solve(rows, rhs, ops):
-    """One solution of A x = b (free variables zero), or None."""
-    if not rows:
-        return None if any(not ops.is_zero(b) for b in rhs) else []
-    ncols = len(rows[0])
-    E = span((sparse(list(r) + [b], ops) for r, b in zip(rows, rhs)), ops)
+def solve(rows, ncols, ops):
+    """One solution of A x = b (free variables zero) as a sparse
+    {column: x_column}, or None.  `rows` are the sparse rows of the
+    augmented matrix [A | b], with b in column ncols."""
+    E = span(rows, ops)
     if ncols in E.rows:
         return None  # pivot in the constant column: inconsistent
-    x = [ops.zero] * ncols
-    for pc, row in E.rows.items():
-        x[pc] = row.get(ncols, ops.zero)
-    return x
+    return {pc: row[ncols] for pc, row in E.rows.items() if ncols in row}

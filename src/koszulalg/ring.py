@@ -239,17 +239,11 @@ class Polynomial:
     def __hash__(self):
         return hash((self.ring, frozenset(self.terms.items())))
 
-    def copy_terms(self) -> dict:
-        return dict(self.terms)
-
     def constant_coeff(self):
         return self.terms.get((0,) * self.ring.num_vars, self.ring.field.zero)
 
     def coeff(self, exps):
         return self.terms.get(tuple(exps), self.ring.field.zero)
-
-    def is_constant(self) -> bool:
-        return all(sum(e) == 0 for e in self.terms)
 
     def total_degree(self) -> int:
         """Max unweighted exponent sum; -1 for the zero polynomial."""

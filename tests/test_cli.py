@@ -4,6 +4,10 @@ import pytest
 
 from koszulalg import lift
 from koszulalg.cli import main
+from koszulalg.complexes import Augmentation, FreeComplex
+from koszulalg.fileio import write_complex
+from koszulalg.linalg import PolyMatrix
+from koszulalg.ring import FieldSpec, RingSpec
 
 
 def run(argv, capsys):
@@ -222,3 +226,19 @@ def test_malformed_map_exits_2(tmp_path, capsys):
     code, _, err = run(["verify-map", str(bad)], capsys)
     assert code == 2
     assert err == "error: line 4: unknown generator 'zz'\n"
+
+
+def test_failed_lift_prints_degree_and_obstruction(tmp_path, capsys):
+    """verify-bounds on the rank-1 complex with d = 0 over Q[t1, t2]: the
+    lift of s1 needs a preimage of t1^2 * a, and there is none."""
+    ring = RingSpec(FieldSpec(0), 2, 1)
+    C = FreeComplex(ring, [("a", 0)], PolyMatrix(ring, 1, 1))
+    cx = str(tmp_path / "rank1.cx")
+    write_complex(cx, C, Augmentation(C, [ring.field.one]))
+    code, out, err = run(["verify-bounds", cx, "--m", "1"], capsys)
+    assert code == 1
+    assert out == ""
+    assert err == (
+        "assertion failed: obstruction lifting generator s1 in degree 1; "
+        "degree 1; obstruction e0: t1^2\n"
+    )

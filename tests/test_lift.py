@@ -1,5 +1,9 @@
+import random
+
 import pytest
 
+from conftest import random_free_complex, _nonzero_scalar
+from test_linalg import _oracle_solve
 from koszulalg.ring import FieldSpec, RingSpec
 from koszulalg.complexes import (
     koszul,
@@ -9,7 +13,7 @@ from koszulalg.complexes import (
     direct_sum,
 )
 from koszulalg.linalg import PolyMatrix
-from koszulalg.chainmaps import is_chain_map, rank_of_map
+from koszulalg.chainmaps import ChainMap, is_chain_map, rank_of_map
 from koszulalg.minimal import minimal_model
 from koszulalg import lift
 from koszulalg.filtration import compute_filtration, bound_checks
@@ -28,6 +32,7 @@ from koszulalg.lift import (
 
 Q = FieldSpec(0)
 F2 = FieldSpec(2)
+F3 = FieldSpec(3)
 
 
 class TestSolver:
@@ -53,6 +58,20 @@ class TestSolver:
         C = FreeComplex(ring, [("a", 0)], PolyMatrix(ring, 1, 1))
         rhs = [ring.var(1)]
         assert solve_boundary_equation(C, rhs, 1) is None
+
+
+def _full_vector_violations(beta, F, K0):
+    """The reference check: beta applied to each basis vector of F_i as a
+    full vector of constant polynomials."""
+    model = F.model_complex
+    violations = []
+    for i in range(1, F.length + 1):
+        for v in F.basis(i):
+            img = beta.apply([model.ring.constant(v.get(j, 0)) for j in range(model.n)])
+            for u, p in enumerate(img):
+                if not p.is_zero() and K0.exterior_length(u) > i - 1:
+                    violations.append((i, u))
+    return violations
 
 
 class TestAlpha:
@@ -106,6 +125,56 @@ class TestBeta:
         for (i, j), p in beta.matrix.entries.items():
             assert i == j
         assert rank_of_map(beta) == 8
+
+    @pytest.mark.parametrize("field", [Q, F2, F3], ids=["Q", "F2", "F3"])
+    def test_filtration_violations_match_full_vectors(self, field):
+        """A beta corrupted in rows of too-long exterior length, in columns
+        that F_1 and F_2 vectors use, is reported exactly as the
+        full-vector computation reports it."""
+        ring = RingSpec(field, 3, 1)
+        K1 = koszul(ring, 1)
+        K0 = koszul(ring, 0)
+        F = compute_filtration(K1.base)
+        beta = lift_beta(F, canonical_augmentation(K1))
+        assert beta_respects_filtration(beta, F) == []
+        for level, u in [(1, K0.subset_index[(1, 2, 3)]), (2, K0.subset_index[(1, 3)])]:
+            j = max(F.basis(level)[-1])
+            beta.matrix.set(u, j, beta.matrix.entry(u, j) + ring.var(2))
+        got = beta_respects_filtration(beta, F, K0)
+        assert got
+        assert got == _full_vector_violations(beta, F, K0)
+
+    @pytest.mark.parametrize("field", [Q, F3], ids=["Q", "F3"])
+    def test_filtration_violations_on_combinations(self, field):
+        """Random beta on filtrations whose basis vectors have several
+        entries, with beta(v) made to cancel on one such v: the same
+        violations as the full-vector computation."""
+        rng = random.Random(7)
+        ring = RingSpec(field, 3, 1)
+        K0 = koszul(ring, 0)
+        tried = 0
+        for _ in range(12):
+            C, _ = random_free_complex(ring, rng)
+            F = compute_filtration(minimal_model(C))
+            combos = [v for i in range(1, F.length + 1) for v in F.basis(i) if len(v) > 1]
+            if not combos:
+                continue
+            model = F.model_complex
+            M = PolyMatrix(ring, K0.n, model.n)
+            for _ in range(model.n):
+                M.set(rng.randrange(K0.n), rng.randrange(model.n), ring.var(rng.randint(1, 3)))
+            (j1, c1), (j2, c2) = list(combos[0].items())[:2]
+            u = K0.subset_index[(1, 2, 3)]
+            M.set(u, j1, ring.constant(c2))
+            M.set(u, j2, ring.constant(field.neg(c1)))
+            for j in combos[0]:
+                if j not in (j1, j2):
+                    M.set(u, j, ring.zero())
+            beta = ChainMap(model, K0.base, M)
+            got = beta_respects_filtration(beta, F, K0)
+            assert got == _full_vector_violations(beta, F, K0)
+            tried += 1
+        assert tried
 
     def test_zero_differential_rank_one(self):
         ring = RingSpec(Q, 2, 1)
@@ -215,3 +284,154 @@ class TestMultiplicative:
         dga.table[(a, b)] = list(K0.base.zero_element())  # break s1*s2
         with pytest.raises(LiftError):
             multiplicative_alpha(dga, canonical_augmentation(K0), 1)
+
+
+# ---------------------------------------------------------------------------
+# solve_boundary_equation against the dense keys x unknowns system
+# ---------------------------------------------------------------------------
+
+
+def _dense_column_image(f, column, exps):
+    """d(mu * e_i) as {(target gen, exponent): scalar}, by multiply_monomial."""
+    out = {}
+    for u, p in column:
+        for e, c in p.multiply_monomial(exps).terms.items():
+            s = f.add(out.get((u, e), f.zero), c)
+            if f.is_zero(s):
+                out.pop((u, e), None)
+            else:
+                out[(u, e)] = s
+    return out
+
+
+def _dense_solve_boundary(C, rhs, degree, allowed=None, augmentation=None, aug_value=None):
+    """The reference solver: the single-generator shortcut, then the dense
+    keys x unknowns system solved by Gauss-Jordan.  Returns (y, how) with
+    how one of "shortcut", "system", "none"."""
+    ring = C.ring
+    f = ring.field
+    if allowed is None:
+        allowed = range(C.n)
+    unknowns = [
+        (i, exps)
+        for i in allowed
+        for exps in monomials_of_weighted_degree(ring, degree - C.degree(i))
+    ]
+    rhs_terms = {(u, e): c for u, p in enumerate(rhs) for e, c in p.terms.items()}
+    zero_exps = (0,) * ring.num_vars
+    by_column = {}
+    for (u, i), p in sorted(C.differential.entries.items()):
+        by_column.setdefault(i, []).append((u, p))
+    cols = [_dense_column_image(f, by_column.get(i, ()), exps) for i, exps in unknowns]
+    if rhs_terms:
+        for (i, exps), img in zip(unknowns, cols):
+            if set(img) != set(rhs_terms):
+                continue
+            key = next(iter(img))
+            c = f.div(rhs_terms[key], img[key])
+            if any(not f.is_zero(f.sub(rhs_terms[k], f.mul(c, v))) for k, v in img.items()):
+                continue
+            if augmentation is not None:
+                eps = f.mul(c, augmentation.values[i]) if exps == zero_exps else f.zero
+                if not f.is_zero(f.sub(eps, aug_value)):
+                    continue
+            y = C.zero_element()
+            y[i] = ring.monomial(exps, c)
+            return y, "shortcut"
+    keys = sorted(set(rhs_terms) | {k for col in cols for k in col})
+    key_row = {k: r for r, k in enumerate(keys)}
+    rows = [[f.zero] * len(unknowns) for _ in range(len(keys))]
+    for j, col in enumerate(cols):
+        for k, c in col.items():
+            rows[key_row[k]][j] = c
+    b = [rhs_terms.get(k, f.zero) for k in keys]
+    if augmentation is not None:
+        rows.append([augmentation.values[i] if exps == zero_exps else f.zero
+                     for i, exps in unknowns])
+        b.append(aug_value)
+    if not unknowns:
+        return (None, "none") if any(not f.is_zero(x) for x in b) else (C.zero_element(), "system")
+    x = _oracle_solve(rows, b, f)
+    if x is None:
+        return None, "none"
+    y = C.zero_element()
+    for (i, exps), c in zip(unknowns, x):
+        if not f.is_zero(c):
+            y[i] = y[i] + ring.monomial(exps, c)
+    return y, "system"
+
+
+def _random_element(C, degree, rng, allowed=None, density=0.4):
+    ring = C.ring
+    y = C.zero_element()
+    for i in range(C.n) if allowed is None else allowed:
+        for exps in monomials_of_weighted_degree(ring, degree - C.degree(i)):
+            if rng.random() < density:
+                y[i] = y[i] + ring.monomial(exps, _nonzero_scalar(ring, rng))
+    return y
+
+
+def _solver_inputs(C, rng):
+    """(rhs, degree, allowed, augmentation, aug_value) cases on C: boundaries,
+    non-boundaries, allowed subsets, the augmentation condition, and scaled
+    images of one unknown (shortcut candidates)."""
+    ring = C.ring
+    f = ring.field
+    w = ring.var_weight
+    degrees = sorted({C.degree(i) + w * k for i in range(C.n) for k in range(2)})
+    for q in degrees:
+        z = _random_element(C, q, rng)
+        yield C.d(z), q, None, None, None
+        yield _random_element(C, q + 1, rng), q, None, None, None
+        allowed = sorted(rng.sample(range(C.n), rng.randint(1, C.n)))
+        yield C.d(_random_element(C, q, rng, allowed)), q, allowed, None, None
+        yield C.d(z), q, allowed, None, None
+        unknowns = [(i, e) for i in range(C.n)
+                    for e in monomials_of_weighted_degree(ring, q - C.degree(i))]
+        if unknowns:
+            i, exps = rng.choice(unknowns)
+            one = C.zero_element()
+            one[i] = ring.monomial(exps, _nonzero_scalar(ring, rng))
+            yield C.d(one), q, None, None, None
+            yield C.d(one), q, [i], None, None
+    values = [f.of(rng.randrange(3)) for _ in range(C.n)]
+    aug = Augmentation(C, values)
+    for q in sorted({C.degree(i) for i in range(C.n)}):
+        for rhs in (C.zero_element(), C.d(_random_element(C, q, rng))):
+            for aug_value in (f.zero, f.one, f.of(2)):
+                yield rhs, q, None, aug, aug_value
+
+
+def _solver_complexes(field, rng):
+    for r, m, w in [(2, 0, 1), (2, 1, 1), (3, 0, 1), (3, 1, 2)]:
+        yield koszul(RingSpec(field, r, w), m).base
+    for r in (2, 3):
+        for _ in range(2):
+            yield random_free_complex(RingSpec(field, r, 1), rng, max_gens=8)[0]
+
+
+@pytest.mark.parametrize("field", [Q, F2, F3], ids=["Q", "F2", "F3"])
+def test_solve_boundary_equation_matches_dense_system(field, monkeypatch):
+    """The same y as the dense reference, with one image per unknown."""
+    calls = []
+    column_image = lift._column_image
+    monkeypatch.setattr(
+        lift, "_column_image", lambda *args: calls.append(1) or column_image(*args)
+    )
+    rng = random.Random(2008)
+    seen = {"shortcut": 0, "system": 0, "none": 0, "augmented": 0}
+    for C in _solver_complexes(field, rng):
+        for rhs, q, allowed, aug, aug_value in _solver_inputs(C, rng):
+            want, how = _dense_solve_boundary(C, rhs, q, allowed, aug, aug_value)
+            calls.clear()
+            got = solve_boundary_equation(C, rhs, q, allowed, aug, aug_value)
+            assert got == want
+            gens = range(C.n) if allowed is None else allowed
+            assert len(calls) == sum(
+                len(monomials_of_weighted_degree(C.ring, q - C.degree(i))) for i in gens
+            )
+            if got is not None:
+                assert C.d(got) == rhs
+            seen[how] += 1
+            seen["augmented"] += aug is not None and how != "none"
+    assert all(seen.values()), seen

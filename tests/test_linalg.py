@@ -182,9 +182,11 @@ class TestScalarLinalg:
                 ops.is_zero(sum((r[i] * v[i] for i in range(3)), Q.zero))
                 for r in rows
             )
-        x = solve([[Q.of(1), Q.of(1)], [Q.of(1), Q.of(-1)]], [Q.of(3), Q.of(1)], ops)
-        assert x == [Q.of(2), Q.of(1)]
-        assert solve([[Q.of(0), Q.of(0)]], [Q.of(1)], ops) is None
+        # x + y = 3, x - y = 1, as the sparse rows of [A | b]
+        system = [{0: Q.of(1), 1: Q.of(1), 2: Q.of(3)}, {0: Q.of(1), 1: Q.of(-1), 2: Q.of(1)}]
+        x = solve(system, 2, ops)
+        assert x == {0: Q.of(2), 1: Q.of(1)}
+        assert solve([{2: Q.of(1)}], 2, ops) is None  # 0 x + 0 y = 1
 
     def test_span_membership(self):
         ops = F3
@@ -246,6 +248,13 @@ def _oracle_nullspace(rows, ncols, ops):
             v[pc] = ops.neg(row[fc])
         basis.append(v)
     return basis
+
+
+def _solve_dense(rows, rhs, ops):
+    """solve() on the dense system A x = rhs, with its answer made dense."""
+    ncols = len(rows[0]) if rows else 0
+    x = solve([sparse(list(r) + [b], ops) for r, b in zip(rows, rhs)], ncols, ops)
+    return None if x is None else dense(x, ncols, ops)
 
 
 def _oracle_solve(rows, rhs, ops):
@@ -311,7 +320,7 @@ def test_kernel_matches_gauss_jordan(ops, element):
                 assert all(ops.is_zero(dot(row, v, ops)) for row in rows)
             x = [element(rng) for _ in range(ncols)]
             for rhs in ([dot(row, x, ops) for row in rows], [element(rng) for _ in rows]):
-                got = solve(rows, rhs, ops)
+                got = _solve_dense(rows, rhs, ops)
                 assert got == _oracle_solve(rows, rhs, ops)
                 if got is not None:
                     assert [dot(row, got, ops) for row in rows] == rhs
