@@ -1,10 +1,15 @@
 """Polynomial matrices and exact / probabilistic rank over Frac(k[t_1..t_r]).
 
-rank_exact is fraction-free (Bareiss) elimination after a structural
-peeling pass; rank_probabilistic evaluates at random points of a large
-domain (big integers in char 0, an extension field of size >= 2**61 in
-char p) so the Schwartz-Zippel failure probability stays below 2**-40
-for every matrix this artifact produces (minor degrees < 2**15).
+Both ranks peel rows and columns with one entry, then evaluate the rest
+at a random point of a field with about 2**61 elements: F_p with
+p = 2**61 - 1 for rational coefficients (reduced mod p), an extension
+field of F_p in characteristic p.  The rank at the point is a proven
+lower bound.  rank_probabilistic stops there; it equals the rank (over Q:
+the rank mod p) except with probability at most D / |field|,
+D <= min(rows, cols) * (max entry degree) (Schwartz-Zippel).  rank_exact
+proves the upper bound too, with kernel vectors from fraction-free
+Gauss-Jordan over k[t] checked by exact products, and moves to another
+point (and, over Q, another prime) until the check holds.
 
 Also hosts the scalar linear algebra used by the homology, filtration
 and lifting code: one sparse-row elimination kernel (`Echelon`, rows kept
@@ -16,11 +21,10 @@ on it.
 from __future__ import annotations
 
 import random
-from fractions import Fraction
 from itertools import count, zip_longest
 from operator import lshift
 
-from .ring import FieldSpec, Polynomial, RingSpec, RingMismatchError
+from .ring import FieldSpec, Polynomial, RingSpec, RingMismatchError, _is_prime, evaluator
 
 
 class PolyMatrix:
@@ -173,93 +177,185 @@ class PolyMatrix:
 
 
 # ---------------------------------------------------------------------------
-# exact rank (structural peeling + Bareiss)
+# rank over the fraction field: structural peeling, then one evaluation
+# (the lower bound) and, below full rank, a kernel certificate (the upper)
 # ---------------------------------------------------------------------------
 
 
 def rank_exact(M: PolyMatrix) -> int:
-    """Rank of M over the fraction field of k[t_1..t_r]; deterministic."""
-    rows = {}
-    col_count = {}
+    """Rank of M over the fraction field of k[t_1..t_r]; deterministic.
+
+    The answer is exact: the rank k of M at a point proves rank >= k (a
+    k-minor is nonzero there), and checked kernel vectors prove rank <= k
+    (`_rank_at_most`).  Only the run time depends on the point, which is
+    drawn from a fixed seed; a point where the certificate fails is
+    replaced by the next one.
+    """
+    return _evaluation_rank(M, random.Random(_SEED), certify=True)
+
+
+def rank_probabilistic(M: PolyMatrix, seed: int) -> int:
+    """Rank of M at one seeded random point: a proven lower bound.
+
+    It equals the rank except with probability at most D / |field|, where
+    D <= min(rows, cols) * (max entry degree) bounds the degree of the
+    minors (Schwartz-Zippel) and the field has about 2**61 elements (see
+    `_domains`).  Over Q the coefficients are reduced mod a prime p: a
+    minor nonzero mod p is nonzero over Q, so the lower bound holds, but
+    the D / |field| bound is on the rank mod p.  That is below the rank
+    over Q when p divides every maximal nonzero minor, as it does when a
+    row is p times a polynomial row.
+    """
+    return _evaluation_rank(M, random.Random(seed), certify=False)
+
+
+_SEED = 2008  # the points of rank_exact
+
+
+def _evaluation_rank(M, rng, certify):
+    rank, core = _peel(M)
+    if not core:
+        return rank
+    for ops in _domains(M.ring.field):
+        try:
+            rows = _rows_at_point(core, ops, rng, M.ring.num_vars)
+        except ValueError:
+            continue  # p divides a denominator
+        if not certify or _rank_at_most(core, rows, M.ring):
+            return rank + len(rows)
+
+
+def _peel(M):
+    """(rank of the peeled part, rows {i: {j: entry}} of the core).
+
+    A row or column with a single nonzero entry adds 1 to the rank, and
+    removing its row and column leaves the rank of the rest unchanged.
+    """
+    rows, cols = {}, {}
     for (i, j), p in M.entries.items():
         rows.setdefault(i, {})[j] = p
-        col_count[j] = col_count.get(j, 0) + 1
+        cols.setdefault(j, set()).add(i)
     rank = 0
-    # structural peeling: a row or column with a single nonzero entry
-    # contributes 1 to the rank and its minor is untouched by elimination
     changed = True
     while changed:
         changed = False
-        for i in list(rows):
-            r = rows.get(i)
-            if r is not None and len(r) == 1:
-                (j,) = r
+        for i in [i for i, row in rows.items() if len(row) == 1]:
+            if len(rows.get(i, ())) == 1:
+                (j,) = rows[i]
                 rank += 1
-                del rows[i]
-                for i2 in list(rows):
-                    if rows[i2].pop(j, None) is not None:
-                        if not rows[i2]:
-                            del rows[i2]
                 changed = True
-        cols = {}
-        for i, r in rows.items():
-            for j in r:
-                cols.setdefault(j, []).append(i)
-        for j, owners in cols.items():
-            if len(owners) == 1 and owners[0] in rows:
+                for i2 in cols.pop(j):
+                    del rows[i2][j]
+                    if not rows[i2]:
+                        del rows[i2]
+        for j in [j for j, owners in cols.items() if len(owners) == 1]:
+            if len(cols.get(j, ())) == 1:
+                (i,) = cols[j]
                 rank += 1
-                del rows[owners[0]]
                 changed = True
-                break  # ownership map is stale after a removal
-    if not rows:
-        return rank
-    return rank + _bareiss_rank(M.ring, rows)
+                for j2 in rows.pop(i):
+                    cols[j2].discard(i)
+                    if not cols[j2]:
+                        del cols[j2]
+    return rank, rows
 
 
-def _bareiss_rank(ring: RingSpec, rows: dict) -> int:
-    row_idx = sorted(rows)
-    col_idx = sorted({j for r in rows.values() for j in r})
+def _domains(field):
+    """The evaluation fields for a matrix over `field`, in the order
+    tried: the one `evaluation_domain` in characteristic p; in
+    characteristic 0, F_q for q = 2**61 - 1 and then each prime below it."""
+    ops = evaluation_domain(field)
+    while True:
+        yield ops
+        if not field.characteristic:
+            q = ops.characteristic - 2
+            while not _is_prime(q):
+                q -= 2
+            ops = FieldSpec(q)
+
+
+def _rows_at_point(core, ops, rng, num_vars):
+    """The rows of the core whose values at a random point of `ops` are
+    independent: each row outside the span of those before it.  Their
+    number is the rank at the point."""
+    value = evaluator([ops.random_element(rng) for _ in range(num_vars)], ops)
+    ncols = len({j for row in core.values() for j in row})
+    E = Echelon(ops)
+    independent = []
+    for i, row in core.items():
+        v = {}
+        for j, p in row.items():
+            x = value(p)
+            if not ops.is_zero(x):
+                v[j] = x
+        if E.add(v):
+            independent.append(i)
+            if len(independent) == ncols:
+                break
+    return independent
+
+
+def _rank_at_most(core, pivot_rows, ring) -> bool:
+    """True when rank(core) <= k = len(pivot_rows) is proven.
+
+    At full rank there is nothing to prove.  Otherwise the pivot rows,
+    independent at the point and so over R, go through fraction-free
+    Gauss-Jordan over R.  Each pivot is the smallest entry (degree, then
+    terms) of a row not yet used; as in Bareiss, any nonzero pivot keeps
+    every entry a minor and every division exact.  Pivot row t ends as
+    d*e_{q_t} plus entries in the free columns, d the determinant of the
+    pivot block.  For each free column j, x = d*e_j - sum_t A[t][j]*e_{q_t}
+    is then a kernel vector of the pivot rows.  These cols - k vectors are
+    independent (x for j is d at j and 0 in the other free columns), so
+    core*x = 0, checked for each of them with exact products, proves
+    rank <= k.
+    """
+    cols = {j for row in core.values() for j in row}
+    k = len(pivot_rows)
+    if k == min(len(core), len(cols)):
+        return True
+    A = [dict(core[i]) for i in pivot_rows]
+    pivot_col = [None] * k
     zero = ring.zero()
-    A = [[rows[i].get(j, zero) for j in col_idx] for i in row_idx]
-    n, m = len(A), len(col_idx)
-    prev = None  # previous pivot; None means 1
-    step = 0
-    limit = min(n, m)
-    while step < limit:
-        pivot = None
-        best = None
-        for i in range(step, n):
-            for j in range(step, m):
-                p = A[i][j]
-                if p.is_zero():
-                    continue
-                key = (p.total_degree(), len(p.terms), i, j)
-                if best is None or key < best:
-                    best = key
-                    pivot = (i, j)
-        if pivot is None:
-            break
-        pi, pj = pivot
-        if pi != step:
-            A[step], A[pi] = A[pi], A[step]
-        if pj != step:
-            for row in A:
-                row[step], row[pj] = row[pj], row[step]
-        piv = A[step][step]
-        for i in range(step + 1, n):
-            a_ik = A[i][step]
-            for j in range(step + 1, m):
-                num = piv * A[i][j] - a_ik * A[step][j]
-                if num.is_zero():
-                    A[i][j] = zero
-                elif prev is None:
-                    A[i][j] = num
-                else:
-                    A[i][j] = num.divide_exact(prev)
-            A[i][step] = zero
-        prev = piv
-        step += 1
-    return step
+    d = None  # the previous pivot; None is 1
+    for _ in range(k):
+        _, s, q = min(
+            ((p.total_degree(), len(p.terms)), s, q)
+            for s in range(k) if pivot_col[s] is None
+            for q, p in A[s].items()
+        )
+        pivot_col[s] = q
+        prow = A[s]
+        piv = prow.pop(q)
+        for t, row in enumerate(A):
+            if t == s:
+                continue
+            f = row.pop(q, zero)
+            new = {}
+            for j in row.keys() | prow.keys():
+                num = piv * row.get(j, zero) - f * prow.get(j, zero)
+                if num:
+                    new[j] = num if d is None else num.divide_exact(d)
+            A[t] = new
+        d = piv
+    if d is None:
+        d = ring.one()
+    by_free = {j: [] for j in cols.difference(pivot_col)}
+    for q, row in zip(pivot_col, A):
+        for j, a in row.items():
+            by_free[j].append((q, -a))
+    for j, entries in by_free.items():
+        x = dict(entries)
+        x[j] = d
+        for row in core.values():
+            acc = zero
+            for c, p in row.items():
+                xc = x.get(c)
+                if xc is not None:
+                    acc = acc + p * xc
+            if acc:
+                return False
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -268,7 +364,15 @@ def _bareiss_rank(ring: RingSpec, rows: dict) -> int:
 
 
 class GF2ExtOps:
-    """F_{2^n} with elements packed into ints (bit i = coefficient of x^i)."""
+    """F_{2^n} with elements packed into ints (bit i = coefficient of x^i).
+
+    `mul` multiplies by a 4-bit window: the 16 carry-less multiples of a,
+    then b four bits at a time from the top.  The product, below
+    x^(2n-1), is reduced a byte at a time from the top through the table
+    `_reduce[h] = h(x) * x^n mod f`, built by linearity with one XOR per
+    entry.  `inv` is the shift-based extended Euclid (u ^= v << j) on the
+    element and the modulus f.
+    """
 
     def __init__(self, degree: int, modulus: int):
         # modulus is the full irreducible polynomial, top bit included
@@ -276,12 +380,20 @@ class GF2ExtOps:
         self.modulus = modulus
         self.zero = 0
         self.one = 1
+        basis = [modulus ^ (1 << degree)]  # x^(n+i) mod f for i < 8
+        for _ in range(7):
+            y = basis[-1] << 1
+            basis.append(y ^ modulus if y >> degree else y)
+        table = [0] * 256
+        for h in range(1, 256):
+            low = h & -h
+            table[h] = table[h ^ low] ^ basis[low.bit_length() - 1]
+        self._reduce = table
+        self._nibbles = range(4 * ((degree - 1) // 4), -1, -4)
+        self._bytes = range(degree + 8 * ((degree - 2) // 8), degree - 1, -8)
 
     def of(self, n):
         return n % 2
-
-    def of_coeff(self, c):
-        return c % 2
 
     def add(self, a, b):
         return a ^ b
@@ -292,37 +404,37 @@ class GF2ExtOps:
         return a
 
     def mul(self, a, b):
+        a2 = a << 1
+        a3 = a2 ^ a
+        a4 = a << 2
+        a8 = a << 3
+        a12 = a8 ^ a4
+        window = (0, a, a2, a3, a4, a4 ^ a, a4 ^ a2, a4 ^ a3,
+                  a8, a8 ^ a, a8 ^ a2, a8 ^ a3, a12, a12 ^ a, a12 ^ a2, a12 ^ a3)
         acc = 0
-        while b:
-            if b & 1:
-                acc ^= a
-            b >>= 1
-            a <<= 1
-            if a >> self.degree:
-                a ^= self.modulus
-        return acc
-
-    def pow(self, a, k):
-        acc = 1
-        while k:
-            if k & 1:
-                acc = self.mul(acc, a)
-            a = self.mul(a, a)
-            k >>= 1
+        for s in self._nibbles:
+            acc = (acc << 4) ^ window[b >> s & 15]
+        n, table = self.degree, self._reduce
+        for s in self._bytes:
+            h = acc >> s & 255
+            if h:
+                acc ^= h << s ^ table[h] << (s - n)
         return acc
 
     def inv(self, a):
         if a == 0:
             raise ZeroDivisionError
-        # extended Euclid on polynomials over F_2
-        r0, r1 = self.modulus, a
-        s0, s1 = 0, 1
-        while r1:
-            q, r = _gf2_divmod(r0, r1)
-            r0, r1 = r1, r
-            s0, s1 = s1, s0 ^ _gf2_mul_plain(q, s1)
-        _, rem = _gf2_divmod(s0, self.modulus)
-        return rem
+        # invariants: g1 * a = u and g2 * a = v mod f; du, dv = deg + 1
+        u, v, g1, g2 = a, self.modulus, 1, 0
+        du, dv = u.bit_length(), v.bit_length()
+        while du > 1:
+            j = du - dv
+            if j < 0:
+                u, v, g1, g2, du, dv, j = v, u, g2, g1, dv, du, -j
+            u ^= v << j
+            g1 ^= g2 << j
+            du = u.bit_length()
+        return g1
 
     def div(self, a, b):
         return self.mul(a, self.inv(b))
@@ -332,16 +444,6 @@ class GF2ExtOps:
 
     def random_element(self, rng: random.Random):
         return rng.getrandbits(self.degree)
-
-
-def _gf2_mul_plain(a, b):
-    acc = 0
-    while b:
-        if b & 1:
-            acc ^= a
-        b >>= 1
-        a <<= 1
-    return acc
 
 
 def _gf2_divmod(a, b):
@@ -443,9 +545,6 @@ class GFPExtOps:
     def of(self, n):
         return ((n % self.p,) + (0,) * (self.k - 1)) if n % self.p else self.zero
 
-    def of_coeff(self, c):
-        return self.of(c)
-
     def add(self, a, b):
         return tuple((x + y) % self.p for x, y in zip(a, b))
 
@@ -465,15 +564,6 @@ class GFPExtOps:
                 for j, m in self._fold:
                     prod[i - k + j] += c * m
         return tuple(map(p.__rmod__, prod[:k]))
-
-    def pow(self, a, n):
-        acc = self.one
-        while n:
-            if n & 1:
-                acc = self.mul(acc, a)
-            a = self.mul(a, a)
-            n >>= 1
-        return acc
 
     def inv(self, a):
         p = self.p
@@ -574,38 +664,23 @@ _EXT_CACHE = {}
 
 
 def evaluation_domain(field: FieldSpec):
-    """Scalar field with >= 2**61 elements for Schwartz-Zippel evaluation:
-    Q itself in characteristic 0, an extension of F_p otherwise."""
+    """The field that rank evaluation maps `field` into: F_p for the prime
+    p = 2**61 - 1 in characteristic 0 (rational coefficients are reduced
+    mod p), an extension of F_p with >= 2**61 elements otherwise."""
     p = field.characteristic
     if p == 0:
-        return field
-    key = p
-    if key not in _EXT_CACHE:
+        return FieldSpec(2**61 - 1)
+    if p not in _EXT_CACHE:
         k = 1
         size = p
         while size < 2**61:
             size *= p
             k += 1
         if p == 2:
-            _EXT_CACHE[key] = GF2ExtOps(k, _find_gf2_modulus(k))
+            _EXT_CACHE[p] = GF2ExtOps(k, _find_gf2_modulus(k))
         else:
-            _EXT_CACHE[key] = GFPExtOps(p, k)
-    return _EXT_CACHE[key]
-
-
-def rank_probabilistic(M: PolyMatrix, seed: int) -> int:
-    """Evaluation rank at seeded random points; always <= rank_exact(M)."""
-    rng = random.Random(seed)
-    field = M.ring.field
-    dom = evaluation_domain(field)
-    if field.characteristic == 0:
-        points = [Fraction(rng.getrandbits(61)) for _ in range(M.ring.num_vars)]
-    else:
-        points = [dom.random_element(rng) for _ in range(M.ring.num_vars)]
-    rows = [[dom.zero] * M.cols for _ in range(M.rows)]
-    for (i, j), p in M.entries.items():
-        rows[i][j] = p.evaluate(points, dom)
-    return scalar_rank(rows, dom)
+            _EXT_CACHE[p] = GFPExtOps(p, k)
+    return _EXT_CACHE[p]
 
 
 # ---------------------------------------------------------------------------

@@ -45,8 +45,9 @@ class FieldSpec:
     `FieldSpec(c)` returns a `RationalField` or a `PrimeField`, so the
     arithmetic is chosen once, by class, and no scalar operation tests the
     characteristic.  Both implement the scalar protocol shared with the
-    extension fields in linalg: zero, one, of, of_coeff, add, sub, neg,
-    mul, inv, div, pow, is_zero.
+    extension fields in linalg: zero, one, of, add, sub, neg, mul, inv,
+    div, is_zero; the fields that ranks are evaluated in (F_p and the
+    extensions) also draw points with random_element.
     """
 
     characteristic: int = 0
@@ -62,10 +63,6 @@ class FieldSpec:
             raise ValueError(f"characteristic must be 0 or prime, got {c}")
         if c >= 2**61:
             raise ValueError("prime characteristic must be < 2**61")
-
-    def of_coeff(self, c):
-        """Coerce a polynomial coefficient (used by Polynomial.evaluate)."""
-        return self.of(c)
 
     def div(self, a, b):
         return self.mul(a, self.inv(b))
@@ -110,9 +107,6 @@ class RationalField(FieldSpec):
     def inv(self, a):
         return self.one / a
 
-    def pow(self, a, k):
-        return a**k
-
 
 @dataclass(frozen=True)
 class PrimeField(FieldSpec):
@@ -148,8 +142,8 @@ class PrimeField(FieldSpec):
             raise ZeroDivisionError("inverse of zero")
         return pow(a, p - 2, p)
 
-    def pow(self, a, k):
-        return pow(a, k, self.characteristic)
+    def random_element(self, rng):
+        return rng.randrange(self.characteristic)
 
 
 @dataclass(frozen=True)
@@ -375,19 +369,8 @@ class Polynomial:
         )
 
     def evaluate(self, points, ops):
-        """Evaluate at points (one per variable) with scalar arithmetic `ops`.
-
-        Coefficients are coerced via ops.of (ints; Fractions map through
-        numerator/denominator in char 0 evaluation).
-        """
-        acc = ops.zero
-        for e, c in self.terms.items():
-            term = ops.of_coeff(c)
-            for x, k in zip(points, e):
-                if k:
-                    term = ops.mul(term, ops.pow(x, k))
-            acc = ops.add(acc, term)
-        return acc
+        """The value at `points` (one per variable) in the scalar field `ops`."""
+        return evaluator(points, ops)(self)
 
     # -- printing / parsing --
 
@@ -414,6 +397,46 @@ class Polynomial:
 
     def __repr__(self):
         return f"Polynomial({self})"
+
+
+def evaluator(points, ops):
+    """The map p -> p(points) into the scalar field `ops`, one point
+    coordinate per variable.
+
+    Every power of a coordinate, the value of every monomial and the image
+    of every coefficient (`ops.of`) is computed once and shared by all the
+    polynomials the map is applied to, such as the entries of one matrix.
+    `ops.of` raises ValueError on a rational coefficient with no residue
+    mod p.
+    """
+    one, mul, add = ops.one, ops.mul, ops.add
+    powers = [[one, x] for x in points]
+    monomials = {}
+    coeffs = {}
+
+    def monomial(e):
+        m = None
+        for row, k in zip(powers, e):
+            if k:
+                while len(row) <= k:
+                    row.append(mul(row[-1], row[1]))
+                m = row[k] if m is None else mul(m, row[k])
+        monomials[e] = m = one if m is None else m
+        return m
+
+    def evaluate(poly):
+        acc = ops.zero
+        for e, c in poly.terms.items():
+            m = monomials.get(e)
+            if m is None:
+                m = monomial(e)
+            a = coeffs.get(c)
+            if a is None:
+                a = coeffs[c] = ops.of(c)
+            acc = add(acc, m if a == one else mul(a, m))
+        return acc
+
+    return evaluate
 
 
 _TOKEN = re.compile(r"\s*([+*-]|t\d+(?:\^\d+)?|-?\d+(?:/\d+)?)")

@@ -2,11 +2,15 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from koszulalg import chainmaps, linalg
 from koszulalg.ring import FieldSpec, RingSpec
 from koszulalg.linalg import (
     Echelon,
+    GF2ExtOps,
     PolyMatrix,
+    _find_gf2_modulus,
     _find_gfp_modulus,
     dense,
     sparse,
@@ -19,9 +23,13 @@ from koszulalg.linalg import (
     span,
 )
 
+from bareiss import bareiss_rank
+
 Q = FieldSpec(0)
 F2 = FieldSpec(2)
 F3 = FieldSpec(3)
+F5 = FieldSpec(5)
+P61 = 2**61 - 1
 
 
 def _random_matrix(ring, rng, rows, cols, density=0.4, max_deg=3):
@@ -72,6 +80,149 @@ class TestRankExact:
         for _ in range(10):
             M = _random_matrix(ring, rng, 4, 5)
             assert rank_exact(M) == rank_exact(M.transpose())
+
+    @pytest.mark.parametrize("field", [Q, F2, F3, F5], ids=["Q", "F2", "F3", "F5"])
+    def test_three_methods_agree(self, field):
+        """Bareiss, the certified evaluation rank and the evaluation lower
+        bound on the rank-oracle distribution."""
+        ring = RingSpec(field, 3, 1)
+        rng = random.Random(31)
+        for _ in range(30):
+            M = _random_matrix(ring, rng, rng.randint(1, 7), rng.randint(1, 7))
+            exact = bareiss_rank(M)
+            assert rank_exact(M) == exact
+            assert rank_probabilistic(M, seed=0) == exact
+
+    def test_survey_map_below_full_rank(self, monkeypatch):
+        """The rank-14 map F2-r4-dense#56 of the survey benchmark: the
+        evaluation rank is below full rank, so the kernel certificate
+        decides, and it holds at the first point."""
+        ring = RingSpec(F2, 4, 1)
+        iota, Km, K0 = chainmaps.standard_iota(ring, 1)
+        h = chainmaps.random_homotopy(Km.base, K0.base, random.Random(56), homogeneous=True)
+        gamma = chainmaps.perturb(iota, h)
+        certificates = _spy(monkeypatch, "_rank_at_most")
+        assert rank_exact(gamma.matrix) == 14 == bareiss_rank(gamma.matrix)
+        assert certificates == [True]
+
+
+def _spy(monkeypatch, name, record=lambda args, result: result):
+    """Replace linalg.<name> by a wrapper; returns the list that records
+    `record(args, result)` of each call (or args, result=None on a raise)."""
+    calls = []
+    original = getattr(linalg, name)
+
+    def wrapper(*args):
+        try:
+            result = original(*args)
+        except Exception:
+            calls.append(record(args, None))
+            raise
+        calls.append(record(args, result))
+        return result
+
+    monkeypatch.setattr(linalg, name, wrapper)
+    return calls
+
+
+class TestRankRetries:
+    """The paths where the first evaluation field or point does not
+    decide the rank."""
+
+    def _fields_tried(self, monkeypatch):
+        return _spy(monkeypatch, "_rows_at_point", lambda args, _: args[1].characteristic)
+
+    def test_multiple_of_the_prime_peels(self, monkeypatch):
+        # a single entry is peeled: no evaluation field is needed
+        fields = self._fields_tried(monkeypatch)
+        ring = RingSpec(Q, 1, 1)
+        M = PolyMatrix(ring, 1, 1, {(0, 0): ring.monomial((1,), P61)})
+        assert rank_exact(M) == 1 and fields == []
+
+    def test_row_vanishing_mod_p_takes_the_next_prime(self, monkeypatch):
+        # mod 2**61 - 1 the first row is zero, so the rank there is 1; the
+        # kernel certificate fails over Q and the next prime gives 2
+        ring = RingSpec(Q, 2, 1)
+        M = PolyMatrix(ring, 2, 2, {
+            (0, 0): ring.monomial((1, 0), P61), (0, 1): ring.monomial((0, 1), P61),
+            (1, 0): ring.var(2), (1, 1): ring.var(1),
+        })
+        fields = self._fields_tried(monkeypatch)
+        assert rank_exact(M) == 2 == bareiss_rank(M)
+        assert fields[0] == P61 and len(fields) == 2 and fields[1] < P61
+        assert rank_probabilistic(M, seed=0) == 1  # a lower bound, here strict
+
+    def test_denominator_divisible_by_the_prime(self, monkeypatch):
+        ring = RingSpec(Q, 2, 1)
+        M = PolyMatrix(ring, 2, 2, {
+            (0, 0): ring.monomial((1, 0), Fraction(1, P61)), (0, 1): ring.var(2),
+            (1, 0): ring.var(2), (1, 1): ring.var(1),
+        })
+        fields = self._fields_tried(monkeypatch)
+        assert rank_exact(M) == 2
+        assert rank_probabilistic(M, seed=0) == 2
+        # both ranks try 2**61 - 1, where the entry has no residue, then the next prime
+        assert fields[0] == P61 and fields[1] < P61 and fields[2:] == fields[:2]
+
+    @pytest.mark.parametrize("field", [Q, F2, F3], ids=["Q", "F2", "F3"])
+    def test_peeled_matrices_need_no_evaluation_field(self, field, monkeypatch):
+        def refuse(field):
+            raise AssertionError("evaluation_domain called")
+
+        monkeypatch.setattr(linalg, "evaluation_domain", refuse)
+        ring = RingSpec(field, 2, 1)
+        triangular = PolyMatrix(ring, 3, 3, {
+            (0, 0): ring.var(1), (0, 1): ring.var(2), (0, 2): ring.parse("t1*t2 + 1"),
+            (1, 1): ring.var(1, 2), (1, 2): ring.var(2), (2, 2): ring.parse("t1 + t2"),
+        })
+        for M, rank in [(PolyMatrix.zero(ring, 3, 4), 0),
+                        (PolyMatrix.identity(ring, 4), 4), (triangular, 3)]:
+            assert rank_exact(M) == rank == rank_probabilistic(M, seed=1)
+            assert rank_exact(M.transpose()) == rank
+
+
+@st.composite
+def rank_dropped_matrices(draw):
+    """(M, b): b random columns over k[t1, t2], then 1-3 columns that are
+    polynomial combinations of them, shuffled; so rank M <= b."""
+    field = draw(st.sampled_from([Q, F2, F3, F5]))
+    ring = RingSpec(field, 2, 1)
+    monomial = st.tuples(st.integers(0, 2), st.integers(0, 2), st.integers(1, 4))
+
+    def poly():
+        p = ring.zero()
+        for a, b, c in draw(st.lists(monomial, max_size=3)):
+            p = p + ring.monomial((a, b), c)
+        return p
+
+    rows = draw(st.integers(1, 5))
+    base = draw(st.integers(1, 4))
+    columns = [[poly() for _ in range(rows)] for _ in range(base)]
+    for _ in range(draw(st.integers(1, 3))):
+        factors = [poly() for _ in range(base)]
+        combination = []
+        for i in range(rows):
+            entry = ring.zero()
+            for f, col in zip(factors, columns):
+                entry = entry + f * col[i]
+            combination.append(entry)
+        columns.append(combination)
+    order = draw(st.permutations(range(len(columns))))
+    M = PolyMatrix(ring, rows, len(columns))
+    for j, c in enumerate(order):
+        for i, p in enumerate(columns[c]):
+            M.set(i, j, p)
+    return M, base
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(rank_dropped_matrices())
+def test_forced_rank_drops(case):
+    M, base = case
+    exact = bareiss_rank(M)
+    assert exact <= base
+    assert rank_exact(M) == exact == rank_exact(M.transpose())
+    assert rank_probabilistic(M, seed=0) <= exact
 
 
 class TestRankProbabilistic:
@@ -146,7 +297,6 @@ def test_scalar_protocol(field, element):
     rng = random.Random(7)
     assert f.is_zero(f.zero) and not f.is_zero(f.one)
     assert f.of(0) == f.zero and f.of(1) == f.one
-    assert f.of_coeff(1) == f.one
     acc = f.zero
     for n in range(6):
         assert f.of(n) == acc
@@ -159,10 +309,6 @@ def test_scalar_protocol(field, element):
         assert f.add(a, f.neg(a)) == f.zero and f.is_zero(f.sub(a, a))
         assert f.sub(a, b) == f.add(a, f.neg(b))
         assert f.mul(a, b) == f.mul(b, a)
-        power = f.one
-        for k in range(5):
-            assert f.pow(a, k) == power
-            power = f.mul(power, a)
         if not f.is_zero(b):
             assert f.mul(b, f.inv(b)) == f.one
             assert f.div(f.mul(a, b), b) == a
@@ -408,3 +554,64 @@ def test_gfp_ext_matches_schoolbook(p):
             assert dom.mul(a, inv) == dom.one
     with pytest.raises(ZeroDivisionError):
         dom.inv(dom.zero)
+
+
+# ---------------------------------------------------------------------------
+# F_{2^n} arithmetic against the bitwise references
+# ---------------------------------------------------------------------------
+
+
+def gf2_bitwise_mul(dom, a, b):
+    """Shift-and-add product, reduced one bit at a time.  The reference for mul."""
+    acc = 0
+    while b:
+        if b & 1:
+            acc ^= a
+        b >>= 1
+        a <<= 1
+        if a >> dom.degree:
+            a ^= dom.modulus
+    return acc
+
+
+def gf2_fermat_inv(dom, a):
+    """a^(2^n - 2) by square and multiply.  The reference for inv."""
+    acc, n = 1, 2**dom.degree - 2
+    while n:
+        if n & 1:
+            acc = gf2_bitwise_mul(dom, acc, a)
+        a = gf2_bitwise_mul(dom, a, a)
+        n >>= 1
+    return acc
+
+
+@pytest.mark.parametrize("degree", [2, 3, 8, 13, 61])
+def test_gf2_ext_matches_bitwise(degree):
+    """mul, inv and the reduction table of F_{2^n} against the references,
+    on 0, 1, x^(n-1), x^(n-1) + 1, all ones and seeded random elements."""
+    dom = GF2ExtOps(degree, _find_gf2_modulus(degree))
+    top = 1 << (degree - 1)
+    rng = random.Random(degree)
+    elements = [0, 1, top, top | 1, 2 * top - 1]
+    elements += [dom.random_element(rng) for _ in range(10)]
+    for h, reduced in enumerate(dom._reduce):
+        x = h << degree
+        while x >> degree:
+            x ^= dom.modulus << (x.bit_length() - 1 - degree)
+        assert reduced == x
+    for a in elements:
+        for b in elements:
+            assert dom.mul(a, b) == gf2_bitwise_mul(dom, a, b)
+        if a:
+            inv = dom.inv(a)
+            assert inv == gf2_fermat_inv(dom, a)
+            assert dom.mul(a, inv) == 1
+    with pytest.raises(ZeroDivisionError):
+        dom.inv(0)
+
+
+def test_gf2_evaluation_field():
+    """The F_2 evaluation field is F_{2^61}, and x^60 is its top element."""
+    dom = evaluation_domain(F2)
+    assert dom.degree == 61
+    assert dom.mul(1 << 60, 2) == dom.modulus ^ (1 << 61)

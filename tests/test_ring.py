@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from koszulalg.ring import FieldSpec, RingSpec, Polynomial, parse_polynomial
+from koszulalg.ring import FieldSpec, RingSpec, Polynomial, evaluator, parse_polynomial
 
 
 Q = FieldSpec(0)
@@ -139,7 +139,25 @@ class TestPolynomialArithmetic:
     def test_evaluate(self):
         ring = RingSpec(Q, 2, 1)
         p = ring.parse("t1^2*t2 + 3")
+        assert evaluator([Fraction(2), Fraction(5)], Q)(p) == Fraction(23)
         assert p.evaluate([Fraction(2), Fraction(5)], Q) == Fraction(23)
+
+    def test_evaluator_computes_each_power_once(self):
+        """A second polynomial over the same monomials costs no product."""
+        products = []
+
+        class Counting(type(Q)):
+            def mul(self, a, b):
+                products.append((a, b))
+                return a * b
+
+        ring = RingSpec(Q, 2, 1)
+        value = evaluator([Fraction(2), Fraction(5)], Counting(0))
+        assert value(ring.parse("t1^3*t2^2 + t1^2")) == Fraction(204)
+        first = len(products)
+        assert value(ring.parse("t1^2 + t1^3*t2^2")) == Fraction(204)
+        assert value(ring.parse("4*t1^2")) == Fraction(16)
+        assert len(products) == first + 1  # only the coefficient 4
 
 
 class TestRingSpec:
