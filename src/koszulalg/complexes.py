@@ -11,8 +11,9 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from operator import add
 
-from .ring import RingSpec, _grlex_key
+from .ring import Polynomial, RingSpec, _grlex_key, add_product
 from .linalg import PolyMatrix, Echelon, axpy, sparse, sparse_dot
 
 
@@ -58,13 +59,23 @@ class FreeComplex:
     def validate(self):
         """Every violated invariant as a list of messages; [] means ok."""
         problems = []
-        dd = self.differential @ self.differential
-        for (i, j) in sorted(dd.entries):
-            problems.append(
-                f"d∘d != 0: column {self.generators[j][0]} hits "
-                f"{self.generators[i][0]} with {dd.entries[(i, j)]}"
-            )
-            break  # one witness column is enough
+        f = self.ring.field
+        by_row = self.differential.transpose().columns()  # {i: [(k, d_ik)]}
+        # (d∘d)[i, j] = sum_k d_ik d_kj, row by row; the first nonzero
+        # entry in (row, column) order is the one witness reported
+        for i in sorted(by_row):
+            dd_row = {}
+            for k, p in by_row[i]:
+                for j, q in by_row.get(k, ()):
+                    add_product(dd_row.setdefault(j, {}), f.one, p, q, f)
+            bad = [j for j, terms in dd_row.items() if terms]
+            if bad:
+                j = min(bad)
+                problems.append(
+                    f"d∘d != 0: column {self.generators[j][0]} hits "
+                    f"{self.generators[i][0]} with {Polynomial(self.ring, dd_row[j])}"
+                )
+                break
         for (i, j) in sorted(self.differential.entries):
             p = self.differential.entries[(i, j)]
             want = self.degree(j) + 1 - self.degree(i)
@@ -372,18 +383,16 @@ def tensor_quotient(C: FreeComplex, a) -> FiniteComplex:
             lookup[(gi, mu)] = len(basis)
             label = name if sum(mu) == 0 else f"{_mono_name(mu)}*{name}"
             basis.append((label, deg + ring.var_weight * sum(mu)))
-    f = ring.field
+    # the keys ((i, e + mu), (j, mu)) of distinct terms are distinct, so
+    # no two combine; an exponent reaching its bound has no lookup entry
     boundary = {}
     for (i, j), p in C.differential.entries.items():
         for mu in monomials:
-            q = p.multiply_monomial(mu).reduce_mod_powers(a)
-            for e, c in q.terms.items():
-                key = (lookup[(i, e)], lookup[(j, mu)])
-                s = f.add(boundary.get(key, f.zero), c)
-                if f.is_zero(s):
-                    boundary.pop(key, None)
-                else:
-                    boundary[key] = s
+            col = lookup[(j, mu)]
+            for e, c in p.terms.items():
+                row = lookup.get((i, tuple(map(add, e, mu))))
+                if row is not None:
+                    boundary[(row, col)] = c
     F = FiniteComplex(ring.field, basis, boundary)
     F.tensor_info = {
         "parent": C,
@@ -495,7 +504,12 @@ class HomologyData:
 
 
 def min_generators_of_homology(C: FreeComplex, a) -> int:
-    """dim_k of H(C ⊗ R/(t^a)) / (t_1..t_r)·H, via the induced R-action."""
+    """dim_k of H(C ⊗ R/(t^a)) / (t_1..t_r)·H, via the induced R-action.
+
+    A homotopy equivalence over R stays one after tensoring with R/(t^a),
+    so H(C ⊗ R/(t^a)) is an R-module invariant of C up to homotopy: C
+    and its minimal model give the same count, and the model is smaller.
+    """
     a = tuple(a)
     if any(x < 2 for x in a):
         raise ValueError("exponents must be >= 2 for a nontrivial R-action")

@@ -4,10 +4,10 @@ the weight-zero Koszul complex, and the rank/dimension bound reports.
 All lifts are produced by graded k-linear solves: a boundary equation
 d(y) = b with y homogeneous of a prescribed degree has finitely many
 monomial unknowns, whose images under d are sparse columns read off the
-differential by column.  A single-generator proportionality shortcut is
-tried first so the canonical fixtures get their minimal-support
-solutions (e.g. the diagonal t^m maps) exactly; otherwise the images
-are transposed into sparse rows for `linalg.solve`.
+differential by column, each built on first use.  A single-generator
+proportionality shortcut is tried first so the canonical fixtures get
+their minimal-support solutions (e.g. the diagonal t^m maps) exactly;
+otherwise the images are transposed into sparse rows for `linalg.solve`.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ from .complexes import (
     koszul,
     Augmentation,
     DgaStructure,
+    min_generators_of_homology,
 )
 from .chainmaps import ChainMap, is_chain_map, rank_of_map, restricted_rank
 from .linalg import PolyMatrix, Echelon, axpy, solve
@@ -91,8 +92,9 @@ def solve_boundary_equation(
     allowed restricts the generators y may involve; when an augmentation
     and aug_value are given, epsilon(y) = aug_value is imposed as an
     extra linear condition.  The unknowns are the monomial multiples
-    mu * e_i of degree `degree`; the image d(mu * e_i) of each is built
-    once and read by both the shortcut and the general solve.
+    mu * e_i of degree `degree`.  The image d(mu * e_i) of each is built
+    at most once: by the shortcut only when d(e_i) has as many terms as
+    rhs, and by the general solve for every unknown.
     """
     ring = C.ring
     f = ring.field
@@ -106,16 +108,21 @@ def solve_boundary_equation(
             monomials[q] = monomials_of_weighted_degree(ring, q)
         unknowns.extend((i, exps) for exps in monomials[q])
     columns = C.differential.columns()
-    images = [_column_image(columns.get(i, ()), exps) for i, exps in unknowns]
+    images = {}  # unknown -> its image, once built
     rhs_terms = {(u, e): c for u, p in enumerate(rhs) for e, c in p.terms.items()}
     zero_exps = (0,) * ring.num_vars
 
     def epsilon(i, exps):
         return augmentation.values[i] if exps == zero_exps else f.zero
 
-    # shortcut: a single scaled generator already solves the equation
+    # shortcut: a single scaled generator already solves the equation; the
+    # image of mu * e_i has as many terms as d(e_i), so only those are built
     if rhs_terms:
-        for (i, exps), img in zip(unknowns, images):
+        terms = {i: sum(len(p.terms) for _, p in col) for i, col in columns.items()}
+        for j, (i, exps) in enumerate(unknowns):
+            if terms.get(i) != len(rhs_terms):
+                continue
+            img = images[j] = _column_image(columns[i], exps)
             if img.keys() != rhs_terms.keys():
                 continue
             key = next(iter(img))
@@ -136,7 +143,8 @@ def solve_boundary_equation(
     # the right-hand side in column len(unknowns)
     n = len(unknowns)
     by_key = {k: {n: b} for k, b in rhs_terms.items()}
-    for j, img in enumerate(images):
+    for j, (i, exps) in enumerate(unknowns):
+        img = images[j] if j in images else _column_image(columns.get(i, ()), exps)
         for k, c in img.items():
             by_key.setdefault(k, {})[j] = c
     rows = list(by_key.values())
@@ -225,10 +233,12 @@ def lift_alpha(
     return _chain_map(Km.base, C, images, "lift is not a chain map at column {}")
 
 
-def lift_beta(F: Filtration, augmentation: Augmentation) -> ChainMap:
+def lift_beta(
+    F: Filtration, augmentation: Augmentation, K0: KoszulComplex = None
+) -> ChainMap:
     """Chain map from the filtered minimal model onto the weight-0
-    Koszul complex, sending F_i into exterior length <= i-1 and
-    commuting with the augmentations."""
+    Koszul complex K0 (built here when not given), sending F_i into
+    exterior length <= i-1 and commuting with the augmentations."""
     model = F.model_complex
     ring = model.ring
     f = ring.field
@@ -237,7 +247,8 @@ def lift_beta(F: Filtration, augmentation: Augmentation) -> ChainMap:
     rep = check_properties(F, augmentation)
     if rep["failures"]:
         raise LiftError("filtration unfit for lifting: " + "; ".join(rep["failures"]))
-    K0 = koszul(ring, 0)
+    if K0 is None:
+        K0 = koszul(ring, 0)
     n = model.n
     slices = monomial_slices(model)
     # The processed part of the model: its k-basis d_j, each tagged by a
@@ -357,10 +368,12 @@ def beta_respects_filtration(beta: ChainMap, F: Filtration, K0: KoszulComplex = 
 
 
 def pipeline(C: FreeComplex, m: int, augmentation: Augmentation = None):
-    """minimal_model -> filtration -> alpha -> beta; returns a dict of parts."""
+    """minimal_model (which validates C) -> filtration -> alpha -> beta;
+    returns a dict of parts, with the Koszul complexes K_r(m) and K_r(0)
+    that alpha and beta use as "koszul_m" and "koszul_0"."""
+    mm = minimal_model(C)
     if augmentation is None:
         augmentation = _default_augmentation(C)
-    mm = minimal_model(C)
     model_aug = Augmentation(
         mm.model,
         [
@@ -369,13 +382,17 @@ def pipeline(C: FreeComplex, m: int, augmentation: Augmentation = None):
         ],
     )
     F = compute_filtration(mm)
-    alpha = lift_alpha(C, augmentation, m)
-    beta = lift_beta(F, model_aug)
+    Km = koszul(C.ring, m)
+    alpha = lift_alpha(C, augmentation, m, Km)
+    K0 = koszul(C.ring, 0)
+    beta = lift_beta(F, model_aug, K0)
     gamma = beta.compose(mm.projection).compose(alpha)
     return {
         "minimal": mm,
         "model_augmentation": model_aug,
         "filtration": F,
+        "koszul_m": Km,
+        "koszul_0": K0,
         "alpha": alpha,
         "beta": beta,
         "gamma": gamma,
@@ -400,9 +417,12 @@ def _default_augmentation(C: FreeComplex) -> Augmentation:
 def verify_bounds(C: FreeComplex, m: int, augmentation: Augmentation = None):
     """Full pipeline report: dimension, rank, length and degree bounds.
 
-    Also holds the `bound_checks` report of the model, and in the
-    weight-2, char-0 case with r >= 3 the `improved_bound` report of
-    case0_improved_bound, both computed from the same pipeline run.
+    Also holds the `bound_checks` report of the model, in the weight-2,
+    char-0 case with r >= 3 the `improved_bound` report of
+    case0_improved_bound, and for m >= 1 `min_generators`, the minimal
+    number of generators of H(C ⊗ R/(t^(m+1))), all computed from the
+    same pipeline run.  The count is taken on the minimal model, which
+    has the same count as C (see min_generators_of_homology).
     """
     parts = pipeline(C, m, augmentation)
     model = parts["minimal"].model
@@ -427,7 +447,9 @@ def verify_bounds(C: FreeComplex, m: int, augmentation: Augmentation = None):
         "b_length_vs_r_plus_1": (F.length, r + 1, F.length >= r + 1),
         "b_lambda_vs_r_plus_1": (lam_sum, r + 1, lam_sum >= r + 1),
         "alt_dim_vs_2_length_minus_1": checks["dim_vs_twice_length"],
-        "beta_filtration_violations": beta_respects_filtration(parts["beta"], F),
+        "beta_filtration_violations": beta_respects_filtration(
+            parts["beta"], F, parts["koszul_0"]
+        ),
     }
     if checks["lambda_trivial"]:
         report["c_degrees_vs_r_plus_1"] = (degrees, r + 1, degrees >= r + 1)
@@ -441,7 +463,9 @@ def verify_bounds(C: FreeComplex, m: int, augmentation: Augmentation = None):
     )
     report["bound_checks"] = checks
     if _improved_bound_obstacle(C.ring) is None:
-        report["improved_bound"] = _improved_bound(gamma, koszul(C.ring, m))
+        report["improved_bound"] = _improved_bound(gamma, parts["koszul_m"])
+    if m >= 1:
+        report["min_generators"] = min_generators_of_homology(model, (m + 1,) * r)
     report["parts"] = parts
     return report
 
@@ -456,7 +480,7 @@ def case0_improved_bound(C: FreeComplex, m: int, augmentation: Augmentation = No
     if obstacle is not None:
         raise LiftError(obstacle)
     parts = pipeline(C, m, augmentation)
-    report = _improved_bound(parts["gamma"], koszul(C.ring, m))
+    report = _improved_bound(parts["gamma"], parts["koszul_m"])
     report["parts"] = parts
     return report
 

@@ -2,15 +2,24 @@
 
 A differential entry with nonzero constant term is necessarily a pure
 scalar (homogeneity between distinct degrees), so each cancellation is a
-change of basis killing one generator pair.  The inclusion, projection
-and homotopy certificates are composed step by step, so the returned
-equivalence data satisfies exact matrix identities.
+change of basis killing one generator pair.  For the pivot c = d_ij it
+is a rank-one update of sparse rows, with no matrix product:
+
+    D[u, v]    -= c^-1 d_uj d_iv            (the Schur complement)
+    incl[:, v] -= c^-1 d_iv incl[:, j]
+    proj[u, :] -= c^-1 d_uj proj[i, :]
+    hom        += c^-1 incl[:, j] (x) proj[i, :]
+
+over the kept generators u, v.  These are the products with the local
+inclusion, projection and homotopy of the pair, so the returned
+equivalence data satisfies exact matrix identities (MinimalModel.verify).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .ring import Polynomial, add_product
 from .complexes import FreeComplex
 from .linalg import PolyMatrix, apply_columns, axpy, span
 from .chainmaps import ChainMap, Homotopy
@@ -55,90 +64,89 @@ def is_minimal(C: FreeComplex) -> bool:
     )
 
 
-def _scalar_pivots(C: FreeComplex):
-    """All (i, j, c) with d_ij having nonzero constant term c.
-
-    Asserts the homogeneity consequence that such an entry is a pure
-    scalar; a violating entry means the input complex was invalid.
-    """
-    f = C.ring.field
-    out = []
-    for (i, j), p in C.differential.entries.items():
-        c = p.constant_coeff()
-        if not f.is_zero(c):
-            if len(p.terms) != 1:
-                raise ValueError(
-                    f"differential entry ({i},{j}) mixes a constant with higher "
-                    "terms; the complex is not degree-homogeneous"
-                )
-            out.append((i, j, c))
-    return out
-
-
 def minimal_model(C: FreeComplex, pivot_rng=None) -> MinimalModel:
-    """Cancel scalar pivots until none remain, composing certificates.
+    """Cancel scalar pivots until none remain, updating certificates.
 
     pivot_rng, when given, randomizes the pivot choice (used to check
     order-invariance of the result); the default picks the candidate
-    with the lowest source-generator degree.
+    with the lowest source-generator degree, then the lowest (i, j).
+    Raises ValueError when C fails `FreeComplex.validate`.
     """
     problems = C.validate()
     if problems:
         raise ValueError("invalid complex: " + "; ".join(problems))
     ring = C.ring
     f = ring.field
-    n0 = C.n
-    gens = list(C.generators)
-    D = C.differential
-    incl = PolyMatrix.identity(ring, n0)  # n0 x n_cur
-    proj = PolyMatrix.identity(ring, n0)  # n_cur x n0
-    hom = PolyMatrix.zero(ring, n0, n0)
-    cur = FreeComplex(ring, gens, D)
+    deg = C.degrees
+    # sparse dicts over the generator indices of C, which the kept
+    # generators keep until the model is assembled; D by row
+    rows = {u: {} for u in range(C.n)}
+    for (u, v), p in C.differential.entries.items():
+        rows[u][v] = p
+    one = ring.one()
+    incl = {v: {v: one} for v in range(C.n)}  # by column: model -> source
+    proj = {u: {u: one} for u in range(C.n)}  # by row: source -> model
+    hom = {}
     while True:
-        pivots = _scalar_pivots(cur)
+        # an entry is a nonzero scalar exactly when deg u = deg v + 1
+        pivots = sorted(
+            (deg[v], u, v) for u, row in rows.items() for v in row if deg[u] == deg[v] + 1
+        )
         if not pivots:
             break
-        if pivot_rng is not None:
-            i, j, c = pivots[pivot_rng.randrange(len(pivots))]
-        else:
-            i, j, c = min(pivots, key=lambda t: (cur.degree(t[1]), t[0], t[1]))
-        n = cur.n
-        keep = [u for u in range(n) if u not in (i, j)]
-        c_inv = f.inv(c)
-        # local inclusion: e_v -> e_v - c^{-1} d_{iv} e_j
-        inc_s = PolyMatrix(ring, n, len(keep))
-        for col, v in enumerate(keep):
-            inc_s.entries[(v, col)] = ring.one()
-            d_iv = cur.differential.entries.get((i, v))
-            if d_iv is not None:
-                inc_s.entries[(j, col)] = d_iv.scale(f.neg(c_inv))
-        # local projection: e_u -> e_u; e_i -> -c^{-1} sum_u d_{uj} e_u; e_j -> 0
-        prj_s = PolyMatrix(ring, len(keep), n)
-        row_of = {v: row for row, v in enumerate(keep)}
-        for row, v in enumerate(keep):
-            prj_s.entries[(row, v)] = ring.one()
-        for u in keep:
-            d_uj = cur.differential.entries.get((u, j))
-            if d_uj is not None:
-                prj_s.entries[(row_of[u], i)] = d_uj.scale(f.neg(c_inv))
-        # local homotopy: e_i -> c^{-1} e_j
-        hom_s = PolyMatrix(ring, n, n)
-        hom_s.entries[(j, i)] = ring.constant(c_inv)
-        new_D = prj_s @ cur.differential @ inc_s
-        hom = hom + incl @ hom_s @ proj
-        incl = incl @ inc_s
-        proj = prj_s @ proj
-        cur = FreeComplex(
-            ring, [cur.generators[v] for v in keep], new_D
-        )
-    model = cur
+        _, i, j = pivots[0 if pivot_rng is None else pivot_rng.randrange(len(pivots))]
+        c_inv = f.inv(rows[i][j].constant_coeff())
+        minus = f.neg(c_inv)
+        # d_iv and d_uj over the kept u, v; rows and columns i, j go
+        row_i = rows.pop(i)
+        del rows[j]
+        col_j = {u: row.pop(j) for u, row in rows.items() if j in row}
+        for row in rows.values():
+            row.pop(i, None)
+        row_i.pop(i, None)
+        row_i.pop(j)
+        for a, p in incl[j].items():
+            _add_rank_one(hom.setdefault(a, {}), c_inv, p, proj[i], ring)
+        for v, d_iv in row_i.items():
+            _add_rank_one(incl[v], minus, d_iv, incl[j], ring)
+        for u, d_uj in col_j.items():
+            _add_rank_one(proj[u], minus, d_uj, proj[i], ring)
+            _add_rank_one(rows[u], minus, d_uj, row_i, ring)
+        for g in (i, j):
+            del incl[g], proj[g]
+    kept = sorted(incl)
+    at = {g: k for k, g in enumerate(kept)}
+    n = len(kept)
+    D = _assemble(ring, n, n, ((at[u], at[v], p) for u in kept for v, p in rows[u].items()))
+    model = FreeComplex(ring, [C.generators[g] for g in kept], D)
+    inclusion = _assemble(ring, C.n, n, ((a, at[v], p) for v in kept for a, p in incl[v].items()))
+    projection = _assemble(ring, n, C.n, ((at[u], b, p) for u in kept for b, p in proj[u].items()))
+    homotopy = _assemble(ring, C.n, C.n, ((a, b, p) for a in hom for b, p in hom[a].items()))
     return MinimalModel(
         model=model,
-        inclusion=ChainMap(model, C, incl),
-        projection=ChainMap(C, model, proj),
-        homotopy=Homotopy(C, C, hom),
+        inclusion=ChainMap(model, C, inclusion),
+        projection=ChainMap(C, model, projection),
+        homotopy=Homotopy(C, C, homotopy),
         source=C,
     )
+
+
+def _add_rank_one(vec, c, p, other, ring):
+    """vec += c * p * other for sparse vectors {index: Polynomial}, in place."""
+    for k, q in other.items():
+        old = vec.get(k)
+        terms = add_product(dict(old.terms) if old is not None else {}, c, p, q, ring.field)
+        if terms:
+            vec[k] = Polynomial(ring, terms)
+        elif old is not None:
+            del vec[k]
+
+
+def _assemble(ring, rows, cols, triples):
+    """The PolyMatrix with the (i, j, p) entries given."""
+    M = PolyMatrix(ring, rows, cols)
+    M.entries = {(i, j): p for i, j, p in triples}
+    return M
 
 
 @dataclass

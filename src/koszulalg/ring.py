@@ -11,6 +11,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 
 
 def _is_prime(n: int) -> bool:
@@ -397,6 +398,25 @@ class Polynomial:
 
     def __repr__(self):
         return f"Polynomial({self})"
+
+
+def add_product(terms, c, p, q, field):
+    """terms += c * p * q on an exponent dict {exps: scalar}, in place.
+
+    Exponents are added term by term and cancelled terms are dropped, so
+    no intermediate Polynomial is built.  Returns terms.
+    """
+    mul, plus, is_zero, zero = field.mul, field.add, field.is_zero, field.zero
+    for e1, c1 in p.terms.items():
+        c1 = mul(c, c1)
+        for e2, c2 in q.terms.items():
+            e = tuple(map(add, e1, e2))
+            s = plus(terms.get(e, zero), mul(c1, c2))
+            if is_zero(s):
+                terms.pop(e, None)
+            else:
+                terms[e] = s
+    return terms
 
 
 def evaluator(points, ops):

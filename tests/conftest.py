@@ -3,7 +3,7 @@ import random
 import pytest
 
 from koszulalg.ring import FieldSpec, RingSpec
-from koszulalg.complexes import FreeComplex
+from koszulalg.complexes import FreeComplex, direct_sum
 from koszulalg.linalg import PolyMatrix
 
 
@@ -46,9 +46,37 @@ def random_free_complex(ring, rng, max_gens=12):
     n = len(gens)
     D = PolyMatrix(ring, n, n)
     D.entries.update(entries)
-    C = FreeComplex(ring, gens, D)
-    # conjugate by homogeneous elementary transformations e_s -> e_s + p e_t
-    for _ in range(2 * n):
+    C = _conjugate(FreeComplex(ring, gens, D), rng, 2 * n)
+    assert C.validate() == []
+    return C, expected_model_dim
+
+
+def noisy_complex(base, rng, pairs=4, moves=None):
+    """base plus `pairs` contractible scalar pairs d(b) = c*a (deg a =
+    deg b + 1, going round the degrees of base), after random homogeneous
+    basis changes.  Homotopy equivalent to base."""
+    ring = base.ring
+    degrees = sorted(set(base.degrees)) or [0]
+    gens = []
+    D = PolyMatrix(ring, 2 * pairs, 2 * pairs)
+    for k in range(pairs):
+        q = degrees[k % len(degrees)]
+        gens += [(f"na{k}", q + 1), (f"nb{k}", q)]
+        D.entries[(2 * k, 2 * k + 1)] = ring.constant(_nonzero_scalar(ring, rng))
+    C = direct_sum(base, FreeComplex(ring, gens, D))
+    C = _conjugate(C, rng, 3 * C.n if moves is None else moves)
+    assert C.validate() == []
+    return C
+
+
+def _conjugate(C, rng, steps):
+    """C after up to `steps` random homogeneous elementary basis changes
+    e_s -> e_s + p e_t."""
+    ring = C.ring
+    w = ring.var_weight
+    gens = C.generators
+    n = C.n
+    for _ in range(steps):
         s = rng.randrange(n)
         t = rng.randrange(n)
         if s == t:
@@ -65,8 +93,7 @@ def random_free_complex(ring, rng, max_gens=12):
         Tinv = PolyMatrix.identity(ring, n)
         Tinv.entries[(t, s)] = -p
         C = FreeComplex(ring, gens, Tinv @ C.differential @ T)
-    assert C.validate() == []
-    return C, expected_model_dim
+    return C
 
 
 def _nonzero_scalar(ring, rng):
@@ -77,6 +104,19 @@ def _nonzero_scalar(ring, rng):
             c = rng.randint(-3, 3)
         return c
     return rng.randrange(1, p)
+
+
+@pytest.fixture(scope="module")
+def random_corpus():
+    """100 random free complexes with their known minimal dimensions."""
+    rng = random.Random(20260823)
+    corpus = []
+    for k in range(100):
+        field = FieldSpec(2) if k % 2 else FieldSpec(0)
+        r = 2 + (k % 4 == 0)
+        C, expected = random_free_complex(RingSpec(field, r, 1), rng, max_gens=12)
+        corpus.append((C, expected))
+    return corpus
 
 
 @pytest.fixture

@@ -29,7 +29,6 @@ from koszulalg.filtration import compute_filtration, check_properties, bound_che
 from koszulalg.lift import pipeline, verify_bounds, case0_improved_bound, multiplicative_alpha
 
 from bareiss import bareiss_rank
-from conftest import random_free_complex
 from test_linalg import _random_matrix
 from test_minimal import _dim_homology_mod_k
 
@@ -42,19 +41,6 @@ F5 = FieldSpec(5)
 def _line(num, label, ok):
     status = "PASS" if ok else "FAIL"
     print(f"[criterion {num:2d}] {label}: {status}")
-
-
-@pytest.fixture(scope="module")
-def random_corpus():
-    """100 random free complexes with their known minimal dimensions."""
-    rng = random.Random(20260823)
-    corpus = []
-    for k in range(100):
-        field = F2 if k % 2 else Q
-        r = 2 + (k % 4 == 0)
-        C, expected = random_free_complex(RingSpec(field, r, 1), rng, max_gens=12)
-        corpus.append((C, expected))
-    return corpus
 
 
 def test_criterion_1_homotopy_fixture(capsys):

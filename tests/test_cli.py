@@ -3,7 +3,7 @@ import os
 import pytest
 
 from koszulalg import lift
-from koszulalg.cli import main
+from koszulalg.cli import build_parser, main
 from koszulalg.complexes import Augmentation, FreeComplex
 from koszulalg.fileio import write_complex
 from koszulalg.linalg import PolyMatrix
@@ -242,3 +242,50 @@ def test_failed_lift_prints_degree_and_obstruction(tmp_path, capsys):
         "assertion failed: obstruction lifting generator s1 in degree 1; "
         "degree 1; obstruction e0: t1^2\n"
     )
+
+
+INVALID = [
+    # minimal differential (no scalar entry), so `filtration` checks it itself
+    ("gen a 0\ngen b 0\ngen c 0\nd a = t1*b\nd b = t1*c\n",
+     "d∘d != 0: column a hits c with t1^2"),
+    # scalar entries: every command reaches minimal_model, which checks it
+    ("gen a 0\ngen b 1\ngen c 2\nd a = b\nd b = c\n",
+     "d∘d != 0: column a hits c with 1"),
+    ("gen a 0\ngen b 1\nd a = b + t1*b\n",
+     "inhomogeneous entry d[b, a]: degree None, expected 0"),
+]
+
+
+@pytest.mark.parametrize("command", ["verify-bounds", "minimal", "filtration", "lift"])
+@pytest.mark.parametrize("augment", ["", "augment a = 1\n"], ids=["plain", "augmented"])
+@pytest.mark.parametrize("body, message", INVALID)
+def test_invalid_complex_exits_2(tmp_path, capsys, command, augment, body, message):
+    """An invalid complex is one input-error line, checked once per op."""
+    cx = tmp_path / "bad.cx"
+    cx.write_text("# complex v1\nchar 0\nr 1\nweight 1\n" + body + augment)
+    code, out, err = run([command, str(cx)], capsys)
+    assert (code, out) == (2, "")
+    assert err == f"error: invalid complex: {message}\n"
+
+
+def test_repeated_main_calls_match_one_call(tmp_path, capsys):
+    """main builds its parser once per process; later calls see no state
+    left by earlier ones."""
+    assert build_parser() is build_parser()
+    cx = str(tmp_path / "k.cx")
+    argv_list = [
+        ["koszul", "--char", "3", "--rank", "2", "--out", cx],
+        ["verify-bounds", cx, "--m", "1"],
+        ["rank-survey", "--rank", "2", "--trials", "3"],
+        ["search-low-rank", "--rank", "3"],
+        ["minimal", cx],
+    ]
+    for argv in argv_list:
+        first = run(argv, capsys)
+        again = run(argv, capsys)
+        assert again == first
+    assert [run(a, capsys)[0] for a in argv_list] == [0, 0, 0, 2, 0]
+    with pytest.raises(SystemExit) as exc:
+        main(["verify-bounds"])
+    assert exc.value.code == 2
+    assert run(["minimal", cx], capsys)[0] == 0

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -16,7 +17,7 @@ from koszulalg.complexes import (
 )
 from koszulalg.linalg import PolyMatrix, scalar_rank, sparse_dot
 
-from conftest import random_free_complex
+from conftest import noisy_complex, random_free_complex
 
 Q = FieldSpec(0)
 F2 = FieldSpec(2)
@@ -31,6 +32,42 @@ class TestFreeComplex:
         C = FreeComplex(ring, [("a", 0), ("b", 0)], D)
         problems = C.validate()
         assert any("d∘d" in m or "d" in m for m in problems)
+
+    def test_validate_reports_first_witness_by_row(self):
+        # d∘d is nonzero at (g2, g1), (g0, g3) and (g0, g5): the reported
+        # witness is the first in (row, column) order, not the first column
+        ring = RingSpec(Q, 1, 1)
+        D = PolyMatrix(ring, 8, 8)
+        for target, source in [(6, 1), (2, 6), (7, 3), (7, 5), (0, 7)]:
+            D.entries[(target, source)] = ring.var(1)
+        C = FreeComplex(ring, [(f"g{k}", 0) for k in range(8)], D)
+        assert C.validate() == ["d∘d != 0: column g3 hits g0 with t1^2"]
+
+    def test_validate_witness_matches_matrix_square(self, rng):
+        """On random complexes with one corrupted homogeneous entry, the
+        d∘d report is the first entry of D @ D in (row, column) order."""
+        reported = 0
+        for field in (Q, F2):
+            ring = RingSpec(field, 2, 1)
+            for _ in range(20):
+                C, _ = random_free_complex(ring, rng)
+                D = PolyMatrix(ring, C.n, C.n, C.differential.entries)
+                u, v = rng.randrange(C.n), rng.randrange(C.n)
+                need = C.degree(v) + 1 - C.degree(u)
+                if need >= 0:
+                    D.set(u, v, D.entry(u, v) + ring.monomial((need, 0), 1))
+                bad = FreeComplex(ring, C.generators, D)
+                dd = D @ D
+                want = []
+                if dd.entries:
+                    i, j = min(dd.entries)
+                    want.append(
+                        f"d∘d != 0: column {C.generators[j][0]} hits "
+                        f"{C.generators[i][0]} with {dd.entries[(i, j)]}"
+                    )
+                    reported += 1
+                assert bad.validate() == want
+        assert reported
 
     def test_validate_catches_inhomogeneity(self):
         ring = RingSpec(Q, 1, 1)
@@ -88,6 +125,26 @@ class TestKoszul:
 
 
 class TestTensorQuotient:
+    @pytest.mark.parametrize("weight", [1, 2])
+    def test_boundary_matches_reduced_products(self, weight, rng):
+        """Each boundary entry is a term of mu * d_ij reduced mod t^a."""
+        for field in (Q, F2, FieldSpec(3)):
+            ring = RingSpec(field, 2, weight)
+            for C in [koszul(ring, 1).base] + [
+                noisy_complex(koszul(ring, 0).base, rng, pairs=2) for _ in range(3)
+            ]:
+                a = (2, 3)
+                F = tensor_quotient(C, a)
+                lookup = F.tensor_info["lookup"]
+                want = {}
+                for (i, j), p in C.differential.entries.items():
+                    for mu in itertools.product(range(a[0]), range(a[1])):
+                        q = p.multiply_monomial(mu).reduce_mod_powers(a)
+                        for e, c in q.terms.items():
+                            want[(lookup[(i, e)], lookup[(j, mu)])] = c
+                assert F.boundary == want
+                assert F.validate() == []
+
     def test_basis_size(self):
         K = koszul(RingSpec(Q, 2, 1), 1)
         F = tensor_quotient(K.base, (2, 2))

@@ -1,9 +1,10 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from koszulalg.ring import FieldSpec, RingSpec
-from koszulalg.complexes import koszul, FreeComplex, direct_sum
+from koszulalg.complexes import koszul, FreeComplex, direct_sum, min_generators_of_homology
 from koszulalg.linalg import PolyMatrix, scalar_rank
 from koszulalg.chainmaps import ChainMap
 from koszulalg.minimal import (
@@ -14,10 +15,12 @@ from koszulalg.minimal import (
     lambda_length,
 )
 
-from conftest import random_free_complex
+from conftest import noisy_complex, random_free_complex
+from minimal_oracle import oracle_minimal_model
 
 Q = FieldSpec(0)
 F2 = FieldSpec(2)
+F3 = FieldSpec(3)
 
 
 def _dim_homology_mod_k(C):
@@ -103,6 +106,72 @@ class TestMinimalModel:
         C = FreeComplex(ring, [("a", 0), ("b", 1)], D)
         with pytest.raises(ValueError):
             minimal_model(C)
+
+
+def _assert_same_model(got, want):
+    assert got.model.generators == want.model.generators
+    assert got.model.differential == want.model.differential
+    assert got.inclusion.matrix == want.inclusion.matrix
+    assert got.projection.matrix == want.projection.matrix
+    assert got.homotopy.matrix == want.homotopy.matrix
+    assert got.verify() == []
+
+
+class TestAgainstMatrixProductOracle:
+    """Rank-one updates give the model and certificates of the
+    matrix-product composition, entry for entry."""
+
+    def test_random_corpus(self, random_corpus):
+        for C, _ in random_corpus:
+            _assert_same_model(minimal_model(C), oracle_minimal_model(C))
+
+    @pytest.mark.parametrize("field", [Q, F2, F3], ids=["Q", "F2", "F3"])
+    @pytest.mark.parametrize("r, m, weight", [(2, 0, 1), (2, 1, 1), (3, 1, 1), (3, 1, 2)])
+    def test_noisy_koszul(self, field, r, m, weight):
+        K = koszul(RingSpec(field, r, weight), m)
+        for seed in range(3):
+            C = noisy_complex(K.base, random.Random(seed), pairs=6)
+            mm = minimal_model(C)
+            _assert_same_model(mm, oracle_minimal_model(C))
+            assert mm.model.n == K.n
+
+    def test_no_matrix_products(self, monkeypatch, random_corpus):
+        noisy = noisy_complex(koszul(RingSpec(F3, 3, 1), 1).base, random.Random(0), pairs=6)
+        products = []
+        matmul = PolyMatrix.__matmul__
+        monkeypatch.setattr(
+            PolyMatrix, "__matmul__", lambda a, b: products.append(1) or matmul(a, b)
+        )
+        for C in [noisy] + [C for C, _ in random_corpus]:
+            minimal_model(C)
+        assert products == []
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(
+    st.sampled_from([Q, F2, F3]),
+    st.sampled_from([(2, 1), (2, 2), (3, 1)]),
+    st.booleans(),
+    st.integers(0, 2**32 - 1),
+)
+def test_generators_of_homology_counted_on_the_model(field, r_m, koszul_base, seed):
+    """H(C ⊗ R/(t^a)) is a homotopy invariant of C over R, so C and its
+    minimal model have the same number of generators."""
+    r, m = r_m
+    rng = random.Random(seed)
+    ring = RingSpec(field, r, 1)
+    if koszul_base:
+        base = koszul(ring, m).base
+    else:
+        base, _ = random_free_complex(ring, rng, max_gens=6)
+    C = noisy_complex(base, rng, pairs=3)
+    a = (m + 1,) * r
+    model = minimal_model(C).model
+    assert is_minimal(model)
+    count = min_generators_of_homology(model, a)
+    assert min_generators_of_homology(C, a) == count
+    if koszul_base:
+        assert count == 2 ** r
 
 
 class TestLambda:
