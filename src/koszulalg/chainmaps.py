@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from operator import add
 
 from .ring import RingSpec
 from .complexes import FreeComplex, HomologyData, koszul, tensor_quotient
@@ -124,18 +125,21 @@ def induced_map_mod(f: ChainMap, a):
     Hs = HomologyData(Fs)
     Ht = HomologyData(Ft)
     ops = Hs.field
+    items_s = Fs.tensor_info["items"]
     lookup_t = Ft.tensor_info["lookup"]
     by_column = f.matrix.columns()
     cols = []
     for rep in Hs.representatives:
         image = {}
         for pos, c in rep.items():
-            gi, mu = Fs.tensor_info["items"][pos]
-            for i, p in by_column.get(gi, ()):
-                q = p.multiply_monomial(mu).reduce_mod_powers(a)
-                for e, pc in q.terms.items():
-                    k = lookup_t[(i, e)]
-                    image[k] = ops.add(image.get(k, ops.zero), ops.mul(c, pc))
+            gi, mu = items_s[pos]
+            # the terms of t^mu * f_ij mod t^a, as in tensor_quotient: an
+            # exponent reaching its bound has no lookup entry
+            for i, p in by_column.get(gi, {}).items():
+                for e, pc in p.terms.items():
+                    k = lookup_t.get((i, tuple(map(add, e, mu))))
+                    if k is not None:
+                        image[k] = ops.add(image.get(k, ops.zero), ops.mul(c, pc))
         cols.append(Ht.project(image))
     rows = [[cols[j][i] for j in range(len(cols))] for i in range(Ht.total_dim)]
     return rows, Hs, Ht
@@ -211,8 +215,9 @@ def rank_six_fixture(ring: RingSpec = None):
     H.set(K0.subset_index[(1, 2)], Km.subset_index[(2, 3)], ring.var(3))
     h = Homotopy(Km.base, K0.base, H)
     gamma = perturb(iota, h)
-    x = Km.base.zero_element()
-    x[Km.subset_index[(1, 2)]] = ring.var(1) * ring.var(3)
-    x[Km.subset_index[(1, 2, 3)]] = ring.var(2)
+    x = {
+        Km.subset_index[(1, 2)]: ring.var(1) * ring.var(3),
+        Km.subset_index[(1, 2, 3)]: ring.var(2),
+    }
     dx = Km.base.d(x)
     return gamma, iota, h, x, dx, Km, K0

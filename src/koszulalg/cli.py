@@ -29,7 +29,7 @@ from .chainmaps import (
 )
 from .linalg import PolyMatrix, rank_exact
 from .minimal import minimal_model, is_minimal
-from .filtration import compute_filtration, check_properties, bound_checks
+from .filtration import compute_filtration, check_properties, bound_checks, report_checks
 from .lift import LiftError, pipeline, verify_bounds
 from .fileio import (
     read_complex,
@@ -70,21 +70,15 @@ def cmd_fixture(args):
     lines = []
     gamma, iota, h, x, dx, Km, K0 = rank_six_fixture()
     failures = []
-    gx = gamma.apply(x)
-    gdx = gamma.apply(dx)
-    lines.append(f"gamma(x) zero: {all(p.is_zero() for p in gx)}")
-    if not all(p.is_zero() for p in gx):
-        failures.append("gamma(x) != 0")
-    lines.append(f"gamma(dx) zero: {all(p.is_zero() for p in gdx)}")
-    if not all(p.is_zero() for p in gdx):
-        failures.append("gamma(dx) != 0")
+    for name, v in (("x", x), ("dx", dx)):
+        zero = not gamma.apply(v)
+        lines.append(f"gamma({name}) zero: {zero}")
+        if not zero:
+            failures.append(f"gamma({name}) != 0")
     span = PolyMatrix(Km.ring, Km.n, 2)
-    for i, p in enumerate(x):
-        if not p.is_zero():
-            span.entries[(i, 0)] = p
-    for i, p in enumerate(dx):
-        if not p.is_zero():
-            span.entries[(i, 1)] = p
+    for j, v in enumerate((x, dx)):
+        for i, p in v.items():
+            span.entries[(i, j)] = p
     indep = rank_exact(span) == 2
     lines.append(f"x, dx independent over R: {indep}")
     if not indep:
@@ -201,12 +195,10 @@ def cmd_verify_bounds(args):
     lines = [f"input {args.complex}", f"m {args.m}"]
     failures = []
     rep = verify_bounds(C, args.m, aug)
-    for key in sorted(rep):
-        v = rep[key]
-        if isinstance(v, tuple) and len(v) == 3:
-            lines.append(_fmt_check(key, v[0], v[1], v[2]))
-            if not v[2]:
-                failures.append(key)
+    for key, (got, want, ok) in report_checks(rep).items():
+        lines.append(_fmt_check(key, got, want, ok))
+        if not ok:
+            failures.append(key)
     lines.append(f"dim_H {rep['dim_H']}")
     lines.append(f"rank_gamma {rep['rank_gamma']}")
     lines.append(f"filtration_length {rep['length']}")
@@ -283,10 +275,8 @@ def cmd_filtration(args):
     lines.append("dims " + " ".join(str(d) for d in F.dims()))
     for msg in rep["failures"]:
         lines.append(f"property failure: {msg}")
-    for key in sorted(brep):
-        v = brep[key]
-        if isinstance(v, tuple) and len(v) == 3:
-            lines.append(_fmt_check(key, v[0], v[1], v[2]))
+    for key, (got, want, ok) in report_checks(brep).items():
+        lines.append(_fmt_check(key, got, want, ok))
     ok = rep["passed"] and brep["passed"]
     lines.append("result " + ("PASS" if ok else "FAIL"))
     _report(args.out, "filtration", lines)
@@ -449,7 +439,7 @@ def main(argv=None) -> int:
         details = "" if e.degree is None else f"; degree {e.degree}"
         if e.obstruction is not None:
             details += "; obstruction " + ", ".join(
-                f"e{u}: {p}" for u, p in enumerate(e.obstruction) if p
+                f"e{u}: {p}" for u, p in sorted(e.obstruction.items())
             )
         sys.stderr.write(f"assertion failed: {e}{details}\n")
         return 1

@@ -1,7 +1,9 @@
 """Free graded cochain complexes over k[t_1..t_r] and the Koszul family.
 
 A FreeComplex stores its differential as a square PolyMatrix whose
-column j is d(e_j) in the generator basis.  Koszul complexes carry the
+column j is d(e_j) in the generator basis.  An element of a free module
+is a dict {generator index: nonzero Polynomial}; a missing generator has
+coordinate 0 (see RingSpec.element).  Koszul complexes carry the
 exterior product (signs keyed to exterior length) so they are honest
 dgas; tensor_quotient and HomologyData provide the finite-dimensional
 coefficient reductions everything downstream is checked against.
@@ -14,7 +16,7 @@ from dataclasses import dataclass
 from operator import add
 
 from .ring import Polynomial, RingSpec, _grlex_key, add_product
-from .linalg import PolyMatrix, Echelon, axpy, sparse, sparse_dot
+from .linalg import PolyMatrix, Echelon, axpy, sparse_dot
 
 
 class FreeComplex:
@@ -45,13 +47,8 @@ class FreeComplex:
     def index(self, name: str) -> int:
         return self._index[name]
 
-    def zero_element(self):
-        return [self.ring.zero() for _ in range(self.n)]
-
     def basis_element(self, i: int):
-        e = self.zero_element()
-        e[i] = self.ring.one()
-        return e
+        return {i: self.ring.one()}
 
     def d(self, element):
         return self.differential.apply(element)
@@ -60,13 +57,13 @@ class FreeComplex:
         """Every violated invariant as a list of messages; [] means ok."""
         problems = []
         f = self.ring.field
-        by_row = self.differential.transpose().columns()  # {i: [(k, d_ik)]}
+        by_row = self.differential.transpose().columns()  # {i: {k: d_ik}}
         # (d∘d)[i, j] = sum_k d_ik d_kj, row by row; the first nonzero
         # entry in (row, column) order is the one witness reported
         for i in sorted(by_row):
             dd_row = {}
-            for k, p in by_row[i]:
-                for j, q in by_row.get(k, ()):
+            for k, p in by_row[i].items():
+                for j, q in by_row.get(k, {}).items():
                     add_product(dd_row.setdefault(j, {}), f.one, p, q, f)
             bad = [j for j, terms in dd_row.items() if terms]
             if bad:
@@ -159,55 +156,22 @@ class KoszulComplex:
                     coeff = -coeff
                 D.entries[(self.subset_index[J], j)] = coeff
         self.base = FreeComplex(ring, gens, D)
-        # product table: (i, j) -> (sign, target index) or None
-        self.product_table = {}
-        for a, I in enumerate(self.subsets):
-            for b, J in enumerate(self.subsets):
-                if set(I) & set(J):
-                    self.product_table[(a, b)] = None
-                else:
-                    K = tuple(sorted(I + J))
-                    self.product_table[(a, b)] = (_shuffle_sign(I, J), self.subset_index[K])
 
     @property
     def n(self):
         return self.base.n
 
-    def generator(self, I):
-        return self.base.basis_element(self.subset_index[tuple(I)])
-
     def exterior_length(self, idx: int) -> int:
         return len(self.subsets[idx])
 
-    def wedge(self, x, y):
-        """Bilinear extension of the exterior product to coordinate vectors."""
-        out = self.base.zero_element()
-        for a, xa in enumerate(x):
-            if xa.is_zero():
-                continue
-            for b, yb in enumerate(y):
-                if yb.is_zero():
-                    continue
-                cell = self.product_table[(a, b)]
-                if cell is None:
-                    continue
-                sign, c = cell
-                term = xa * yb
-                if sign < 0:
-                    term = -term
-                out[c] = out[c] + term
-        return out
-
     def dga(self) -> "DgaStructure":
+        """The exterior product: s_I s_J = ±s_(I ∪ J), 0 when I and J meet."""
         table = {}
-        for (a, b), cell in self.product_table.items():
-            if cell is None:
-                table[(a, b)] = self.base.zero_element()
-            else:
-                sign, c = cell
-                v = self.base.zero_element()
-                v[c] = self.ring.constant(sign)
-                table[(a, b)] = v
+        for a, I in enumerate(self.subsets):
+            for b, J in enumerate(self.subsets):
+                if not set(I) & set(J):
+                    c = self.subset_index[tuple(sorted(I + J))]
+                    table[(a, b)] = {c: self.ring.constant(_shuffle_sign(I, J))}
         parity = [self.exterior_length(i) % 2 for i in range(self.n)]
         return DgaStructure(self.base, parity, self.subset_index[()], table)
 
@@ -237,18 +201,15 @@ class Augmentation:
         """epsilon applied to a sparse vector {generator: scalar} (a constant element)."""
         return sparse_dot(vector, dict(enumerate(self.values)), self.source.ring.field)
 
-    def of_element(self, element):
-        """epsilon applied to a coordinate vector of polynomials."""
-        f = self.source.ring.field
-        return self.of_scalars(sparse([p.constant_coeff() for p in element], f))
-
     def validate(self):
         f = self.source.ring.field
-        D = self.source.differential
+        columns = self.source.differential.columns()
         return [
             f"augmentation does not kill d({name})"
             for j, (name, _) in enumerate(self.source.generators)
-            if not f.is_zero(self.of_element(D.column(j)))
+            if not f.is_zero(
+                self.of_scalars({i: p.constant_coeff() for i, p in columns.get(j, {}).items()})
+            )
         ]
 
 
@@ -259,24 +220,23 @@ class DgaStructure:
     complex: FreeComplex
     parity: list
     unit: int
-    table: dict  # (i, j) -> coordinate vector
+    table: dict  # (i, j) -> the module element e_i e_j; a missing cell is 0
 
     def multiply(self, x, y):
-        out = self.complex.zero_element()
-        for a, xa in enumerate(x):
-            if xa.is_zero():
-                continue
-            for b, yb in enumerate(y):
-                if yb.is_zero():
-                    continue
-                prod = xa * yb
-                for c, coeff in enumerate(self.table[(a, b)]):
-                    if not coeff.is_zero():
-                        out[c] = out[c] + prod * coeff
-        return out
+        f = self.complex.ring.field
+        acc = {}
+        for a, xa in x.items():
+            for b, yb in y.items():
+                cell = self.table.get((a, b))
+                if cell:
+                    prod = xa * yb
+                    for c, coeff in cell.items():
+                        add_product(acc.setdefault(c, {}), f.one, prod, coeff, f)
+        return self.complex.ring.element(acc)
 
     def validate(self, check_associativity=True):
         C = self.complex
+        f = C.ring.field
         problems = []
         unit = C.basis_element(self.unit)
         for i in range(C.n):
@@ -301,19 +261,28 @@ class DgaStructure:
         for a in range(C.n):
             ea = C.basis_element(a)
             da = C.d(ea)
+            sign = f.neg(f.one) if self.parity[a] % 2 else f.one
             for b in range(C.n):
                 eb = C.basis_element(b)
                 lhs = C.d(self.multiply(ea, eb))
-                rhs1 = self.multiply(da, eb)
-                rhs2 = self.multiply(ea, C.d(eb))
-                if self.parity[a] % 2:
-                    rhs2 = [-p for p in rhs2]
-                rhs = [p + q for p, q in zip(rhs1, rhs2)]
+                rhs = linear_combination(
+                    C.ring, [(f.one, self.multiply(da, eb)), (sign, self.multiply(ea, C.d(eb)))]
+                )
                 if lhs != rhs:
                     problems.append(
                         f"Leibniz fails on ({C.generators[a][0]}, {C.generators[b][0]})"
                     )
         return problems
+
+
+def linear_combination(ring: RingSpec, pairs):
+    """The module element sum c * x over the (scalar c, element x) pairs."""
+    f = ring.field
+    acc = {}
+    for c, x in pairs:
+        for u, p in x.items():
+            axpy(acc.setdefault(u, {}), c, p.terms, f)
+    return ring.element(acc)
 
 
 # ---------------------------------------------------------------------------

@@ -29,6 +29,8 @@ FORMAT_VERSION = 1
 
 _TOKEN = re.compile(r"\s*([+\-*]|\d+(?:/\d+)?|t\d+(?:\^\d+)?|[A-Za-z_][A-Za-z0-9_]*)")
 _VAR = re.compile(r"t(\d+)(?:\^(\d+))?$")
+# a generator name the tokenizer reads back as one name token
+_NAME = re.compile(r"(?!t\d)[A-Za-z_][A-Za-z0-9_]*")
 
 
 class FileFormatError(ValueError):
@@ -42,6 +44,16 @@ def _line(number):
         yield
     except ValueError as e:
         raise FileFormatError(f"line {number}: {e}") from None
+
+
+def _checked_name(name):
+    """name, if the tokenizer reads it back as one generator name."""
+    if not _NAME.fullmatch(name):
+        raise FileFormatError(
+            f"generator name {name!r} would not read back: names are "
+            "identifiers that do not start with t and a digit"
+        )
+    return name
 
 
 def _generator(gen_index, name):
@@ -65,13 +77,11 @@ def _tokenize(text):
 
 
 def parse_combination(ring: RingSpec, gen_index: dict, text: str):
-    """Coordinate vector (one polynomial per generator) from a sum of
+    """The module element {generator: Polynomial} of a sum of
     coeff*monomial*generator terms."""
     f = ring.field
-    vec = [ring.zero() for _ in gen_index]
+    acc = {}  # generator -> {exponents: coefficient}
     tokens = _tokenize(text)
-    if not tokens:
-        return vec
     i = 0
     while i < len(tokens):
         sign = f.one
@@ -108,18 +118,23 @@ def parse_combination(ring: RingSpec, gen_index: dict, text: str):
                 raise FileFormatError("dangling '*'")
         if gen is None:
             raise FileFormatError(f"term without a generator in {text!r}")
-        vec[gen] = vec[gen] + ring.monomial(exps, coeff)
-    return vec
+        terms = acc.setdefault(gen, {})
+        e = tuple(exps)
+        c = f.add(terms.get(e, f.zero), coeff)
+        if f.is_zero(c):
+            terms.pop(e, None)
+        else:
+            terms[e] = c
+    return ring.element(acc)
 
 
-def format_combination(C: FreeComplex, vec) -> str:
-    parts = []
-    for j, p in enumerate(vec):
-        if p is None or p.is_zero():
-            continue
-        name = C.generators[j][0]
-        for s in str(p).split(" + "):
-            parts.append(f"{s}*{name}")
+def format_combination(C: FreeComplex, element) -> str:
+    """A module element of C as a sum of coeff*monomial*generator terms."""
+    parts = [
+        f"{s}*{C.generators[j][0]}"
+        for j, p in sorted(element.items())
+        for s in str(p).split(" + ")
+    ]
     return " + ".join(parts) if parts else "0"
 
 
@@ -133,19 +148,14 @@ def complex_to_text(C: FreeComplex, augmentation: Augmentation = None,
                     dga: DgaStructure = None, extra_lines=None) -> str:
     ring = C.ring
     for name, _ in C.generators:
-        if _VAR.match(name):
-            raise FileFormatError(f"generator name {name!r} collides with a variable")
+        _checked_name(name)
     lines = [f"# complex v{FORMAT_VERSION}"]
     lines.append(f"char {ring.field.characteristic}")
     lines.append(f"r {ring.num_vars}")
     lines.append(f"weight {ring.var_weight}")
     for name, q in C.generators:
         lines.append(f"gen {name} {q}")
-    for j in range(C.n):
-        col = [C.differential.entries.get((i, j)) for i in range(C.n)]
-        if all(p is None for p in col):
-            continue
-        col = [p if p is not None else ring.zero() for p in col]
+    for j, col in C.differential.columns().items():
         lines.append(f"d {C.generators[j][0]} = {format_combination(C, col)}")
     if augmentation is not None:
         f = ring.field
@@ -159,14 +169,12 @@ def complex_to_text(C: FreeComplex, augmentation: Augmentation = None,
         for j, par in enumerate(dga.parity):
             if par % 2:
                 lines.append(f"parity {C.generators[j][0]} = 1")
-        for (a, b) in sorted(dga.table):
-            vec = dga.table[(a, b)]
-            if all(p.is_zero() for p in vec):
-                continue
-            lines.append(
-                f"product {C.generators[a][0]} {C.generators[b][0]} = "
-                + format_combination(C, vec)
-            )
+        for (a, b), cell in sorted(dga.table.items()):
+            if cell:
+                lines.append(
+                    f"product {C.generators[a][0]} {C.generators[b][0]} = "
+                    + format_combination(C, cell)
+                )
     if extra_lines:
         lines.extend(extra_lines)
     return "\n".join(lines) + "\n"
@@ -198,7 +206,7 @@ def complex_from_text(text: str):
                 header[key] = int(rest)
             elif key == "gen":
                 name, q = rest.split()
-                gens.append((name, int(q)))
+                gens.append((_checked_name(name), int(q)))
             else:
                 body.append((number, key, rest))
     for k in ("char", "r", "weight"):
@@ -221,10 +229,8 @@ def complex_from_text(text: str):
             if key == "d":
                 name, _, expr = rest.partition("=")
                 j = _generator(gen_index, name.strip())
-                vec = parse_combination(ring, gen_index, expr)
-                for i, p in enumerate(vec):
-                    if not p.is_zero():
-                        D.entries[(i, j)] = p
+                for i, p in parse_combination(ring, gen_index, expr).items():
+                    D.entries[(i, j)] = p
             elif key == "augment":
                 name, _, expr = rest.partition("=")
                 j = _generator(gen_index, name.strip())
@@ -247,13 +253,7 @@ def complex_from_text(text: str):
             else:
                 raise FileFormatError(f"unknown directive {key!r}")
     augmentation = Augmentation(C, aug_values) if aug_values is not None else None
-    dga = None
-    if unit is not None:
-        zero_vec = [ring.zero() for _ in range(n)]
-        for a in range(n):
-            for b in range(n):
-                table.setdefault((a, b), list(zero_vec))
-        dga = DgaStructure(C, parity, unit, table)
+    dga = DgaStructure(C, parity, unit, table) if unit is not None else None
     return C, augmentation, dga
 
 
@@ -262,14 +262,8 @@ def write_map(path, f: ChainMap, source_path, target_path):
     lines = [f"# map v{FORMAT_VERSION}"]
     lines.append(f"source {os.path.relpath(os.path.abspath(source_path), base)}")
     lines.append(f"target {os.path.relpath(os.path.abspath(target_path), base)}")
-    for j in range(f.source.n):
-        col = [f.matrix.entries.get((i, j)) for i in range(f.target.n)]
-        if all(p is None for p in col):
-            continue
-        col = [p if p is not None else f.source.ring.zero() for p in col]
-        lines.append(
-            f"f {f.source.generators[j][0]} = {format_combination(f.target, col)}"
-        )
+    for j, col in f.matrix.columns().items():
+        lines.append(f"f {f.source.generators[j][0]} = {format_combination(f.target, col)}")
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -310,9 +304,7 @@ def read_map(path):
     for number, name, expr in assignments:
         with _line(number):
             j = _generator(source_index, name)
-            vec = parse_combination(source.ring, gen_index, expr)
-        for i, p in enumerate(vec):
-            if not p.is_zero():
+            for i, p in parse_combination(source.ring, gen_index, expr).items():
                 M.entries[(i, j)] = p
     return ChainMap(source, target, M), source_path, target_path
 
@@ -322,24 +314,12 @@ def minimal_model_lines(mm):
     out = []
     src = mm.source
     model = mm.model
-    for j in range(model.n):
-        col = [mm.inclusion.matrix.entries.get((i, j)) for i in range(src.n)]
-        col = [p if p is not None else src.ring.zero() for p in col]
-        out.append(
-            f"inclusion {model.generators[j][0]} = {format_combination(src, col)}"
-        )
-    for j in range(src.n):
-        col = [mm.projection.matrix.entries.get((i, j)) for i in range(model.n)]
-        col = [p if p is not None else src.ring.zero() for p in col]
-        out.append(
-            f"projection {src.generators[j][0]} = {format_combination(model, col)}"
-        )
-    for j in range(src.n):
-        col = [mm.homotopy.matrix.entries.get((i, j)) for i in range(src.n)]
-        if all(p is None for p in col):
-            continue
-        col = [p if p is not None else src.ring.zero() for p in col]
-        out.append(
-            f"homotopy {src.generators[j][0]} = {format_combination(src, col)}"
-        )
+    inclusion = mm.inclusion.matrix.columns()
+    for j, (name, _) in enumerate(model.generators):
+        out.append(f"inclusion {name} = {format_combination(src, inclusion.get(j, {}))}")
+    projection = mm.projection.matrix.columns()
+    for j, (name, _) in enumerate(src.generators):
+        out.append(f"projection {name} = {format_combination(model, projection.get(j, {}))}")
+    for j, col in mm.homotopy.matrix.columns().items():
+        out.append(f"homotopy {src.generators[j][0]} = {format_combination(src, col)}")
     return out

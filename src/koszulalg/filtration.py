@@ -210,8 +210,10 @@ def bound_checks(M, F: Filtration):
     }
     if report["lambda_trivial"]:
         report["degrees_vs_length"] = (nonzero_degrees, ell, nonzero_degrees >= ell)
-    report["passed"] = all(
-        v[2] for k, v in report.items()
-        if isinstance(v, tuple) and len(v) == 3
-    )
+    report["passed"] = all(ok for _, _, ok in report_checks(report).values())
     return report
+
+
+def report_checks(report):
+    """The checks {name: (got, want, ok)} of a bound report, by name."""
+    return {k: v for k, v in sorted(report.items()) if isinstance(v, tuple) and len(v) == 3}

@@ -14,13 +14,14 @@ from __future__ import annotations
 
 from operator import add
 
-from .ring import Polynomial, RingSpec
+from .ring import RingSpec, add_product
 from .complexes import (
     FreeComplex,
     KoszulComplex,
     koszul,
     Augmentation,
     DgaStructure,
+    linear_combination,
     min_generators_of_homology,
 )
 from .chainmaps import ChainMap, is_chain_map, rank_of_map, restricted_rank
@@ -33,6 +34,7 @@ from .filtration import (
     monomial_slices,
     slice_images,
     bound_checks,
+    report_checks,
 )
 
 
@@ -40,7 +42,7 @@ class LiftError(Exception):
     """A required boundary equation has no solution.
 
     Carries the degree and the obstructing class (the unsolvable
-    right-hand side) when they are known.
+    right-hand side, a module element) when they are known.
     """
 
     def __init__(self, message, degree=None, obstruction=None):
@@ -70,11 +72,11 @@ def monomials_of_weighted_degree(ring: RingSpec, wdeg: int):
 
 def _column_image(column, exps):
     """Terms of d(mu * e_i) as {(target gen, exponent): scalar}, where
-    column lists the entries (u, d_ui) of d(e_i) by increasing u and
-    mu = t^exps.  The keys are distinct, so no two terms combine."""
+    column is d(e_i) and mu = t^exps.  The keys are distinct, so no two
+    terms combine."""
     return {
         (u, tuple(map(add, e, exps))): c
-        for u, p in column
+        for u, p in column.items()
         for e, c in p.terms.items()
     }
 
@@ -87,7 +89,8 @@ def solve_boundary_equation(
     augmentation: Augmentation = None,
     aug_value=None,
 ):
-    """Homogeneous solution of d(y) = rhs with deg(y) = degree, or None.
+    """Homogeneous solution y of d(y) = rhs with deg(y) = degree, or None;
+    rhs and y are module elements {generator: Polynomial}.
 
     allowed restricts the generators y may involve; when an augmentation
     and aug_value are given, epsilon(y) = aug_value is imposed as an
@@ -109,7 +112,7 @@ def solve_boundary_equation(
         unknowns.extend((i, exps) for exps in monomials[q])
     columns = C.differential.columns()
     images = {}  # unknown -> its image, once built
-    rhs_terms = {(u, e): c for u, p in enumerate(rhs) for e, c in p.terms.items()}
+    rhs_terms = {(u, e): c for u, p in rhs.items() for e, c in p.terms.items()}
     zero_exps = (0,) * ring.num_vars
 
     def epsilon(i, exps):
@@ -118,7 +121,7 @@ def solve_boundary_equation(
     # shortcut: a single scaled generator already solves the equation; the
     # image of mu * e_i has as many terms as d(e_i), so only those are built
     if rhs_terms:
-        terms = {i: sum(len(p.terms) for _, p in col) for i, col in columns.items()}
+        terms = {i: sum(len(p.terms) for p in col.values()) for i, col in columns.items()}
         for j, (i, exps) in enumerate(unknowns):
             if terms.get(i) != len(rhs_terms):
                 continue
@@ -136,15 +139,13 @@ def solve_boundary_equation(
                 f.sub(f.mul(c, epsilon(i, exps)), aug_value)
             ):
                 continue
-            y = C.zero_element()
-            y[i] = ring.monomial(exps, c)
-            return y
+            return {i: ring.monomial(exps, c)}
     # general graded solve: one sparse row per (generator, exponent) key,
     # the right-hand side in column len(unknowns)
     n = len(unknowns)
     by_key = {k: {n: b} for k, b in rhs_terms.items()}
     for j, (i, exps) in enumerate(unknowns):
-        img = images[j] if j in images else _column_image(columns.get(i, ()), exps)
+        img = images[j] if j in images else _column_image(columns.get(i, {}), exps)
         for k, c in img.items():
             by_key.setdefault(k, {})[j] = c
     rows = list(by_key.values())
@@ -155,11 +156,11 @@ def solve_boundary_equation(
     x = solve(rows, n, f)
     if x is None:
         return None
-    y = [{} for _ in range(C.n)]
+    y = {}
     for j in sorted(x):
         i, exps = unknowns[j]
-        y[i][exps] = x[j]
-    return [Polynomial(ring, terms) for terms in y]
+        y.setdefault(i, {})[exps] = x[j]
+    return ring.element(y)
 
 
 def _solve_in_koszul(K: KoszulComplex, rhs, degree: int, max_length: int):
@@ -171,23 +172,19 @@ def _solve_in_koszul(K: KoszulComplex, rhs, degree: int, max_length: int):
     (l <= max_length).
     """
     C = K.base
-    y = C.zero_element()
     by_length = {}
-    for u, p in enumerate(rhs):
-        if not p.is_zero():
-            by_length.setdefault(K.exterior_length(u), []).append(u)
-    for ell_minus_1, gens in sorted(by_length.items()):
+    for u, p in rhs.items():
+        by_length.setdefault(K.exterior_length(u), {})[u] = p
+    y = {}
+    for ell_minus_1, part in sorted(by_length.items()):
         ell = ell_minus_1 + 1
         if ell > max_length:
             return None
-        part = C.zero_element()
-        for u in gens:
-            part[u] = rhs[u]
         allowed = [j for j in range(C.n) if K.exterior_length(j) == ell]
         sol = solve_boundary_equation(C, part, degree, allowed=allowed)
         if sol is None:
             return None
-        y = [a + b for a, b in zip(y, sol)]
+        y.update(sol)  # each length has generators of its own
     return y
 
 
@@ -207,9 +204,7 @@ def lift_alpha(
     if Km.m != m:
         raise ValueError("source complex has the wrong annihilator exponent")
     images = []
-    one = solve_boundary_equation(
-        C, C.zero_element(), 0, augmentation=augmentation, aug_value=f.one
-    )
+    one = solve_boundary_equation(C, {}, 0, augmentation=augmentation, aug_value=f.one)
     if one is None:
         raise LiftError(
             "no augmentation-1 cycle of degree 0 exists", degree=0
@@ -217,9 +212,11 @@ def lift_alpha(
     images.append(one)
     columns = Km.base.differential.columns()
     for j in range(1, Km.n):
-        rhs = C.zero_element()
-        for u, p in columns.get(j, ()):
-            rhs = [a + b * p for a, b in zip(rhs, images[u])]
+        acc = {}  # alpha(d e_j) = sum of d_uj * alpha(e_u)
+        for u, p in columns.get(j, {}).items():
+            for i, q in images[u].items():
+                add_product(acc.setdefault(i, {}), f.one, q, p, f)
+        rhs = ring.element(acc)
         deg = Km.base.degree(j)
         sol = solve_boundary_equation(C, rhs, deg)
         if sol is None:
@@ -250,6 +247,7 @@ def lift_beta(
     if K0 is None:
         K0 = koszul(ring, 0)
     n = model.n
+    k0 = K0.subset_index[()]
     slices = monomial_slices(model)
     # The processed part of the model: its k-basis d_j, each tagged by a
     # unit in column n + j.  The d_j are independent, so the residual of
@@ -275,24 +273,22 @@ def lift_beta(
                     continue
                 eps_v = augmentation.of_scalars(v)
                 if level == 1:
-                    img = K0.base.zero_element()
-                    if not f.is_zero(eps_v):
-                        img[K0.subset_index[()]] = ring.constant(eps_v)
-                    define(v, img)
+                    define(v, {} if f.is_zero(eps_v) else {k0: ring.constant(eps_v)})
                     continue
-                rhs = K0.base.zero_element()
+                acc = {}
                 for exps, w in slice_images(slices, v, f).items():
                     coords = coordinates(w)
                     if coords is None:
                         raise LiftError(
                             "differential image escapes the processed filtration span"
                         )
+                    mu = ring.monomial(exps)
                     for c, img in zip(coords, defined_images):
                         if f.is_zero(c):
                             continue
-                        for u, p in enumerate(img):
-                            if not p.is_zero():
-                                rhs[u] = rhs[u] + p * ring.monomial(exps, c)
+                        for u, p in img.items():
+                            add_product(acc.setdefault(u, {}), c, p, mu, f)
+                rhs = ring.element(acc)
                 sol = _solve_in_koszul(K0, rhs, q, max_length=level - 1)
                 if sol is None:
                     raise LiftError(
@@ -300,7 +296,7 @@ def lift_beta(
                         degree=q,
                         obstruction=rhs,
                     )
-                got_eps = sol[K0.subset_index[()]].constant_coeff()
+                got_eps = sol[k0].constant_coeff() if k0 in sol else f.zero
                 if not f.is_zero(f.sub(got_eps, eps_v)):
                     if q != 0:
                         raise LiftError(
@@ -308,9 +304,9 @@ def lift_beta(
                             "filtration vector; no degree-preserving lift"
                         )
                     # adjust by a multiple of the augmentation cycle s_0
-                    sol = list(sol)
-                    k0 = K0.subset_index[()]
-                    sol[k0] = sol[k0] + ring.constant(f.sub(eps_v, got_eps))
+                    sol = linear_combination(
+                        ring, [(f.one, sol), (f.sub(eps_v, got_eps), {k0: ring.one()})]
+                    )
                 define(v, sol)
     # express the standard basis through the processed one
     images = []
@@ -318,14 +314,9 @@ def lift_beta(
         coords = coordinates({j: f.one})
         if coords is None:
             raise LiftError("filtration basis does not span the model")
-        col = K0.base.zero_element()
-        for c, img in zip(coords, defined_images):
-            if f.is_zero(c):
-                continue
-            for u, p in enumerate(img):
-                if not p.is_zero():
-                    col[u] = col[u] + p.scale(c)
-        images.append(col)
+        images.append(linear_combination(
+            ring, [(c, img) for c, img in zip(coords, defined_images) if not f.is_zero(c)]
+        ))
     return _chain_map(model, K0.base, images, "lift is not a chain map at column {}")
 
 
@@ -334,7 +325,7 @@ def _chain_map(source: FreeComplex, target: FreeComplex, images, message):
     (formatted with the first bad column) if it is not one."""
     M = PolyMatrix(target.ring, target.n, source.n)
     for j, img in enumerate(images):
-        for u, p in enumerate(img):
+        for u, p in img.items():
             M.set(u, j, p)
     g = ChainMap(source, target, M)
     bad = is_chain_map(g)
@@ -360,7 +351,7 @@ def beta_respects_filtration(beta: ChainMap, F: Filtration, K0: KoszulComplex = 
         for v in F.basis(i):
             too_long = {}  # u -> terms of beta(v)_u
             for j, c in v.items():
-                for u, p in columns.get(j, ()):
+                for u, p in columns.get(j, {}).items():
                     if K0.exterior_length(u) > i - 1:
                         axpy(too_long.setdefault(u, {}), c, p.terms, f)
             violations.extend((i, u) for u in sorted(too_long) if too_long[u])
@@ -374,10 +365,13 @@ def pipeline(C: FreeComplex, m: int, augmentation: Augmentation = None):
     mm = minimal_model(C)
     if augmentation is None:
         augmentation = _default_augmentation(C)
+    inclusion = mm.inclusion.matrix.columns()
     model_aug = Augmentation(
         mm.model,
         [
-            augmentation.of_element(mm.inclusion.matrix.column(j))
+            augmentation.of_scalars(
+                {i: p.constant_coeff() for i, p in inclusion.get(j, {}).items()}
+            )
             for j in range(mm.model.n)
         ],
     )
@@ -453,13 +447,8 @@ def verify_bounds(C: FreeComplex, m: int, augmentation: Augmentation = None):
     }
     if checks["lambda_trivial"]:
         report["c_degrees_vs_r_plus_1"] = (degrees, r + 1, degrees >= r + 1)
-    report["passed"] = (
-        not report["beta_filtration_violations"]
-        and all(
-            v[2]
-            for k, v in report.items()
-            if isinstance(v, tuple) and len(v) == 3
-        )
+    report["passed"] = not report["beta_filtration_violations"] and all(
+        ok for _, _, ok in report_checks(report).values()
     )
     report["bound_checks"] = checks
     if _improved_bound_obstacle(C.ring) is None:
@@ -539,9 +528,7 @@ def multiplicative_alpha(
     images = [None] * Km.n
     images[Km.subset_index[()]] = C.basis_element(dga.unit)
     for i in range(1, ring.num_vars + 1):
-        rhs = C.basis_element(dga.unit)
-        power = ring.var(i, m + 1)
-        rhs = [p * power for p in rhs]
+        rhs = {dga.unit: ring.var(i, m + 1)}
         deg = Km.base.degree(Km.subset_index[(i,)])
         sol = solve_boundary_equation(C, rhs, deg)
         if sol is None:

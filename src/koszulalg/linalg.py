@@ -24,7 +24,9 @@ import random
 from itertools import count, zip_longest
 from operator import lshift
 
-from .ring import FieldSpec, Polynomial, RingSpec, RingMismatchError, _is_prime, evaluator
+from .ring import (
+    FieldSpec, Polynomial, RingSpec, RingMismatchError, _is_prime, add_product, evaluator,
+)
 
 
 class PolyMatrix:
@@ -66,14 +68,12 @@ class PolyMatrix:
     def entry(self, i, j) -> Polynomial:
         return self.entries.get((i, j), self.ring.zero())
 
-    def column(self, j):
-        return [self.entry(i, j) for i in range(self.rows)]
-
     def columns(self):
-        """The entries by column: {j: [(i, p), ...]} with i increasing."""
+        """Each nonzero column as a module element: {j: {i: p}}, with j
+        increasing and then i."""
         by_col = {}
-        for (i, j), p in sorted(self.entries.items()):
-            by_col.setdefault(j, []).append((i, p))
+        for (i, j), p in sorted(self.entries.items(), key=lambda e: e[0][::-1]):
+            by_col.setdefault(j, {})[i] = p
         return by_col
 
     def is_zero(self) -> bool:
@@ -152,16 +152,15 @@ class PolyMatrix:
                 out.entries[(i, pos[j])] = p
         return out
 
-    def apply(self, vector):
-        """Matrix times a list of polynomials."""
-        if len(vector) != self.cols:
-            raise ValueError("vector length mismatch")
-        out = [self.ring.zero() for _ in range(self.rows)]
+    def apply(self, element):
+        """Matrix times a module element {j: nonzero Polynomial}, as one."""
+        f = self.ring.field
+        acc = {}
         for (i, j), p in self.entries.items():
-            v = vector[j]
-            if v and not v.is_zero():
-                out[i] = out[i] + p * v
-        return out
+            v = element.get(j)
+            if v is not None:
+                add_product(acc.setdefault(i, {}), f.one, p, v, f)
+        return self.ring.element(acc)
 
     def _shape_check(self, other):
         if (self.rows, self.cols) != (other.rows, other.cols):

@@ -198,6 +198,16 @@ class RingSpec:
     def parse(self, text: str) -> "Polynomial":
         return parse_polynomial(self, text)
 
+    def element(self, terms) -> dict:
+        """The module element with these coordinates.
+
+        A module element of a free R-module is a dict {generator index:
+        nonzero Polynomial}.  `terms` maps a generator to the exponent dict
+        of its coordinate; empty ones are dropped and the generators come
+        in increasing order.
+        """
+        return {u: Polynomial(self, t) for u, t in sorted(terms.items()) if t}
+
 
 def _grlex_key(exps):
     return (sum(exps), exps)
@@ -341,33 +351,6 @@ class Polynomial:
                 else:
                     rem[e] = s
         return Polynomial(self.ring, quo)
-
-    def reduce_mod_powers(self, a) -> "Polynomial":
-        """Normal form in R/(t_1^{a_1},...,t_r^{a_r}): drop terms with e_i >= a_i."""
-        a = tuple(a)
-        if len(a) != self.ring.num_vars or any(x < 1 for x in a):
-            raise ValueError("need one bound >= 1 per variable")
-        out = {
-            e: c
-            for e, c in self.terms.items()
-            if all(ei < ai for ei, ai in zip(e, a))
-        }
-        return Polynomial(self.ring, out)
-
-    def multiply_monomial(self, exps, coeff=None):
-        """Fast multiply by coeff * t^exps."""
-        f = self.ring.field
-        c = f.one if coeff is None else f.of(coeff)
-        if f.is_zero(c):
-            return self.ring.zero()
-        exps = tuple(exps)
-        return Polynomial(
-            self.ring,
-            {
-                tuple(a + b for a, b in zip(e, exps)): f.mul(c, v)
-                for e, v in self.terms.items()
-            },
-        )
 
     def evaluate(self, points, ops):
         """The value at `points` (one per variable) in the scalar field `ops`."""

@@ -49,14 +49,12 @@ def test_criterion_1_homotopy_fixture(capsys):
     gx = gamma.apply(x)
     gdx = gamma.apply(dx)
     cols = PolyMatrix(Km.ring, K0.n, 2)
-    for i in range(K0.n):
-        if not x[i].is_zero():
-            cols.entries[(i, 0)] = x[i]
-        if not dx[i].is_zero():
-            cols.entries[(i, 1)] = dx[i]
+    for j, v in enumerate((x, dx)):
+        for i, p in v.items():
+            cols.set(i, j, p)
     ok = (
-        all(p.is_zero() for p in gx)
-        and all(p.is_zero() for p in gdx)
+        gx == {}
+        and gdx == {}
         and rank_exact(cols) == 2
         and rank_of_map(gamma) == 6
         and time.time() - start < 1.0

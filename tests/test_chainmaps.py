@@ -52,15 +52,12 @@ class TestRankFixture:
     def test_full_fixture(self):
         gamma, iota, h, x, dx, Km, K0 = rank_six_fixture()
         assert is_chain_map(gamma) is None
-        assert all(p.is_zero() for p in gamma.apply(x))
-        assert all(p.is_zero() for p in gamma.apply(dx))
+        assert gamma.apply(x) == {}
+        assert gamma.apply(dx) == {}
         span = PolyMatrix(Km.ring, Km.n, 2)
-        for i, p in enumerate(x):
-            if not p.is_zero():
-                span.entries[(i, 0)] = p
-        for i, p in enumerate(dx):
-            if not p.is_zero():
-                span.entries[(i, 1)] = p
+        for j, v in enumerate((x, dx)):
+            for i, p in v.items():
+                span.set(i, j, p)
         assert rank_exact(span) == 2
         assert rank_of_map(gamma) == 6
         assert rank_of_map(gamma, mode="probabilistic", seed=11) == 6

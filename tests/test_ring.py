@@ -131,11 +131,6 @@ class TestPolynomialArithmetic:
         with pytest.raises(ValueError):
             ring.parse("t1^2 + t2").divide_exact(b)
 
-    def test_reduce_mod_powers(self):
-        ring = RingSpec(Q, 2, 1)
-        p = ring.parse("t1^3 + t1*t2 + t2^2")
-        assert p.reduce_mod_powers((2, 2)) == ring.parse("t1*t2")
-
     def test_evaluate(self):
         ring = RingSpec(Q, 2, 1)
         p = ring.parse("t1^2*t2 + 3")
