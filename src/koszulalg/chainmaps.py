@@ -13,7 +13,7 @@ from operator import add
 
 from .ring import RingSpec
 from .complexes import FreeComplex, HomologyData, koszul, tensor_quotient
-from .linalg import PolyMatrix, rank_exact, rank_probabilistic
+from .linalg import PolyMatrix, rank_exact, rank_probabilistic, sum_of_products
 
 
 @dataclass
@@ -36,7 +36,12 @@ class ChainMap:
         return ChainMap(other.source, self.target, self.matrix @ other.matrix)
 
     def commutator(self) -> PolyMatrix:
-        return self.matrix @ self.source.differential - self.target.differential @ self.matrix
+        """matrix ∘ d_source - d_target ∘ matrix, as one accumulation."""
+        f = self.matrix.ring.field
+        return sum_of_products([
+            (f.one, self.matrix, self.source.differential),
+            (f.neg(f.one), self.target.differential, self.matrix),
+        ])
 
 
 @dataclass
@@ -82,7 +87,12 @@ def perturb(f: ChainMap, h: Homotopy) -> ChainMap:
     """f + d_target ∘ h + h ∘ d_source; a chain map by construction."""
     if h.source != f.source or h.target != f.target:
         raise ValueError("homotopy shape incompatible with map")
-    g = f.matrix + f.target.differential @ h.matrix + h.matrix @ f.source.differential
+    one = f.matrix.ring.field.one
+    g = sum_of_products([
+        (one, f.matrix, None),
+        (one, f.target.differential, h.matrix),
+        (one, h.matrix, f.source.differential),
+    ])
     return ChainMap(f.source, f.target, g)
 
 

@@ -444,15 +444,15 @@ class HomologyData:
                 if span.rank == len(idx):
                     break
                 grow({b: ops.one})
-            self.degree_reps[q] = []
-            for k, z in enumerate(reps):
-                tag = F.n + k
-                self.degree_reps[q].append(len(self.representatives))
-                self.representatives.append(z)
-                self.rep_degrees.append(q)
-                self.projection_rows.append(
-                    {b: row[tag] for b, row in span.rows.items() if tag in row}
-                )
+            proj = [{} for _ in reps]
+            for b, row in span.rows.items():
+                for c, x in row.items():
+                    if c >= F.n:
+                        proj[c - F.n][b] = x
+            self.degree_reps[q] = list(range(self.total_dim, self.total_dim + len(reps)))
+            self.representatives += reps
+            self.rep_degrees += [q] * len(reps)
+            self.projection_rows += proj
 
     @property
     def total_dim(self):

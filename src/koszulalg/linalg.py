@@ -11,6 +11,9 @@ proves the upper bound too, with kernel vectors from fraction-free
 Gauss-Jordan over k[t] checked by exact products, and moves to another
 point (and, over Q, another prime) until the check holds.
 
+Every product and sum of PolyMatrix objects goes through one sparse
+kernel, `sum_of_products`.
+
 Also hosts the scalar linear algebra used by the homology, filtration
 and lifting code: one sparse-row elimination kernel (`Echelon`, rows kept
 in reduced row echelon form) with its sparse helpers, the sparse solve
@@ -88,56 +91,11 @@ class PolyMatrix:
         )
 
     def __add__(self, other):
-        self._shape_check(other)
-        out = PolyMatrix(self.ring, self.rows, self.cols)
-        out.entries = dict(self.entries)
-        for key, p in other.entries.items():
-            s = out.entries.get(key)
-            s = p if s is None else s + p
-            if s.is_zero():
-                out.entries.pop(key, None)
-            else:
-                out.entries[key] = s
-        return out
-
-    def __neg__(self):
-        out = PolyMatrix(self.ring, self.rows, self.cols)
-        out.entries = {k: -p for k, p in self.entries.items()}
-        return out
-
-    def __sub__(self, other):
-        return self + (-other)
+        one = self.ring.field.one
+        return sum_of_products([(one, self, None), (one, other, None)])
 
     def __matmul__(self, other):
-        if self.cols != other.rows:
-            raise ValueError("shape mismatch in matrix product")
-        if self.ring != other.ring:
-            raise RingMismatchError("matrices over different rings")
-        by_row = {}
-        for (k, j), p in other.entries.items():
-            by_row.setdefault(k, []).append((j, p))
-        acc = {}
-        for (i, k), p in self.entries.items():
-            for j, q in by_row.get(k, ()):
-                key = (i, j)
-                prod = p * q
-                s = acc.get(key)
-                s = prod if s is None else s + prod
-                if s.is_zero():
-                    acc.pop(key, None)
-                else:
-                    acc[key] = s
-        out = PolyMatrix(self.ring, self.rows, other.cols)
-        out.entries = acc
-        return out
-
-    def scale(self, c):
-        out = PolyMatrix(self.ring, self.rows, self.cols)
-        for k, p in self.entries.items():
-            q = p.scale(c)
-            if not q.is_zero():
-                out.entries[k] = q
-        return out
+        return sum_of_products([(self.ring.field.one, self, other)])
 
     def transpose(self):
         out = PolyMatrix(self.ring, self.cols, self.rows)
@@ -162,17 +120,46 @@ class PolyMatrix:
                 add_product(acc.setdefault(i, {}), f.one, p, v, f)
         return self.ring.element(acc)
 
-    def _shape_check(self, other):
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("shape mismatch")
-        if self.ring != other.ring:
-            raise RingMismatchError("matrices over different rings")
-
     def __str__(self):
         lines = []
         for i in range(self.rows):
             lines.append("[" + ", ".join(str(self.entry(i, j)) for j in range(self.cols)) + "]")
         return "\n".join(lines)
+
+
+def sum_of_products(terms):
+    """The PolyMatrix sum of c*A*B over the list of (c, A, B) `terms`; B None
+    stands for the identity, so (c, A, None) adds c*A.
+
+    The one sparse product kernel: each entry accumulates as one exponent
+    dict through `add_product`, and a Polynomial is built only for each
+    nonzero entry of the total, so a sum that cancels builds none.
+    """
+    _, A, B = terms[0]
+    ring, rows, cols = A.ring, A.rows, (A if B is None else B).cols
+    f = ring.field
+    one = ring.one()
+    acc = {}
+    for c, A, B in terms:
+        if A.ring != ring or (B is not None and B.ring != ring):
+            raise RingMismatchError("matrices over different rings")
+        if B is None:
+            if (A.rows, A.cols) != (rows, cols):
+                raise ValueError("shape mismatch")
+            for key, p in A.entries.items():
+                add_product(acc.setdefault(key, {}), c, p, one, f)
+            continue
+        if A.cols != B.rows or (A.rows, B.cols) != (rows, cols):
+            raise ValueError("shape mismatch in matrix product")
+        by_row = {}
+        for (k, j), q in B.entries.items():
+            by_row.setdefault(k, []).append((j, q))
+        for (i, k), p in A.entries.items():
+            for j, q in by_row.get(k, ()):
+                add_product(acc.setdefault((i, j), {}), c, p, q, f)
+    out = PolyMatrix(ring, rows, cols)
+    out.entries = {key: Polynomial(ring, t) for key, t in acc.items() if t}
+    return out
 
 
 # ---------------------------------------------------------------------------

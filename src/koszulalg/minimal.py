@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 from .ring import Polynomial, add_product
 from .complexes import FreeComplex
-from .linalg import PolyMatrix, apply_columns, axpy, span
+from .linalg import PolyMatrix, apply_columns, axpy, span, sum_of_products
 from .chainmaps import ChainMap, Homotopy
 
 
@@ -38,16 +38,18 @@ class MinimalModel:
         problems = []
         if not is_minimal(self.model):
             problems.append("model differential has a nonzero constant part")
-        n_m = self.model.n
-        n_c = self.source.n
         ring = self.model.ring
-        pi = self.projection.matrix @ self.inclusion.matrix
-        if pi != PolyMatrix.identity(ring, n_m):
+        one, minus = ring.field.one, ring.field.neg(ring.field.one)
+        incl, proj = self.inclusion.matrix, self.projection.matrix
+        d, H = self.source.differential, self.homotopy.matrix
+        # each identity as one sum that must vanish
+        id_m = PolyMatrix.identity(ring, self.model.n)
+        if not sum_of_products([(one, proj, incl), (minus, id_m, None)]).is_zero():
             problems.append("projection ∘ inclusion != identity")
-        lhs = PolyMatrix.identity(ring, n_c) - self.inclusion.matrix @ self.projection.matrix
-        d = self.source.differential
-        rhs = d @ self.homotopy.matrix + self.homotopy.matrix @ d
-        if lhs != rhs:
+        id_c = PolyMatrix.identity(ring, self.source.n)
+        if not sum_of_products(
+            [(one, id_c, None), (minus, incl, proj), (minus, d, H), (minus, H, d)]
+        ).is_zero():
             problems.append("id - inclusion ∘ projection != dH + Hd")
         if not self.inclusion.commutator().is_zero():
             problems.append("inclusion is not a chain map")

@@ -1,13 +1,15 @@
 """Exact scalars and sparse multivariate polynomials over Q and F_p.
 
-Scalars are `fractions.Fraction` in characteristic 0 and plain ints in
-[0, p) in characteristic p; `FieldSpec` is the one place their arithmetic
-is defined.  Polynomials are dicts mapping exponent
-tuples to nonzero scalars; all arithmetic is exact.
+Scalars in characteristic 0 are ints when integral and
+`fractions.Fraction` otherwise, and plain ints in [0, p) in characteristic
+p; `FieldSpec` is the one place their arithmetic is defined.  Polynomials
+are dicts mapping exponent tuples to nonzero scalars; all arithmetic is
+exact, and `add_product` is the one loop over products of terms.
 """
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -68,8 +70,7 @@ class FieldSpec:
     def div(self, a, b):
         return self.mul(a, self.inv(b))
 
-    def is_zero(self, a) -> bool:
-        return a == 0
+    is_zero = staticmethod(operator.not_)  # a == 0 on ints and Fractions
 
     def format_scalar(self, a) -> str:
         return str(a)
@@ -82,31 +83,36 @@ class FieldSpec:
         return self.of(Fraction(int(num), den))
 
 
+def _integral(q: Fraction):
+    """q as an int when it is one."""
+    return q.numerator if q.denominator == 1 else q
+
+
 @dataclass(frozen=True)
 class RationalField(FieldSpec):
-    """Q, with scalars as `fractions.Fraction`."""
+    """Q, with each scalar an int when integral and a `fractions.Fraction`
+    otherwise.  `of`, `inv`, `div` and `parse_scalar` return an int for an
+    integral value; sums and products may be of either type.  The two
+    types agree on `==`, `hash` and `str`, so either may stand for a
+    value."""
 
-    zero = Fraction(0)
-    one = Fraction(1)
+    zero = 0
+    one = 1
 
     def of(self, n):
         """Coerce an int or a Fraction into the field."""
-        return Fraction(n)
+        return n if type(n) is int else _integral(Fraction(n))
 
-    def add(self, a, b):
-        return a + b
-
-    def sub(self, a, b):
-        return a - b
-
-    def mul(self, a, b):
-        return a * b
-
-    def neg(self, a):
-        return -a
+    add = staticmethod(operator.add)
+    sub = staticmethod(operator.sub)
+    mul = staticmethod(operator.mul)
+    neg = staticmethod(operator.neg)
 
     def inv(self, a):
-        return self.one / a
+        return _integral(Fraction(1, a))
+
+    def div(self, a, b):
+        return _integral(Fraction(a, b))
 
 
 @dataclass(frozen=True)
@@ -298,16 +304,7 @@ class Polynomial:
     def __mul__(self, other):
         self._check(other)
         f = self.ring.field
-        out = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                s = f.add(out.get(e, f.zero), f.mul(c1, c2))
-                if f.is_zero(s):
-                    out.pop(e, None)
-                else:
-                    out[e] = s
-        return Polynomial(self.ring, out)
+        return Polynomial(self.ring, add_product({}, f.one, self, other, f))
 
     def scale(self, c):
         f = self.ring.field
@@ -387,11 +384,14 @@ def add_product(terms, c, p, q, field):
     """terms += c * p * q on an exponent dict {exps: scalar}, in place.
 
     Exponents are added term by term and cancelled terms are dropped, so
-    no intermediate Polynomial is built.  Returns terms.
+    no intermediate Polynomial is built; c = 1 costs no multiplication.
+    Returns terms.
     """
     mul, plus, is_zero, zero = field.mul, field.add, field.is_zero, field.zero
+    scaled = c != field.one
     for e1, c1 in p.terms.items():
-        c1 = mul(c, c1)
+        if scaled:
+            c1 = mul(c, c1)
         for e2, c2 in q.terms.items():
             e = tuple(map(add, e1, e2))
             s = plus(terms.get(e, zero), mul(c1, c2))

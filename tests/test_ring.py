@@ -73,6 +73,64 @@ def polynomials(draw, ring):
     )
 
 
+@st.composite
+def any_coefficient_polynomials(draw, ring):
+    """Polynomials with any nonzero coefficients: over Q both integral and
+    non-integral ones."""
+    f = ring.field
+    if f.characteristic:
+        coeff = st.integers(1, f.characteristic - 1)
+    else:
+        nonzero = st.integers(-30, 30).filter(bool)
+        coeff = st.builds(Fraction, nonzero, st.integers(1, 12)).map(f.of)
+    exps = st.tuples(*[st.integers(0, 4)] * ring.num_vars)
+    return Polynomial(ring, draw(st.dictionaries(exps, coeff, max_size=5)))
+
+
+@st.composite
+def edited_texts(draw, ring):
+    """The text of a polynomial after one to three random character edits."""
+    text = str(draw(any_coefficient_polynomials(ring)))
+    for _ in range(draw(st.integers(1, 3))):
+        pos = draw(st.integers(0, len(text)))
+        ch = draw(st.sampled_from("t0123456789^*+-/ ") | st.characters())
+        kind = draw(st.sampled_from(["insert", "delete", "replace"]))
+        if kind == "insert":
+            text = text[:pos] + ch + text[pos:]
+        else:
+            text = text[:pos] + (ch if kind == "replace" else "") + text[pos + 1:]
+    return text
+
+
+_FUZZ_RINGS = [RingSpec(Q, 3, 1), RingSpec(F2, 3, 1), RingSpec(FieldSpec(5), 3, 1)]
+
+
+class TestParseFuzz:
+    @pytest.mark.parametrize("ring", _FUZZ_RINGS, ids=["Q", "F2", "F5"])
+    def test_str_parse_roundtrip(self, ring):
+        @settings(max_examples=150, deadline=None, derandomize=True)
+        @given(any_coefficient_polynomials(ring))
+        def inner(p):
+            assert ring.parse(str(p)) == p
+
+        inner()
+
+    @pytest.mark.parametrize("ring", _FUZZ_RINGS, ids=["Q", "F2", "F5"])
+    def test_edits_raise_only_value_error(self, ring):
+        @settings(max_examples=300, deadline=None, derandomize=True)
+        @given(edited_texts(ring))
+        def inner(text):
+            try:
+                p = ring.parse(text)
+            except ValueError:
+                return
+            assert all(len(e) == ring.num_vars for e in p.terms)
+            assert not any(ring.field.is_zero(c) for c in p.terms.values())
+            assert ring.parse(str(p)) == p
+
+        inner()
+
+
 class TestPolynomialArithmetic:
     @pytest.mark.parametrize("ring", _rings())
     def test_ring_axioms(self, ring):
