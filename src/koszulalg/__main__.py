@@ -1,0 +1,8 @@
+"""`python -m koszulalg ...` runs the command line, as `koszulalg ...` does."""
+
+import sys
+
+from .cli import main
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -443,7 +443,7 @@ def main(argv=None) -> int:
             )
         sys.stderr.write(f"assertion failed: {e}{details}\n")
         return 1
-    except (UsageError, FileFormatError, FileNotFoundError, ValueError) as e:
+    except (UsageError, FileFormatError, OSError, ValueError) as e:
         sys.stderr.write(f"error: {e}\n")
         return 2
     return 0

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from operator import add
 
 from .ring import Polynomial, RingSpec, _grlex_key, add_product
-from .linalg import PolyMatrix, Echelon, axpy, sparse_dot
+from .linalg import PolyMatrix, Echelon, axpy, span, sparse_dot
 
 
 class FreeComplex:
@@ -382,6 +382,16 @@ def _mono_name(mu):
     return "*".join(parts)
 
 
+def _cycles(columns, idx, ops):
+    """Sparse basis of the cycles among the combinations of the basis
+    vectors idx, for d stored by column: one per non-pivot index."""
+    rows = {}  # the rows of d restricted to idx
+    for j in idx:
+        for i, c in columns.get(j, {}).items():
+            rows.setdefault(i, {})[j] = c
+    return span(rows.values(), ops).nullspace(idx)
+
+
 class HomologyData:
     """Per-degree homology of a FiniteComplex with certificates.
 
@@ -407,27 +417,19 @@ class HomologyData:
         columns = F.columns()
         for q in sorted(by_degree):
             idx = by_degree[q]
-            # kernel of d restricted to degree q
-            out_rows = {}
-            for j in idx:
-                for i, c in columns.get(j, {}).items():
-                    out_rows.setdefault(i, {})[j] = c
-            cycles = Echelon(ops)
-            for row in out_rows.values():
-                cycles.add(row)
-            kernel = cycles.nullspace(idx)
+            kernel = _cycles(columns, idx, ops)
             # One echelon holds [image | representatives | completing
             # units] in the columns idx, each representative tagged by a
             # unit in its own column past F.n.  Once it has full rank its
             # rows are [I | B^-1 T], and the tag column of a representative
             # is its projection row.  A vector enters only when it leaves
             # the span in the columns idx.
-            span = Echelon(ops)
+            echelon = Echelon(ops)
 
             def grow(v):
-                residual = span.reduce(v)
+                residual = echelon.reduce(v)
                 if residual and min(residual) < F.n:
-                    return span.insert(residual)
+                    return echelon.insert(residual)
                 return False
 
             in_degree = set(idx)
@@ -441,11 +443,11 @@ class HomologyData:
             if not reps:
                 continue
             for b in idx:
-                if span.rank == len(idx):
+                if echelon.rank == len(idx):
                     break
                 grow({b: ops.one})
             proj = [{} for _ in reps]
-            for b, row in span.rows.items():
+            for b, row in echelon.rows.items():
                 for c, x in row.items():
                     if c >= F.n:
                         proj[c - F.n][b] = x
@@ -475,6 +477,11 @@ class HomologyData:
 def min_generators_of_homology(C: FreeComplex, a) -> int:
     """dim_k of H(C ⊗ R/(t^a)) / (t_1..t_r)·H, via the induced R-action.
 
+    In each degree q that is dim Z_q - dim(B_q + Σ_i t_i·Z_{q-w}), where
+    Z and B are the cycles and boundaries of the quotient and t_i raises
+    degree by the variable weight w: the image of (t_1..t_r)·H in H_q is
+    that sum modulo B_q.  The count is basis-free.
+
     A homotopy equivalence over R stays one after tensoring with R/(t^a),
     so H(C ⊗ R/(t^a)) is an R-module invariant of C up to homotopy: C
     and its minimal model give the same count, and the model is smaller.
@@ -483,36 +490,21 @@ def min_generators_of_homology(C: FreeComplex, a) -> int:
     if any(x < 2 for x in a):
         raise ValueError("exponents must be >= 2 for a nontrivial R-action")
     F = tensor_quotient(C, a)
-    H = HomologyData(F)
-    if H.total_dim == 0:
-        return 0
-    ops = H.field
+    ops = F.field
     info = F.tensor_info
     w = C.ring.var_weight
-    # multiplication by t_i raises degree by exactly w, so image coordinates
-    # live in one degree block at a time; span them per block
-    killed = 0
-    for q, rep_ids in H.degree_reps.items():
-        targets = H.degree_reps.get(q + w)
-        if not targets:
-            continue
-        # the projection onto the target classes by basis index:
-        # {basis index: {target position: coeff}}
-        proj = {}
-        for pos, t in enumerate(targets):
-            for b, c in H.projection_rows[t].items():
-                proj.setdefault(b, {})[pos] = c
-        span = Echelon(ops)
-        for var in range(C.ring.num_vars):
-            for k in rep_ids:
-                coords = {}
-                for b, c in _shift_by_variable(H.representatives[k], var, info, ops).items():
-                    column = proj.get(b)
-                    if column:
-                        axpy(coords, c, column, ops)
-                span.add(coords)
-        killed += span.rank
-    return H.total_dim - killed
+    by_degree = F.degree_indices()
+    columns = F.columns()
+    cycles = {}  # degree -> sparse basis of Z, kept until degree + w is done
+    count = 0
+    for q in sorted(by_degree):
+        Z = cycles[q] = _cycles(columns, by_degree[q], ops)
+        image = span((columns.get(j, {}) for j in by_degree.get(q - 1, ())), ops)
+        for z in cycles.pop(q - w, ()):
+            for var in range(C.ring.num_vars):
+                image.add(_shift_by_variable(z, var, info, ops))
+        count += len(Z) - image.rank
+    return count
 
 
 def _shift_by_variable(vector, var, info, ops):

@@ -9,6 +9,8 @@ and an optional product block (`unit gen`, `parity gen = int`,
 
 Map file: a header pointing at the source and target complex files
 (paths relative to the map file), then `f gen = <combination>` lines.
+A second `d`, `augment`, `unit`, `parity`, `product`, `source`, `target`
+or `f` line for the same entry is refused, as it would replace the first.
 
 Serialization is canonical (generator order, graded-lex term order), so
 read-then-write round-trips byte-identically.
@@ -60,6 +62,15 @@ def _generator(gen_index, name):
     if name not in gen_index:
         raise FileFormatError(f"unknown generator {name!r}")
     return gen_index[name]
+
+
+def _first_line(seen, key, head):
+    """Record a `key head = ...` line; a second line with the same key and
+    head would silently replace the first, so it is an error."""
+    line = " ".join([key, *head.split()])
+    if line in seen:
+        raise FileFormatError(f"second {line!r} line")
+    seen.add(line)
 
 
 def _tokenize(text):
@@ -224,26 +235,24 @@ def complex_from_text(text: str):
     unit = None
     parity = [0] * n
     table = {}
+    seen = set()
     for number, key, rest in body:
         with _line(number):
+            head, _, expr = rest.partition("=")
             if key == "d":
-                name, _, expr = rest.partition("=")
-                j = _generator(gen_index, name.strip())
+                j = _generator(gen_index, head.strip())
                 for i, p in parse_combination(ring, gen_index, expr).items():
                     D.entries[(i, j)] = p
             elif key == "augment":
-                name, _, expr = rest.partition("=")
-                j = _generator(gen_index, name.strip())
+                j = _generator(gen_index, head.strip())
                 if aug_values is None:
                     aug_values = [f.zero] * n
                 aug_values[j] = f.parse_scalar(expr.strip())
             elif key == "unit":
                 unit = _generator(gen_index, rest.strip())
             elif key == "parity":
-                name, _, expr = rest.partition("=")
-                parity[_generator(gen_index, name.strip())] = int(expr)
+                parity[_generator(gen_index, head.strip())] = int(expr)
             elif key == "product":
-                head, _, expr = rest.partition("=")
                 a, b = head.split()
                 table[(_generator(gen_index, a), _generator(gen_index, b))] = (
                     parse_combination(ring, gen_index, expr)
@@ -252,6 +261,7 @@ def complex_from_text(text: str):
                 continue  # minimal-model annex blocks; not needed to rebuild C
             else:
                 raise FileFormatError(f"unknown directive {key!r}")
+            _first_line(seen, key, "" if key == "unit" else head)
     augmentation = Augmentation(C, aug_values) if aug_values is not None else None
     dga = DgaStructure(C, parity, unit, table) if unit is not None else None
     return C, augmentation, dga
@@ -276,26 +286,27 @@ def read_map(path):
     if not lines or lines[0] != f"# map v{FORMAT_VERSION}":
         raise FileFormatError("missing map header")
     base = os.path.dirname(os.path.abspath(path))
-    source_path = target_path = None
+    header = {}  # "source"/"target" -> (line number, path)
     assignments = []
+    seen = set()
     for number, ln in enumerate(lines[1:], start=2):
         ln = ln.strip()
         if not ln or ln.startswith("#"):
             continue
         key, _, rest = ln.partition(" ")
-        if key == "source":
-            source_path = os.path.join(base, rest.strip())
-        elif key == "target":
-            target_path = os.path.join(base, rest.strip())
+        if key in ("source", "target"):
+            with _line(number):
+                _first_line(seen, key, "")
+            header[key] = (number, os.path.join(base, rest.strip()))
         elif key == "f":
             name, _, expr = rest.partition("=")
             assignments.append((number, name.strip(), expr))
         else:
             raise FileFormatError(f"unknown directive {key!r}")
-    if source_path is None or target_path is None:
+    if len(header) < 2:
         raise FileFormatError("map file must name source and target")
-    source, _, _ = read_complex(source_path)
-    target, _, _ = read_complex(target_path)
+    source, source_path = _referenced_complex(*header["source"]), header["source"][1]
+    target, target_path = _referenced_complex(*header["target"]), header["target"][1]
     if source.ring != target.ring:
         raise FileFormatError("source and target rings differ")
     source_index = {name: j for j, (name, _) in enumerate(source.generators)}
@@ -306,7 +317,17 @@ def read_map(path):
             j = _generator(source_index, name)
             for i, p in parse_combination(source.ring, gen_index, expr).items():
                 M.entries[(i, j)] = p
+            _first_line(seen, "f", name)
     return ChainMap(source, target, M), source_path, target_path
+
+
+def _referenced_complex(number, path):
+    """The complex a map header line names; a file that cannot be read
+    is an error in that line."""
+    try:
+        return read_complex(path)[0]
+    except OSError as e:
+        raise FileFormatError(f"line {number}: cannot read {path}: {e.strerror}") from None
 
 
 def minimal_model_lines(mm):

@@ -4,15 +4,18 @@ the weight-zero Koszul complex, and the rank/dimension bound reports.
 All lifts are produced by graded k-linear solves: a boundary equation
 d(y) = b with y homogeneous of a prescribed degree has finitely many
 monomial unknowns, whose images under d are sparse columns read off the
-differential by column, each built on first use.  A single-generator
-proportionality shortcut is tried first so the canonical fixtures get
-their minimal-support solutions (e.g. the diagonal t^m maps) exactly;
-otherwise the images are transposed into sparse rows for `linalg.solve`.
+differential by column.  A `BoundaryCache` holds what the solves read of
+one complex: each lift makes one and shares it across its solves, so
+each image is built at most once per lift, not once per solve.  A
+single-generator proportionality shortcut is tried first so the
+canonical fixtures get their minimal-support solutions (e.g. the
+diagonal t^m maps) exactly; otherwise the images are transposed into
+sparse rows for `linalg.solve`.
 """
 
 from __future__ import annotations
 
-from operator import add
+from operator import add, sub
 
 from .ring import RingSpec, add_product
 from .complexes import (
@@ -81,6 +84,37 @@ def _column_image(column, exps):
     }
 
 
+class BoundaryCache:
+    """What `solve_boundary_equation` reads of one complex, built once
+    for all the solves that share it: d by column, the number of terms
+    of each d(e_i), the exponent lists of each monomial degree, and the
+    image d(mu * e_i) of each unknown, built when a solve first needs it.
+    Its size grows with the distinct unknowns of those solves."""
+
+    def __init__(self, C: FreeComplex):
+        self.complex = C
+        self.columns = C.differential.columns()
+        self.terms = {
+            i: sum(len(p.terms) for p in col.values()) for i, col in self.columns.items()
+        }
+        self._monomials = {}  # weighted degree -> exponent tuples
+        self._images = {}  # (generator, exponents) -> image
+
+    def monomials(self, q):
+        got = self._monomials.get(q)
+        if got is None:
+            got = self._monomials[q] = monomials_of_weighted_degree(self.complex.ring, q)
+        return got
+
+    def image(self, i, exps):
+        """d(mu * e_i) for mu = t^exps, as in `_column_image`."""
+        key = (i, exps)
+        got = self._images.get(key)
+        if got is None:
+            got = self._images[key] = _column_image(self.columns.get(i, {}), exps)
+        return got
+
+
 def solve_boundary_equation(
     C: FreeComplex,
     rhs,
@@ -88,6 +122,7 @@ def solve_boundary_equation(
     allowed=None,
     augmentation: Augmentation = None,
     aug_value=None,
+    cache: BoundaryCache = None,
 ):
     """Homogeneous solution y of d(y) = rhs with deg(y) = degree, or None;
     rhs and y are module elements {generator: Polynomial}.
@@ -95,58 +130,68 @@ def solve_boundary_equation(
     allowed restricts the generators y may involve; when an augmentation
     and aug_value are given, epsilon(y) = aug_value is imposed as an
     extra linear condition.  The unknowns are the monomial multiples
-    mu * e_i of degree `degree`.  The image d(mu * e_i) of each is built
-    at most once: by the shortcut only when d(e_i) has as many terms as
-    rhs, and by the general solve for every unknown.
+    mu * e_i of degree `degree`, in the order of `allowed` and then of
+    `monomials_of_weighted_degree`.  Their images d(mu * e_i) come from
+    `cache`, a BoundaryCache of C shared with other solves, or from a
+    fresh one when it is None; a cache builds each image at most once.
+    The shortcut asks only for the images that can equal rhs up to a
+    scalar, and the general solve, when it runs, for every unknown.
     """
     ring = C.ring
     f = ring.field
-    if allowed is None:
-        allowed = range(C.n)
-    monomials = {}  # degree of mu -> the exponents of mu, built once
-    unknowns = []
-    for i in allowed:
-        q = degree - C.degree(i)
-        if q not in monomials:
-            monomials[q] = monomials_of_weighted_degree(ring, q)
-        unknowns.extend((i, exps) for exps in monomials[q])
-    columns = C.differential.columns()
-    images = {}  # unknown -> its image, once built
+    if cache is None:
+        cache = BoundaryCache(C)
+    elif cache.complex is not C:
+        raise ValueError("the cache belongs to another complex")
+    allowed = range(C.n) if allowed is None else list(allowed)
+    image = cache.image
     rhs_terms = {(u, e): c for u, p in rhs.items() for e, c in p.terms.items()}
     zero_exps = (0,) * ring.num_vars
 
     def epsilon(i, exps):
         return augmentation.values[i] if exps == zero_exps else f.zero
 
-    # shortcut: a single scaled generator already solves the equation; the
-    # image of mu * e_i has as many terms as d(e_i), so only those are built
+    # shortcut: a single scaled generator already solves the equation.  The
+    # image of mu * e_i has as many terms as d(e_i), and it holds the first
+    # key (u, e) of rhs only if d(e_i) has a term t^e' at u and mu = t^(e - e'),
+    # so only those unknowns are tried.  The keys of the images of two
+    # distinct mu * e_i differ (a finite set is no translate of itself), so
+    # at most one unknown of each e_i can match: the first match is the one
+    # a scan of all unknowns in order would find.
     if rhs_terms:
-        terms = {i: sum(len(p.terms) for p in col.values()) for i, col in columns.items()}
-        for j, (i, exps) in enumerate(unknowns):
-            if terms.get(i) != len(rhs_terms):
+        u, e = next(iter(rhs_terms))
+        for i in allowed:
+            p = cache.columns.get(i, {}).get(u)
+            if p is None or cache.terms[i] != len(rhs_terms):
                 continue
-            img = images[j] = _column_image(columns[i], exps)
-            if img.keys() != rhs_terms.keys():
-                continue
-            key = next(iter(img))
-            c = f.div(rhs_terms[key], img[key])
-            if not all(
-                f.is_zero(f.sub(rhs_terms[k], f.mul(c, v)))
-                for k, v in img.items()
-            ):
-                continue
-            if augmentation is not None and not f.is_zero(
-                f.sub(f.mul(c, epsilon(i, exps)), aug_value)
-            ):
-                continue
-            return {i: ring.monomial(exps, c)}
+            mu_degree = degree - C.degree(i)
+            for exps in (tuple(map(sub, e, term)) for term in p.terms):
+                if min(exps) < 0 or sum(exps) * ring.var_weight != mu_degree:
+                    continue
+                img = image(i, exps)
+                if img.keys() != rhs_terms.keys():
+                    continue
+                key = next(iter(img))
+                c = f.div(rhs_terms[key], img[key])
+                if not all(
+                    f.is_zero(f.sub(rhs_terms[k], f.mul(c, v)))
+                    for k, v in img.items()
+                ):
+                    continue
+                if augmentation is not None and not f.is_zero(
+                    f.sub(f.mul(c, epsilon(i, exps)), aug_value)
+                ):
+                    continue
+                return {i: ring.monomial(exps, c)}
     # general graded solve: one sparse row per (generator, exponent) key,
     # the right-hand side in column len(unknowns)
+    unknowns = []
+    for i in allowed:
+        unknowns.extend((i, exps) for exps in cache.monomials(degree - C.degree(i)))
     n = len(unknowns)
     by_key = {k: {n: b} for k, b in rhs_terms.items()}
     for j, (i, exps) in enumerate(unknowns):
-        img = images[j] if j in images else _column_image(columns.get(i, {}), exps)
-        for k, c in img.items():
+        for k, c in image(i, exps).items():
             by_key.setdefault(k, {})[j] = c
     rows = list(by_key.values())
     if augmentation is not None:
@@ -163,13 +208,15 @@ def solve_boundary_equation(
     return ring.element(y)
 
 
-def _solve_in_koszul(K: KoszulComplex, rhs, degree: int, max_length: int):
+def _solve_in_koszul(
+    K: KoszulComplex, rhs, degree: int, max_length: int, cache: BoundaryCache
+):
     """Graded solve inside a Koszul complex, split by exterior length.
 
     The differential lowers exterior length by exactly one, so the
     equation decouples into one system per length; each component of the
     right-hand side at length l-1 is matched from length-l generators
-    (l <= max_length).
+    (l <= max_length).  cache is a BoundaryCache of K.base.
     """
     C = K.base
     by_length = {}
@@ -181,7 +228,7 @@ def _solve_in_koszul(K: KoszulComplex, rhs, degree: int, max_length: int):
         if ell > max_length:
             return None
         allowed = [j for j in range(C.n) if K.exterior_length(j) == ell]
-        sol = solve_boundary_equation(C, part, degree, allowed=allowed)
+        sol = solve_boundary_equation(C, part, degree, allowed=allowed, cache=cache)
         if sol is None:
             return None
         y.update(sol)  # each length has generators of its own
@@ -203,8 +250,11 @@ def lift_alpha(
     Km = source if source is not None else koszul(ring, m)
     if Km.m != m:
         raise ValueError("source complex has the wrong annihilator exponent")
+    cache = BoundaryCache(C)
     images = []
-    one = solve_boundary_equation(C, {}, 0, augmentation=augmentation, aug_value=f.one)
+    one = solve_boundary_equation(
+        C, {}, 0, augmentation=augmentation, aug_value=f.one, cache=cache
+    )
     if one is None:
         raise LiftError(
             "no augmentation-1 cycle of degree 0 exists", degree=0
@@ -218,7 +268,7 @@ def lift_alpha(
                 add_product(acc.setdefault(i, {}), f.one, q, p, f)
         rhs = ring.element(acc)
         deg = Km.base.degree(j)
-        sol = solve_boundary_equation(C, rhs, deg)
+        sol = solve_boundary_equation(C, rhs, deg, cache=cache)
         if sol is None:
             raise LiftError(
                 f"obstruction lifting generator {Km.base.generators[j][0]} "
@@ -248,6 +298,7 @@ def lift_beta(
         K0 = koszul(ring, 0)
     n = model.n
     k0 = K0.subset_index[()]
+    cache = BoundaryCache(K0.base)
     slices = monomial_slices(model)
     # The processed part of the model: its k-basis d_j, each tagged by a
     # unit in column n + j.  The d_j are independent, so the residual of
@@ -289,7 +340,7 @@ def lift_beta(
                         for u, p in img.items():
                             add_product(acc.setdefault(u, {}), c, p, mu, f)
                 rhs = ring.element(acc)
-                sol = _solve_in_koszul(K0, rhs, q, max_length=level - 1)
+                sol = _solve_in_koszul(K0, rhs, q, level - 1, cache)
                 if sol is None:
                     raise LiftError(
                         f"no exterior-length <= {level - 1} preimage in degree {q}",
@@ -527,10 +578,11 @@ def multiplicative_alpha(
     Km = koszul(ring, m)
     images = [None] * Km.n
     images[Km.subset_index[()]] = C.basis_element(dga.unit)
+    cache = BoundaryCache(C)
     for i in range(1, ring.num_vars + 1):
         rhs = {dga.unit: ring.var(i, m + 1)}
         deg = Km.base.degree(Km.subset_index[(i,)])
-        sol = solve_boundary_equation(C, rhs, deg)
+        sol = solve_boundary_equation(C, rhs, deg, cache=cache)
         if sol is None:
             raise LiftError(
                 f"obstruction lifting the generator for t{i}", degree=deg,

@@ -709,12 +709,19 @@ class Echelon:
     column.  Each pivot entry is 1 and every other row is 0 in that
     column, so one pass of `reduce` gives the residual of a vector.  A new
     row is normalised at its leftmost nonzero column, so the rows are the
-    canonical RREF of everything added so far.
+    canonical RREF of everything added so far.  `rows` keeps the order in
+    which the pivots were found.
+
+    A new pivot column is cleared only in the rows the index names for
+    it: for each non-pivot column, the pivots of the rows that may hold
+    it.  The index is a superset, because a cancellation leaves its entry
+    behind, so every row that holds the column is among them.
     """
 
     def __init__(self, ops):
         self.ops = ops
         self.rows = {}  # pivot column -> row
+        self._holders = {}  # non-pivot column -> set of pivots
 
     @property
     def rank(self):
@@ -738,14 +745,26 @@ class Echelon:
         if not residual:
             return False
         ops = self.ops
+        rows = self.rows
+        holders = self._holders
         lead = min(residual)
         inv = ops.inv(residual[lead])
         row = {c: ops.mul(inv, x) for c, x in residual.items()}
-        for other in self.rows.values():
+        touched = [lead]  # the new row and every row it filled
+        for p in holders.pop(lead, ()):
+            other = rows[p]
             f = other.get(lead)
             if f is not None:
                 axpy(other, ops.neg(f), row, ops)
-        self.rows[lead] = row
+                touched.append(p)
+        for c in row:
+            if c != lead:
+                held = holders.get(c)
+                if held is None:
+                    holders[c] = set(touched)
+                else:
+                    held.update(touched)
+        rows[lead] = row
         return True
 
     def nullspace(self, columns):

@@ -1,8 +1,11 @@
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from koszulalg import lift
+from koszulalg import fileio, lift
 from koszulalg.cli import build_parser, main
 from koszulalg.complexes import Augmentation, FreeComplex
 from koszulalg.fileio import write_complex
@@ -207,6 +210,8 @@ K1 = "# complex v1\nchar 0\nr 1\nweight 1\ngen s0 0\ngen s1 1\nd s1 = t1^2*s0\na
         ("unit zz", "unknown generator 'zz'"),
         ("parity zz = 1", "unknown generator 'zz'"),
         ("product s0 zz = s0", "unknown generator 'zz'"),
+        ("d s1 = t1^2*s0", "second 'd s1' line"),
+        ("augment  s0 = 2", "second 'augment s0' line"),
     ],
 )
 def test_malformed_complex_exits_2(tmp_path, capsys, line, message):
@@ -226,6 +231,45 @@ def test_malformed_map_exits_2(tmp_path, capsys):
     code, _, err = run(["verify-map", str(bad)], capsys)
     assert code == 2
     assert err == "error: line 4: unknown generator 'zz'\n"
+
+
+@pytest.mark.parametrize(
+    "body, message",
+    [
+        ("source k.cx\ntarget k.cx\nf s0 = s0\nf s0 = s0\n", "line 5: second 'f s0' line"),
+        ("source none.cx\nsource k.cx\ntarget k.cx\n", "line 3: second 'source' line"),
+    ],
+)
+def test_second_map_line_exits_2(tmp_path, capsys, body, message):
+    (tmp_path / "k.cx").write_text(K1)
+    bad = tmp_path / "bad.map"
+    bad.write_text("# map v1\n" + body)
+    code, _, err = run(["verify-map", str(bad)], capsys)
+    assert code == 2
+    assert err == f"error: {message}\n"
+
+
+def test_unreadable_path_exits_2(tmp_path, capsys, monkeypatch):
+    """A path that exists but cannot be read is an input error: a
+    directory, a map whose source is a directory, a permission error."""
+    (tmp_path / "k.cx").write_text(K1)
+    (tmp_path / "dir.map").write_text("# map v1\nsource .\ntarget k.cx\n")
+    for argv in (
+        ["verify-bounds", str(tmp_path), "--m", "1"],
+        ["verify-map", str(tmp_path / "dir.map")],
+    ):
+        code, out, err = run(argv, capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Is a directory" in err
+
+    def refuse(path, *args, **kwargs):
+        raise PermissionError(13, "Permission denied", str(path))
+
+    monkeypatch.setattr(fileio, "open", refuse, raising=False)
+    code, _, err = run(["verify-bounds", str(tmp_path / "k.cx"), "--m", "1"], capsys)
+    assert code == 2
+    assert err == f"error: [Errno 13] Permission denied: '{tmp_path / 'k.cx'}'\n"
 
 
 def test_failed_lift_prints_degree_and_obstruction(tmp_path, capsys):
@@ -289,3 +333,23 @@ def test_repeated_main_calls_match_one_call(tmp_path, capsys):
         main(["verify-bounds"])
     assert exc.value.code == 2
     assert run(["minimal", cx], capsys)[0] == 0
+
+
+def test_python_dash_m_runs_the_cli(tmp_path):
+    """`python -m koszulalg` is the command line, exit codes included."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+
+    def koszulalg(*argv):
+        return subprocess.run(
+            [sys.executable, "-m", "koszulalg", *argv],
+            env=env, cwd=tmp_path, capture_output=True, text=True, timeout=60,
+        )
+
+    done = koszulalg("koszul", "--char", "0", "--rank", "1", "--out", "k.cx")
+    assert done.returncode == 0, done.stderr
+    done = koszulalg("verify-bounds", "k.cx", "--m", "1")
+    assert done.returncode == 0 and "result PASS" in done.stdout, done.stderr
+    done = koszulalg("verify-bounds", ".")
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1

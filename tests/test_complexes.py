@@ -18,9 +18,11 @@ from koszulalg.complexes import (
 from koszulalg.linalg import PolyMatrix, scalar_rank, sparse_dot
 
 from conftest import noisy_complex, random_free_complex
+from homology_oracle import min_generators_by_projection
 
 Q = FieldSpec(0)
 F2 = FieldSpec(2)
+F3 = FieldSpec(3)
 
 
 class TestFreeComplex:
@@ -256,3 +258,30 @@ class TestMinGenerators:
         K = koszul(RingSpec(Q, 2, 1), 0)
         with pytest.raises(ValueError):
             min_generators_of_homology(K.base, (1, 1))
+
+
+def _nonzero_quotient_cases(field):
+    """Complexes and exponents whose quotient differential is nonzero."""
+    for weight in (1, 2):
+        for r in (1, 2, 3):
+            ring = RingSpec(field, r, weight)
+            yield koszul(ring, 0).base, (2,) * r
+            yield koszul(ring, 1).base, (3,) * r
+    rng = random.Random(11)
+    for r in (1, 2):
+        ring = RingSpec(field, r, 1)
+        for _ in range(4):
+            yield random_free_complex(ring, rng, max_gens=8)[0], (2, 3)[:r]
+        yield noisy_complex(koszul(ring, 0).base, rng, pairs=2), (3,) * r
+        yield noisy_complex(koszul(ring, 1).base, rng, pairs=2), (2, 3)[:r]
+
+
+@pytest.mark.parametrize("field", [Q, F2, F3], ids=["Q", "F2", "F3"])
+def test_min_generators_matches_projection_oracle(field):
+    """dim Z - dim(B + t·Z) per degree is the count the homology
+    projections give, on quotients whose differential is nonzero."""
+    nonzero = 0
+    for C, a in _nonzero_quotient_cases(field):
+        assert min_generators_of_homology(C, a) == min_generators_by_projection(C, a)
+        nonzero += bool(tensor_quotient(C, a).boundary)
+    assert nonzero >= 12

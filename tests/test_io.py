@@ -13,7 +13,7 @@ from koszulalg.cli import main
 from koszulalg.ring import FieldSpec, Polynomial, RingSpec
 from koszulalg.complexes import koszul, canonical_augmentation, Augmentation, FreeComplex
 from koszulalg.linalg import PolyMatrix
-from koszulalg.chainmaps import standard_iota, is_chain_map, rank_six_fixture
+from koszulalg.chainmaps import ChainMap, standard_iota, is_chain_map, rank_six_fixture
 from koszulalg.minimal import minimal_model
 from koszulalg.fileio import (
     write_complex,
@@ -114,6 +114,17 @@ class TestCombinations:
             parse_combination(ring, {"a": 0}, "t1 + a")
 
 
+@pytest.mark.parametrize(
+    "line", ["d s1 = t1^2*s0", "augment s0 = 1", "unit s0", "parity s1 = 1", "product s0 s1 = s1"]
+)
+def test_second_line_for_one_entry_rejected(line):
+    """A second line for the same entry would replace the first."""
+    text = "# complex v1\nchar 0\nr 1\nweight 1\ngen s0 0\ngen s1 1\n"
+    complex_from_text(text + line + "\n")
+    with pytest.raises(FileFormatError, match=r"^line 8: second '.+' line$"):
+        complex_from_text(text + line + "\n" + line + "\n")
+
+
 class TestMapFiles:
     def test_map_roundtrip(self, tmp_path):
         ring = RingSpec(Q, 3, 1)
@@ -157,27 +168,47 @@ def _scalars(field):
     return st.integers(1, field.characteristic - 1)
 
 
-@st.composite
-def random_complexes(draw):
-    """(C, augmentation or None) with random names, degrees and entries;
-    the entries need not form a complex, since the reader does not check."""
-    field = draw(st.sampled_from([Q, F2, FieldSpec(3)]))
-    ring = RingSpec(field, draw(st.integers(1, 3)), draw(st.sampled_from([1, 2])))
-    # any identifier, with names like a variable (t2, t1x) drawn often
-    name = st.one_of(
-        st.from_regex(r"[A-Za-z_][A-Za-z0-9_]{0,3}", fullmatch=True),
-        st.from_regex(r"t[0-9][A-Za-z0-9_]{0,2}", fullmatch=True),
+def _rings():
+    return st.builds(
+        RingSpec,
+        st.sampled_from([Q, F2, FieldSpec(3)]),
+        st.integers(1, 3),
+        st.sampled_from([1, 2]),
     )
+
+
+def _random_matrix(draw, ring, rows, cols):
+    exps = st.tuples(*[st.integers(0, 3)] * ring.num_vars)
+    polys = st.dictionaries(exps, _scalars(ring.field), min_size=1, max_size=3)
+    M = PolyMatrix(ring, rows, cols)
+    cells = st.tuples(st.integers(0, rows - 1), st.integers(0, cols - 1))
+    for (i, j), terms in draw(st.dictionaries(cells, polys, max_size=rows + cols)).items():
+        M.set(i, j, Polynomial(ring, terms))
+    return M
+
+
+_IDENTIFIERS = st.from_regex(r"[A-Za-z_][A-Za-z0-9_]{0,3}", fullmatch=True)
+
+
+@st.composite
+def random_complexes(draw, ring=None, readable_names=False):
+    """(C, augmentation or None) with random names, degrees and entries;
+    the entries need not form a complex, since the reader does not check.
+    Unless readable_names is set, names like a variable (t2, t1x), which
+    the writer refuses, are drawn often."""
+    if ring is None:
+        ring = draw(_rings())
+    field = ring.field
+    if readable_names:
+        name = _IDENTIFIERS.filter(lambda name: not re.match(r"t\d", name))
+    else:
+        name = st.one_of(
+            _IDENTIFIERS, st.from_regex(r"t[0-9][A-Za-z0-9_]{0,2}", fullmatch=True)
+        )
     names = draw(st.lists(name, min_size=1, max_size=5, unique=True))
     gens = [(name, draw(st.integers(-3, 6))) for name in names]
     n = len(gens)
-    exps = st.tuples(*[st.integers(0, 3)] * ring.num_vars)
-    polys = st.dictionaries(exps, _scalars(field), min_size=1, max_size=3)
-    D = PolyMatrix(ring, n, n)
-    cells = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
-    for (i, j), terms in draw(st.dictionaries(cells, polys, max_size=2 * n)).items():
-        D.set(i, j, Polynomial(ring, terms))
-    C = FreeComplex(ring, gens, D)
+    C = FreeComplex(ring, gens, _random_matrix(draw, ring, n, n))
     scalars = st.one_of(st.just(field.zero), _scalars(field))
     values = draw(st.lists(scalars, min_size=n, max_size=n))
     return C, draw(st.sampled_from([None, Augmentation(C, values)]))
@@ -282,6 +313,61 @@ def test_mutated_file_raises_only_value_errors(data):
         path.write_text(mutated, encoding="utf-8")
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main(["verify-bounds", str(path), "--m", "1"])
+    assert code == 2
+    assert out.getvalue() == ""
+    assert err.getvalue().startswith("error: ")
+    assert err.getvalue().count("\n") == 1 and err.getvalue().endswith("\n")
+
+
+@st.composite
+def random_maps(draw):
+    """A ChainMap-shaped matrix between two random complexes over one ring,
+    with names the writer accepts; it need not be a chain map."""
+    ring = draw(_rings())
+    source, target = (draw(random_complexes(ring, readable_names=True))[0] for _ in range(2))
+    return ChainMap(source, target, _random_matrix(draw, ring, target.n, source.n))
+
+
+def _write_map_files(directory, f):
+    sp, tp, mp = (Path(directory) / name for name in ("s.cx", "t.cx", "f.map"))
+    write_complex(sp, f.source)
+    write_complex(tp, f.target)
+    write_map(mp, f, sp, tp)
+    return mp
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(random_maps())
+def test_random_map_text_roundtrip(f):
+    """read_map gives back the matrix, and writing it again gives the same bytes."""
+    with tempfile.TemporaryDirectory() as d:
+        mp = _write_map_files(d, f)
+        g, sp, tp = read_map(mp)
+        assert g.matrix == f.matrix
+        again = Path(d) / "again.map"
+        write_map(again, g, sp, tp)
+        assert again.read_text() == mp.read_text()
+
+
+_VALID_MAP = standard_iota(RingSpec(Q, 2, 1), 1)[0]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.data())
+def test_mutated_map_raises_only_value_errors(data):
+    """A mutated .map file is read or refused with FileFormatError or
+    ValueError; when refused, verify-map exits 2 with one error line."""
+    with tempfile.TemporaryDirectory() as d:
+        mp = _write_map_files(d, _VALID_MAP)
+        mp.write_text(_mutated(data.draw, mp.read_text().splitlines()), encoding="utf-8")
+        try:
+            read_map(mp)
+            return
+        except ValueError:
+            pass
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["verify-map", str(mp)])
     assert code == 2
     assert out.getvalue() == ""
     assert err.getvalue().startswith("error: ")

@@ -18,6 +18,7 @@ from koszulalg.minimal import minimal_model
 from koszulalg import lift
 from koszulalg.filtration import compute_filtration, bound_checks
 from koszulalg.lift import (
+    BoundaryCache,
     LiftError,
     monomials_of_weighted_degree,
     solve_boundary_equation,
@@ -50,6 +51,14 @@ class TestSolver:
         rhs = {K0.subset_index[()]: ring.var(1, 2)}
         y = solve_boundary_equation(K0.base, rhs, 1)
         assert y == {K0.subset_index[(1,)]: ring.var(1)}
+
+    def test_no_shortcut_solution_of_another_degree(self):
+        """t1 * s1 solves d y = t1^2 s0 in degree 1 only."""
+        ring = RingSpec(Q, 2, 1)
+        K0 = koszul(ring, 0)
+        rhs = {K0.subset_index[()]: ring.var(1, 2)}
+        for q in (0, 2, 3):
+            assert solve_boundary_equation(K0.base, rhs, q) is None
 
     def test_unsolvable_returns_none(self):
         ring = RingSpec(Q, 1, 1)
@@ -469,3 +478,37 @@ def test_solve_boundary_equation_matches_dense_system(field, monkeypatch):
             seen[how] += 1
             seen["augmented"] += aug is not None and how != "none"
     assert all(seen.values()), seen
+
+
+@pytest.mark.parametrize("field", [Q, F2, F3], ids=["Q", "F2", "F3"])
+def test_shared_cache_builds_each_image_once(field, monkeypatch):
+    """Solves sharing one BoundaryCache give the answers of uncached
+    solves and build each (generator, exponents) image at most once."""
+    calls = []
+    column_image = lift._column_image
+    monkeypatch.setattr(
+        lift, "_column_image", lambda *args: calls.append(1) or column_image(*args)
+    )
+    rng = random.Random(2008)
+    uncached = shared = 0
+    for C in _solver_complexes(field, rng):
+        cache = BoundaryCache(C)
+        built = 0
+        for rhs, q, allowed, aug, aug_value in _solver_inputs(C, rng):
+            calls.clear()
+            want = solve_boundary_equation(C, rhs, q, allowed, aug, aug_value)
+            uncached += len(calls)
+            calls.clear()
+            assert solve_boundary_equation(C, rhs, q, allowed, aug, aug_value, cache) == want
+            built += len(calls)
+        assert built == len(cache._images)
+        shared += built
+    assert shared < uncached
+
+
+def test_cache_of_another_complex_refused():
+    ring = RingSpec(Q, 2, 1)
+    with pytest.raises(ValueError, match="another complex"):
+        solve_boundary_equation(
+            koszul(ring, 1).base, {}, 0, cache=BoundaryCache(koszul(ring, 0).base)
+        )

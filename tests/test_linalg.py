@@ -495,6 +495,83 @@ def test_kernel_add_reports_rank_growth(ops, element):
             assert all(not ops.is_zero(x) for r in E.rows.values() for x in r.values())
 
 
+_ECHELON_FIELDS = {
+    "Q": (Q, [0, 0, 0, 1, -1, 2, Fraction(1, 2)]),
+    "F2": (F2, [0, 0, 1]),
+    "F3": (F3, [0, 0, 1, 2]),
+}
+
+
+@st.composite
+def echelon_steps(draw):
+    """A field, a width and a sequence of (dense vector, use insert):
+    small scalars over few columns, so that new pivots fill earlier rows
+    and fills cancel entries.  Some vectors are sums of earlier ones."""
+    ops, scalars = _ECHELON_FIELDS[draw(st.sampled_from(sorted(_ECHELON_FIELDS)))]
+    ncols = draw(st.integers(1, 7))
+    vectors = []
+    for _ in range(draw(st.integers(1, 9))):
+        if vectors and draw(st.booleans()) and draw(st.booleans()):
+            a, b = draw(st.sampled_from(vectors)), draw(st.sampled_from(vectors))
+            v = [ops.add(x, y) for x, y in zip(a, b)]
+        else:
+            v = [ops.of(draw(st.sampled_from(scalars))) for _ in range(ncols)]
+        vectors.append(v)
+    return ops, ncols, [(v, draw(st.booleans())) for v in vectors]
+
+
+def _check_echelon_step(E, vectors, order, ops):
+    """The rows are the RREF of `vectors`, in the order their pivots were
+    found, and the column index names every row that holds a column."""
+    red, pivots = gauss_jordan(vectors, ops)
+    assert list(E.rows) == order and sorted(order) == pivots
+    assert [dense(E.rows[c], len(vectors[0]), ops) for c in pivots] == red
+    for p, row in E.rows.items():
+        assert all(not ops.is_zero(x) for x in row.values())
+        assert all(p in E._holders[c] for c in row if c != p)
+    assert not set(E._holders) & set(E.rows)
+
+
+def _stale_entries(E):
+    return sum(p not in E.rows or c not in E.rows[p] for c, held in E._holders.items() for p in held)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(echelon_steps())
+def test_echelon_matches_gauss_jordan_at_every_step(steps):
+    """add and reduce + insert keep the canonical RREF of the prefix, with
+    the rows in pivot-insertion order."""
+    ops, _, sequence = steps
+    E = Echelon(ops)
+    added, order = [], []
+    for v, use_insert in sequence:
+        before = set(E.rows)
+        grew = E.insert(E.reduce(sparse(v, ops))) if use_insert else E.add(sparse(v, ops))
+        added.append(v)
+        order += sorted(set(E.rows) - before)
+        assert grew == (len(order) > len(before))
+        _check_echelon_step(E, added, order, ops)
+
+
+@pytest.mark.parametrize("name", sorted(_ECHELON_FIELDS))
+def test_echelon_index_left_stale_by_a_cancelling_fill(name):
+    """Row 0 holds column 2 until the new pivot 1 fills it and cancels
+    it there; the stale index entry does not disturb later steps."""
+    ops = _ECHELON_FIELDS[name][0]
+    one, minus = ops.one, ops.neg(ops.one)
+    vectors = [[one, one, minus, 0], [0, one, minus, 0], [0, 0, one, one], [one, 0, 0, one]]
+    vectors = [[ops.of(x) for x in v] for v in vectors]
+    E = Echelon(ops)
+    E.add(sparse(vectors[0], ops))
+    E.add(sparse(vectors[1], ops))
+    assert E.rows[0] == {0: one} and 0 in E._holders[2]
+    assert _stale_entries(E) == 1
+    for k in (2, 3):
+        E.add(sparse(vectors[k], ops))
+        _check_echelon_step(E, vectors[: k + 1], list(E.rows), ops)
+    assert sorted(E.rows) == gauss_jordan(vectors, ops)[1]
+
+
 def test_gfp_modulus_is_pinned():
     """The irreducible moduli of the F_3 and F_5 evaluation fields."""
     assert _find_gfp_modulus(3, 39) == (1, 0, 2, 1, 0, 2) + (0,) * 33
