@@ -158,6 +158,8 @@ def cmd_search_low_rank(args):
             "search needs r >= 4: for r <= 3 the minimum 2r is known to be "
             "attained (see the fixture command for r = 3)"
         )
+    if args.budget < 1:
+        raise UsageError("--budget must be >= 1")
     ring = _ring(args)
     iota, Km, K0 = standard_iota(ring, args.m)
     best_rank = rank_exact(iota.matrix)

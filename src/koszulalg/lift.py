@@ -307,10 +307,12 @@ def lift_beta(
     defined_images = []  # images in K0 of the d_j
 
     def coordinates(v):
+        """{j: nonzero coordinate of v on d_j}, j increasing; None when v
+        is outside their span."""
         residual = defined.reduce(v)
         if any(c < n for c in residual):
             return None
-        return [f.neg(residual.get(n + j, f.zero)) for j in range(defined.rank)]
+        return {c - n: f.neg(x) for c, x in sorted(residual.items())}
 
     def define(v, img):
         defined.add({**v, n + defined.rank: f.one})
@@ -334,10 +336,8 @@ def lift_beta(
                             "differential image escapes the processed filtration span"
                         )
                     mu = ring.monomial(exps)
-                    for c, img in zip(coords, defined_images):
-                        if f.is_zero(c):
-                            continue
-                        for u, p in img.items():
+                    for j, c in coords.items():
+                        for u, p in defined_images[j].items():
                             add_product(acc.setdefault(u, {}), c, p, mu, f)
                 rhs = ring.element(acc)
                 sol = _solve_in_koszul(K0, rhs, q, level - 1, cache)
@@ -366,7 +366,7 @@ def lift_beta(
         if coords is None:
             raise LiftError("filtration basis does not span the model")
         images.append(linear_combination(
-            ring, [(c, img) for c, img in zip(coords, defined_images) if not f.is_zero(c)]
+            ring, [(c, defined_images[j]) for j, c in coords.items()]
         ))
     return _chain_map(model, K0.base, images, "lift is not a chain map at column {}")
 

@@ -11,6 +11,15 @@ proves the upper bound too, with kernel vectors from fraction-free
 Gauss-Jordan over k[t] checked by exact products, and moves to another
 point (and, over Q, another prime) until the check holds.
 
+An element of an extension field is one int: F_{2^n} (`GF2ExtOps`)
+keeps coefficient i in bit i, F_{p^k} for odd p (`GFPExtOps`) in a slot
+of W bits, W wide enough that a product and its folds through the
+modulus never carry from one slot into the next.  So a sum is a few int
+operations with one guard-bit correction, a product is one int multiply
+with packed folds and then one reduction of every slot mod p, and an
+inverse is Itoh-Tsujii, a^-1 = N(a)^-1 * a^(p + ... + p^(k-1)), with the
+Frobenius maps read from tables built with the field.
+
 Every product and sum of PolyMatrix objects goes through one sparse
 kernel, `sum_of_products`.
 
@@ -23,9 +32,9 @@ on it.
 
 from __future__ import annotations
 
+import operator
 import random
 from itertools import count, zip_longest
-from operator import lshift
 
 from .ring import (
     FieldSpec, Polynomial, RingSpec, RingMismatchError, _is_prime, add_product, evaluator,
@@ -504,75 +513,163 @@ def _prime_divisors(n: int):
 
 
 class GFPExtOps:
-    """F_{p^k} = F_p[x]/(f) for odd p; elements are tuples of k coefficients
-    over F_p, lowest degree first.  `modulus` holds the k coefficients of
-    x^k mod f, so f = x^k - sum(modulus[j] * x^j).
+    """F_{p^k} = F_p[x]/(f) for odd p, each element one int: coefficient i
+    of x^i sits in the W-bit slot i, bits [W*i, W*(i+1)), every slot in
+    [0, p).  So zero is 0, one is 1 and a constant c is c.  `modulus`
+    holds the k coefficients of x^k mod f, so f = x^k - sum(modulus[j] * x^j).
 
-    `mul` is Kronecker substitution: both operands are packed into ints
-    with slots of S = (k*(p-1)**2).bit_length() bits.  A coefficient of the
-    product is a sum of at most k terms below p**2, so k*(p-1)**2 < 2**S
-    keeps the slots apart, and one int multiply gives all 2k-1 of them;
-    x^(k+i) is then folded back through the nonzero terms of the modulus.
-    `inv` is extended Euclid over F_p[x] on f and the element.
+    `mul` is one int product: slot i + j collects a_i * b_j, and never
+    more than k(p-1)^2 (Kronecker substitution).  The slots of x^k and up
+    are folded back while still packed, n = low + high * modulus (all
+    packed), until nothing is left above x^(k-1); then each slot is
+    reduced mod p once.  Every slot at every step is a sum of products of
+    coefficients in [0, p), so the product of two elements with every
+    coefficient p - 1 bounds it.  W holds that bound, `_slot_bound`, so
+    no step carries between slots.
+
+    `add`, `sub` and `neg` take p off every slot that reached p with one
+    guard bit.  The bound is at least 2(p-1)^2 >= 2p, so 2^(W-1) >= p, and
+    the top bit of a slot of n + (2^(W-1) - p) is set exactly where the
+    slot of n is at least p.
+
+    `inv` is Itoh-Tsujii: with r = 1 + p + ... + p^(k-1), N(a) = a^r is
+    in F_p, so a^-1 = a^(r-1) * N(a)^-1 and a^(r-1) = a^(p + ... + p^(k-1)).
+    That power takes O(log k) products and Frobenius maps
+    sigma^j(a) = a^(p^j), through e_j = a^(1 + p + ... + p^(j-1)) and
+    e_(i+j) = sigma^j(e_i) * e_j.  sigma^j is F_p-linear, so it is
+    sum_i a_i * x^(i*p^j) over a table of k packed powers; the tables of
+    the j that the chain uses are built with the field.  (k >= 2.)
     """
 
     def __init__(self, p: int, k: int):
         self.p = p
         self.k = k
         self.modulus = _find_gfp_modulus(p, k)
-        self.zero = (0,) * k
-        self.one = (1,) + (0,) * (k - 1)
-        self._full = [(-m) % p for m in self.modulus] + [1]
-        self._fold = [(j, m) for j, m in enumerate(self.modulus) if m]
-        slot = (k * (p - 1) ** 2).bit_length()
-        self._shifts = [slot * i for i in range(2 * k - 1)]
-        self._mask = (1 << slot) - 1
+        self.zero = 0
+        self.one = 1
+        w = _slot_bound(p, k, self.modulus).bit_length()
+        self.slot_width = w
+        self._shifts = range(0, w * k, w)
+        self._mask = (1 << w) - 1
+        self._kw = w * k
+        self._low = (1 << w * k) - 1
+        self._fold = self.pack(self.modulus)
+        ones = self._low // self._mask  # 1 in every slot
+        self._top = w - 1
+        self._guards = ones << self._top
+        self._excess = ((1 << self._top) - p) * ones
+        self._ps = p * ones  # p in every slot
+        # Itoh-Tsujii on k - 1 from its top bit: (j, False) takes e_j to
+        # e_2j = sigma^j(e_j) * e_j, (1, True) takes e_j to sigma(e_j) * a
+        steps, j = [], 1
+        for bit in bin(k - 1)[3:]:
+            steps.append((j, False))
+            j *= 2
+            if bit == "1":
+                steps.append((1, True))
+                j += 1
+        needed = {j for j, _ in steps}
+        image = self._power(1 << w, p)  # x^p, then x^(p^j) for j = 2, 3, ...
+        tables = {1: self._powers(image)}
+        for j in range(2, max(needed, default=1) + 1):
+            image = self._frobenius(image, tables[1])
+            if j in needed:
+                tables[j] = self._powers(image)
+        self._sigma = tables[1]
+        self._chain = [(tables[j], times_a) for j, times_a in steps]
+
+    def pack(self, coefficients):
+        """The element with the given coefficients in [0, p), lowest degree first."""
+        return sum(map(operator.lshift, coefficients, self._shifts))
+
+    def unpack(self, a):
+        """The k coefficients of the element a, lowest degree first."""
+        mask = self._mask
+        return [a >> s & mask for s in self._shifts]
 
     def of(self, n):
-        return ((n % self.p,) + (0,) * (self.k - 1)) if n % self.p else self.zero
+        return n % self.p
 
     def add(self, a, b):
-        return tuple((x + y) % self.p for x, y in zip(a, b))
+        return self._wrap(a + b)
 
     def sub(self, a, b):
-        return tuple((x - y) % self.p for x, y in zip(a, b))
+        return self._wrap(a + self._ps - b)  # every slot in [1, 2p)
 
     def neg(self, a):
-        return tuple((-x) % self.p for x in a)
+        return self._wrap(self._ps - a)
+
+    def _wrap(self, n):
+        """n with p taken off every slot in [p, 2p)."""
+        return n - (((n + self._excess) & self._guards) >> self._top) * self.p
 
     def mul(self, a, b):
-        p, k, shifts, mask = self.p, self.k, self._shifts, self._mask
-        n = sum(map(lshift, a, shifts)) * sum(map(lshift, b, shifts))
-        prod = [n >> s & mask for s in shifts]
-        for i in range(2 * k - 2, k - 1, -1):
-            c = prod[i] % p
-            if c:
-                for j, m in self._fold:
-                    prod[i - k + j] += c * m
-        return tuple(map(p.__rmod__, prod[:k]))
+        n = a * b
+        high = n >> self._kw
+        while high:
+            n = (n & self._low) + high * self._fold
+            high = n >> self._kw
+        return self._reduce(n)
+
+    def _reduce(self, n):
+        """n with every slot reduced mod p; no slot may exceed `_slot_bound`."""
+        p = self.p
+        return self.pack([c % p for c in self.unpack(n)])
+
+    def _frobenius(self, a, table):
+        """sum_i a_i * table[i]: sigma^j(a) for the table of x^(i*p^j)."""
+        return self._reduce(sum(map(operator.mul, self.unpack(a), table)))
+
+    def _power(self, a, e):
+        acc = 1
+        while e:
+            if e & 1:
+                acc = self.mul(acc, a)
+            a = self.mul(a, a)
+            e >>= 1
+        return acc
+
+    def _powers(self, g):
+        """[g^0, ..., g^(k-1)]."""
+        out = [1]
+        for _ in range(self.k - 1):
+            out.append(self.mul(out[-1], g))
+        return out
 
     def inv(self, a):
-        p = self.p
-        r0, r1 = self._full, _fp_trim(list(a))
-        if not r1:
+        if a == 0:
             raise ZeroDivisionError
-        s0, s1 = [], [1]
-        while r1:  # invariant r_i = s_i * a mod f
-            q, r = _fp_divmod(r0, r1, p)
-            r0, r1 = r1, r
-            s0, s1 = s1, _fp_sub(s0, _fp_mul(q, s1, p), p)
-        # f is irreducible, so the gcd r0 is a nonzero constant
-        c = pow(r0[0], -1, p)
-        return tuple(x * c % p for x in s0) + (0,) * (self.k - len(s0))
+        e = a  # e_1
+        for table, times_a in self._chain:
+            e = self.mul(self._frobenius(e, table), a if times_a else e)
+        e = self._frobenius(e, self._sigma)  # a^(r-1)
+        return self.mul(e, pow(self.mul(a, e), -1, self.p))
 
     def div(self, a, b):
         return self.mul(a, self.inv(b))
 
     def is_zero(self, a):
-        return all(x == 0 for x in a)
+        return a == 0
 
     def random_element(self, rng: random.Random):
-        return tuple(rng.randrange(self.p) for _ in range(self.k))
+        return self.pack([rng.randrange(self.p) for _ in range(self.k)])
+
+
+def _slot_bound(p, k, modulus):
+    """The largest slot value that `GFPExtOps.mul` reaches before its
+    reduction mod p: the product of two elements with every coefficient
+    p - 1, then each fold x^(k+i) -> x^i * modulus, on coefficient lists."""
+    c = [(p - 1) ** 2 * min(i + 1, 2 * k - 1 - i) for i in range(2 * k - 1)]
+    bound = max(c)
+    while len(c) > k:
+        high, c = c[k:], c[:k] + [0] * (len(c) - 1 - k)
+        for i, h in enumerate(high):
+            for j, m in enumerate(modulus, i):
+                c[j] += h * m
+        while len(c) > k and c[-1] == 0:
+            c.pop()
+        bound = max(bound, max(c))
+    return bound
 
 
 # F_p[x] on coefficient lists, lowest degree first; results are trimmed

@@ -72,12 +72,12 @@ class TestSearchLowRank:
         assert code == 2
         assert "r >= 4" in err
 
-    def test_budget_zero_identity(self, capsys):
-        code, out, _ = run(
-            ["search-low-rank", "--rank", "4", "--budget", "0"], capsys
+    @pytest.mark.parametrize("budget", ["0", "-2"])
+    def test_budget_below_one_usage_error(self, capsys, budget):
+        code, out, err = run(
+            ["search-low-rank", "--rank", "4", "--budget", budget], capsys
         )
-        assert code == 0
-        assert "best rank 16" in out
+        assert (code, out, err) == (2, "", "error: --budget must be >= 1\n")
 
     def test_certificate_reverifiable(self, tmp_path, capsys):
         cert = str(tmp_path / "best.map")
@@ -90,6 +90,82 @@ class TestSearchLowRank:
         code, out, _ = run(["verify-map", cert], capsys)
         assert code == 0
         assert "chain map: True" in out
+
+
+# The reports of commands that evaluate in F_{3^39} and F_{5^27}, recorded
+# with the earlier tuple form of that field: the evaluation points, ranks
+# and pivot rows must not depend on how its elements are stored.
+PINNED_REPORTS = {
+    'rank-survey --char 3 --rank 3': (
+        '# koszulalg report v1\n'
+        'command rank-survey\n'
+        'ring char=3 r=3 weight=1 m=1\n'
+        'trials 100 seed 0\n'
+        'rank 8: 100\n'
+        'check min rank >= 2r: 8 vs 6 -> PASS\n'
+        'result PASS\n'
+    ),
+    'rank-survey --char 3 --rank 4': (
+        '# koszulalg report v1\n'
+        'command rank-survey\n'
+        'ring char=3 r=4 weight=1 m=1\n'
+        'trials 100 seed 0\n'
+        'rank 14: 1\n'
+        'rank 16: 99\n'
+        'check min rank >= 2r: 14 vs 8 -> PASS\n'
+        'result PASS\n'
+    ),
+    'rank-survey --char 5 --rank 3': (
+        '# koszulalg report v1\n'
+        'command rank-survey\n'
+        'ring char=5 r=3 weight=1 m=1\n'
+        'trials 100 seed 0\n'
+        'rank 8: 100\n'
+        'check min rank >= 2r: 8 vs 6 -> PASS\n'
+        'result PASS\n'
+    ),
+    'rank-survey --char 5 --rank 4': (
+        '# koszulalg report v1\n'
+        'command rank-survey\n'
+        'ring char=5 r=4 weight=1 m=1\n'
+        'trials 100 seed 0\n'
+        'rank 14: 1\n'
+        'rank 16: 99\n'
+        'check min rank >= 2r: 14 vs 8 -> PASS\n'
+        'result PASS\n'
+    ),
+    'rank-survey --char 3 --rank 4 --rank-mode probabilistic --trials 20': (
+        '# koszulalg report v1\n'
+        'command rank-survey\n'
+        'ring char=3 r=4 weight=1 m=1\n'
+        'trials 20 seed 0\n'
+        'rank 16: 20\n'
+        'check min rank >= 2r: 16 vs 8 -> PASS\n'
+        'result PASS\n'
+    ),
+    'rank-survey --char 5 --rank 4 --rank-mode probabilistic --trials 20': (
+        '# koszulalg report v1\n'
+        'command rank-survey\n'
+        'ring char=5 r=4 weight=1 m=1\n'
+        'trials 20 seed 0\n'
+        'rank 16: 20\n'
+        'check min rank >= 2r: 16 vs 8 -> PASS\n'
+        'result PASS\n'
+    ),
+    'search-low-rank --char 3 --rank 4 --budget 5': (
+        '# koszulalg report v1\n'
+        'command search-low-rank\n'
+        'ring char=3 r=4 weight=1 m=1\n'
+        'budget 5 seed 0\n'
+        'best rank 16 (identity-lift rank 16, proven lower bound 8)\n'
+        'chain map: True\n'
+    ),
+}
+
+
+@pytest.mark.parametrize("command", PINNED_REPORTS)
+def test_evaluation_field_reports_pinned(command, capsys):
+    assert run(command.split(), capsys) == (0, PINNED_REPORTS[command], "")
 
 
 class TestFilePipeline:

@@ -1,5 +1,8 @@
+import functools
+import importlib.util
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -24,6 +27,7 @@ from koszulalg.linalg import (
 )
 
 from bareiss import bareiss_rank
+from gfp_oracle import TupleGFPExtOps
 
 Q = FieldSpec(0)
 F2 = FieldSpec(2)
@@ -264,10 +268,40 @@ class TestEvaluationDomains:
                 assert ops.mul(a, ops.inv(a)) == ops.one
 
     def test_domain_is_large(self):
-        for p in (2, 3):
+        for p in (2, 3, 5, 7, 83, P61):
             ops = evaluation_domain(FieldSpec(p))
             deg = getattr(ops, "k", None) or ops.modulus.bit_length() - 1
             assert p ** deg >= 2 ** 61
+            if p > 2:
+                _check_slot_width(ops)
+
+
+def _check_slot_width(dom):
+    """The packed field's slot width W keeps its slots apart: 2^(W-1) >= p
+    for the guard bit of sums, and the product of two elements with every
+    coefficient p - 1, which bounds every other, carries between no slots
+    in `mul`'s folds: its packed slots equal the same steps on lists."""
+    p, k, w = dom.p, dom.k, dom.slot_width
+    assert 2 ** (w - 1) >= p
+    top = dom.pack([p - 1] * k)
+    n = top * top
+    c = [0] * (2 * k - 1)
+    for i in range(k):
+        for j in range(k):
+            c[i + j] += (p - 1) ** 2
+    fold = dom.pack(dom.modulus)
+    while True:
+        assert n >> (w * len(c)) == 0
+        assert [n >> (w * i) & ((1 << w) - 1) for i in range(len(c))] == c
+        if len(c) == k:
+            break
+        high, c = c[k:], c[:k] + [0] * (len(c) - 1 - k)
+        for i, h in enumerate(high):
+            for j, m in enumerate(dom.modulus):
+                c[i + j] += h * m
+        while len(c) > k and c[-1] == 0:
+            c.pop()
+        n = (n & ((1 << w * k) - 1)) + (n >> w * k) * fold
 
 
 def _field_cases():
@@ -600,7 +634,7 @@ def schoolbook_mul(dom, a, b):
 
 def fermat_inv(dom, a):
     """a^(p^k - 2) by square and multiply.  The reference for inv."""
-    acc, n = dom.one, dom.p**dom.k - 2
+    acc, n = (1,) + (0,) * (dom.k - 1), dom.p**dom.k - 2
     while n:
         if n & 1:
             acc = schoolbook_mul(dom, acc, a)
@@ -609,28 +643,116 @@ def fermat_inv(dom, a):
     return acc
 
 
-@pytest.mark.parametrize("p", [3, 5, 7, 83, 2**61 - 1])
+@pytest.mark.parametrize("p", [3, 5, 7, 83, P61])
 def test_gfp_ext_matches_schoolbook(p):
     """mul and inv of the evaluation field of F_p equal the references, on
-    the extreme elements and on seeded dense and sparse random ones."""
+    the extreme elements and on seeded dense and sparse random ones.  The
+    references work on coefficient tuples, converted by pack and unpack."""
     dom = evaluation_domain(FieldSpec(p))
     k = dom.k
     rng = random.Random(p)
-    elements = [dom.zero, dom.one, dom.of(2), dom.of(p - 1),
-                (p - 1,) * k,  # every product slot at its largest sum
-                (0,) * (k - 1) + (1,)]  # x^(k-1): x^(2k-2) has the longest fold
-    elements += [dom.random_element(rng) for _ in range(8)]
+
+    def coefficients(a):
+        return tuple(dom.unpack(a))
+
+    elements = [coefficients(x) for x in (dom.zero, dom.one, dom.of(2), dom.of(p - 1))]
+    elements += [(p - 1,) * k,  # every product slot at its largest sum
+                 (0,) * (k - 1) + (1,)]  # x^(k-1): x^(2k-2) has the longest fold
+    elements += [coefficients(dom.random_element(rng)) for _ in range(8)]
     elements += [tuple(rng.randrange(p) if rng.random() < 0.2 else 0 for _ in range(k))
                  for _ in range(6)]
     for a in elements:
         for b in elements:
-            assert dom.mul(a, b) == schoolbook_mul(dom, a, b)
-        if not dom.is_zero(a):
-            inv = dom.inv(a)
-            assert inv == fermat_inv(dom, a)
-            assert dom.mul(a, inv) == dom.one
+            assert coefficients(dom.mul(dom.pack(a), dom.pack(b))) == schoolbook_mul(dom, a, b)
+        if not dom.is_zero(dom.pack(a)):
+            inv = dom.inv(dom.pack(a))
+            assert coefficients(inv) == fermat_inv(dom, a)
+            assert dom.mul(dom.pack(a), inv) == dom.one
     with pytest.raises(ZeroDivisionError):
         dom.inv(dom.zero)
+
+
+@functools.cache
+def _tuple_oracle(p):
+    return TupleGFPExtOps(p, evaluation_domain(FieldSpec(p)).k)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 83, P61])
+def test_packed_field_matches_tuple_oracle(p):
+    """Every operation of the packed field equals the tuple oracle's on 0,
+    1, the element with every coefficient p - 1, x^(k-1), and seeded sparse
+    and dense random elements; random_element draws the oracle's
+    coefficients from the same random state and leaves the same state."""
+    dom, oracle = evaluation_domain(FieldSpec(p)), _tuple_oracle(p)
+    k = dom.k
+    assert oracle.modulus == dom.modulus
+
+    def coefficients(a):
+        return tuple(dom.unpack(a))
+
+    rng = random.Random(p + 1)
+    elements = [oracle.zero, oracle.one, (p - 1,) * k, (0,) * (k - 1) + (1,)]
+    elements += [oracle.random_element(rng) for _ in range(5)]
+    elements += [tuple(rng.randrange(p) if rng.random() < 0.2 else 0 for _ in range(k))
+                 for _ in range(5)]
+    for a in elements:
+        A = dom.pack(a)
+        assert coefficients(A) == a
+        assert dom.is_zero(A) == oracle.is_zero(a)
+        assert coefficients(dom.neg(A)) == oracle.neg(a)
+        if not oracle.is_zero(a):
+            assert coefficients(dom.inv(A)) == oracle.inv(a)
+        for b in elements:
+            B = dom.pack(b)
+            assert coefficients(dom.add(A, B)) == oracle.add(a, b)
+            assert coefficients(dom.sub(A, B)) == oracle.sub(a, b)
+            assert coefficients(dom.mul(A, B)) == oracle.mul(a, b)
+            if not oracle.is_zero(b):
+                assert coefficients(dom.div(A, B)) == oracle.div(a, b)
+    for n in (0, 1, 2, p - 1, p, p + 1, -1, -p, 10**30):
+        assert coefficients(dom.of(n)) == oracle.of(n)
+    assert dom.zero == 0 and dom.one == 1
+    for seed in range(5):
+        mine, theirs = random.Random(seed), random.Random(seed)
+        assert coefficients(dom.random_element(mine)) == oracle.random_element(theirs)
+        assert mine.getstate() == theirs.getstate()
+    with pytest.raises(ZeroDivisionError):
+        dom.inv(dom.zero)
+
+
+@pytest.fixture(scope="module")
+def random_poly_matrix():
+    """The benchmark's rank-oracle matrix generator, perfbench/gen.py."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_gen", Path(__file__).resolve().parents[1] / "perfbench" / "gen.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.random_poly_matrix
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_packed_field_gives_the_same_ranks(p, random_poly_matrix, monkeypatch):
+    """On the rank-oracle matrices of seeds 0..29, the packed field and the
+    tuple oracle pick the same independent rows at the point drawn from
+    the same seed, from the peeled core and from the whole matrix, and
+    rank_exact and rank_probabilistic are the same with the oracle as the
+    evaluation field."""
+    ring = RingSpec(FieldSpec(p), 3, 1)
+    packed, oracle = evaluation_domain(ring.field), _tuple_oracle(p)
+    matrices = [random_poly_matrix(ring, random.Random(seed)) for seed in range(30)]
+    for seed, M in enumerate(matrices):
+        whole = {}
+        for (i, j), entry in M.entries.items():
+            whole.setdefault(i, {})[j] = entry
+        for rows in (linalg._peel(M)[1], whole):
+            assert (linalg._rows_at_point(rows, packed, random.Random(seed), ring.num_vars)
+                    == linalg._rows_at_point(rows, oracle, random.Random(seed), ring.num_vars))
+    ranks = [(rank_exact(M), rank_probabilistic(M, seed)) for seed, M in enumerate(matrices)]
+    monkeypatch.setitem(linalg._EXT_CACHE, p, oracle)
+    assert evaluation_domain(ring.field) is oracle
+    assert [(rank_exact(M), rank_probabilistic(M, seed))
+            for seed, M in enumerate(matrices)] == ranks
 
 
 # ---------------------------------------------------------------------------
