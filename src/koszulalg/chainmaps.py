@@ -11,7 +11,7 @@ import random
 from dataclasses import dataclass
 from operator import add
 
-from .ring import RingSpec
+from .ring import FieldSpec, RingSpec
 from .complexes import FreeComplex, HomologyData, koszul, tensor_quotient
 from .linalg import PolyMatrix, rank_exact, rank_probabilistic, sum_of_products
 
@@ -212,8 +212,6 @@ def rank_six_fixture(ring: RingSpec = None):
     Returns (gamma, iota, homotopy, x, dx, Km, K0) where x is the
     element gamma kills.
     """
-    from .ring import FieldSpec
-
     if ring is None:
         ring = RingSpec(FieldSpec(2), 3, 1)
     if ring.num_vars != 3:

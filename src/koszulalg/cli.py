@@ -95,11 +95,9 @@ def cmd_fixture(args):
 
 def cmd_fixture_weight2(args):
     """The same homotopy data under the weight-2 grading convention."""
-    from .ring import RingSpec as RS
-
-    ring = RS(FieldSpec(2), 3, 1)
+    ring = RingSpec(FieldSpec(2), 3, 1)
     _, _, h, *_ = rank_six_fixture(ring)
-    ring2 = RS(FieldSpec(2), 3, 2)
+    ring2 = RingSpec(FieldSpec(2), 3, 2)
     Km2 = koszul(ring2, 1)
     K02 = koszul(ring2, 0)
     H2 = PolyMatrix(ring2, K02.n, Km2.n)

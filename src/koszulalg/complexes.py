@@ -6,7 +6,9 @@ is a dict {generator index: nonzero Polynomial}; a missing generator has
 coordinate 0 (see RingSpec.element).  Koszul complexes carry the
 exterior product (signs keyed to exterior length) so they are honest
 dgas; tensor_quotient and HomologyData provide the finite-dimensional
-coefficient reductions everything downstream is checked against.
+coefficient reductions everything downstream is checked against.  A
+FiniteComplex knows only the degree of each basis vector; a tensor
+quotient's `tensor_info` maps its basis to (generator, monomial) pairs.
 """
 
 from __future__ import annotations
@@ -293,19 +295,19 @@ def linear_combination(ring: RingSpec, pairs):
 class FiniteComplex:
     """Complex of finite-dimensional k-spaces; boundary of degree +1."""
 
-    def __init__(self, field_spec, basis, boundary_entries):
+    def __init__(self, field_spec, degrees, boundary_entries):
         self.field = field_spec
-        self.basis = list(basis)  # (name, degree)
+        self.degrees = list(degrees)  # the degree of each basis vector
         self.boundary = dict(boundary_entries)  # (i, j) -> scalar
         self.tensor_info = None  # set by tensor_quotient
 
     @property
     def n(self):
-        return len(self.basis)
+        return len(self.degrees)
 
     def degree_indices(self):
         by_degree = {}
-        for i, (_, q) in enumerate(self.basis):
+        for i, q in enumerate(self.degrees):
             by_degree.setdefault(q, []).append(i)
         return by_degree
 
@@ -333,7 +335,7 @@ class FiniteComplex:
         if not self.boundary_squared_is_zero():
             problems.append("boundary squared is nonzero")
         for (i, j), c in self.boundary.items():
-            if self.basis[i][1] != self.basis[j][1] + 1:
+            if self.degrees[i] != self.degrees[j] + 1:
                 problems.append(f"boundary entry {i},{j} not of degree +1")
         return problems
 
@@ -345,13 +347,12 @@ def tensor_quotient(C: FreeComplex, a) -> FiniteComplex:
     if len(a) != ring.num_vars or any(x < 1 for x in a):
         raise ValueError("need one exponent >= 1 per variable")
     monomials = sorted(itertools.product(*(range(x) for x in a)), key=_grlex_key)
-    basis = []
+    degrees = []
     lookup = {}
-    for gi, (name, deg) in enumerate(C.generators):
+    for gi, (_, deg) in enumerate(C.generators):
         for mu in monomials:
-            lookup[(gi, mu)] = len(basis)
-            label = name if sum(mu) == 0 else f"{_mono_name(mu)}*{name}"
-            basis.append((label, deg + ring.var_weight * sum(mu)))
+            lookup[(gi, mu)] = len(degrees)
+            degrees.append(deg + ring.var_weight * sum(mu))
     # the keys ((i, e + mu), (j, mu)) of distinct terms are distinct, so
     # no two combine; an exponent reaching its bound has no lookup entry
     boundary = {}
@@ -362,24 +363,13 @@ def tensor_quotient(C: FreeComplex, a) -> FiniteComplex:
                 row = lookup.get((i, tuple(map(add, e, mu))))
                 if row is not None:
                     boundary[(row, col)] = c
-    F = FiniteComplex(ring.field, basis, boundary)
+    F = FiniteComplex(ring.field, degrees, boundary)
     F.tensor_info = {
-        "parent": C,
         "bounds": a,
         "items": [(gi, mu) for gi, _ in enumerate(C.generators) for mu in monomials],
         "lookup": lookup,
     }
     return F
-
-
-def _mono_name(mu):
-    parts = []
-    for i, k in enumerate(mu):
-        if k == 1:
-            parts.append(f"t{i + 1}")
-        elif k > 1:
-            parts.append(f"t{i + 1}^{k}")
-    return "*".join(parts)
 
 
 def _cycles(columns, idx, ops):

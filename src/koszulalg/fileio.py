@@ -5,7 +5,8 @@ Complex file: a version header, a ring block (char / r / weight), one
 the nonzero differential columns, optional `augment gen = scalar` lines
 and an optional product block (`unit gen`, `parity gen = int`,
 `product a b = <combination>`).  A combination is a sum of terms
-`coeff*monomial*generator` in the usual polynomial grammar.
+`coeff*monomial*generator`; `ring.parse_combination` reads it, in the one
+polynomial grammar, and `Polynomial.__str__` writes its monomials.
 
 Map file: a header pointing at the source and target complex files
 (paths relative to the map file), then `f gen = <combination>` lines.
@@ -20,19 +21,13 @@ from __future__ import annotations
 
 import contextlib
 import os
-import re
 
-from .ring import FieldSpec, RingSpec
+from .ring import _NAME, FieldSpec, RingSpec, parse_combination
 from .complexes import FreeComplex, Augmentation, DgaStructure
 from .chainmaps import ChainMap
 from .linalg import PolyMatrix
 
 FORMAT_VERSION = 1
-
-_TOKEN = re.compile(r"\s*([+\-*]|\d+(?:/\d+)?|t\d+(?:\^\d+)?|[A-Za-z_][A-Za-z0-9_]*)")
-_VAR = re.compile(r"t(\d+)(?:\^(\d+))?$")
-# a generator name the tokenizer reads back as one name token
-_NAME = re.compile(r"(?!t\d)[A-Za-z_][A-Za-z0-9_]*")
 
 
 class FileFormatError(ValueError):
@@ -71,72 +66,6 @@ def _first_line(seen, key, head):
     if line in seen:
         raise FileFormatError(f"second {line!r} line")
     seen.add(line)
-
-
-def _tokenize(text):
-    out = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if not m:
-            if text[pos:].strip():
-                raise FileFormatError(f"cannot tokenize {text[pos:]!r}")
-            break
-        out.append(m.group(1))
-        pos = m.end()
-    return out
-
-
-def parse_combination(ring: RingSpec, gen_index: dict, text: str):
-    """The module element {generator: Polynomial} of a sum of
-    coeff*monomial*generator terms."""
-    f = ring.field
-    acc = {}  # generator -> {exponents: coefficient}
-    tokens = _tokenize(text)
-    i = 0
-    while i < len(tokens):
-        sign = f.one
-        while tokens[i] in "+-":
-            if tokens[i] == "-":
-                sign = f.neg(sign)
-            i += 1
-            if i >= len(tokens):
-                raise FileFormatError("dangling sign")
-        coeff = sign
-        exps = [0] * ring.num_vars
-        gen = None
-        while True:
-            tok = tokens[i]
-            m = _VAR.match(tok)
-            if m:
-                var = int(m.group(1))
-                if not 1 <= var <= ring.num_vars:
-                    raise FileFormatError(f"no variable {tok!r} when r = {ring.num_vars}")
-                exps[var - 1] += int(m.group(2) or 1)
-            elif tok[0].isdigit():
-                coeff = f.mul(coeff, f.parse_scalar(tok))
-            elif tok in gen_index:
-                if gen is not None:
-                    raise FileFormatError(f"two generators in one term near {tok!r}")
-                gen = gen_index[tok]
-            else:
-                raise FileFormatError(f"unknown generator {tok!r}")
-            i += 1
-            if i >= len(tokens) or tokens[i] != "*":
-                break
-            i += 1
-            if i >= len(tokens):
-                raise FileFormatError("dangling '*'")
-        if gen is None:
-            raise FileFormatError(f"term without a generator in {text!r}")
-        terms = acc.setdefault(gen, {})
-        e = tuple(exps)
-        c = f.add(terms.get(e, f.zero), coeff)
-        if f.is_zero(c):
-            terms.pop(e, None)
-        else:
-            terms[e] = c
-    return ring.element(acc)
 
 
 def format_combination(C: FreeComplex, element) -> str:

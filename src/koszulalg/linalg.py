@@ -26,8 +26,7 @@ kernel, `sum_of_products`.
 Also hosts the scalar linear algebra used by the homology, filtration
 and lifting code: one sparse-row elimination kernel (`Echelon`, rows kept
 in reduced row echelon form) with its sparse helpers, the sparse solve
-of the lifts, and the dense entry points rref and scalar_rank, all built
-on it.
+of the lifts, and the dense rref built on it.
 """
 
 from __future__ import annotations
@@ -441,77 +440,6 @@ class GF2ExtOps:
         return rng.getrandbits(self.degree)
 
 
-def _gf2_divmod(a, b):
-    if b == 0:
-        raise ZeroDivisionError
-    db = b.bit_length() - 1
-    q = 0
-    while a.bit_length() - 1 >= db and a:
-        shift = a.bit_length() - 1 - db
-        q ^= 1 << shift
-        a ^= b << shift
-    return q, a
-
-
-def _find_gf2_modulus(degree: int) -> int:
-    """Smallest irreducible degree-`degree` polynomial over F_2 (full poly)."""
-    full = 1 << degree
-    for low in range(1, full, 2):
-        f = full | low
-        if _gf2_is_irreducible(f, degree):
-            return f
-    raise RuntimeError("no irreducible polynomial found")  # unreachable
-
-
-def _gf2_is_irreducible(f: int, degree: int) -> bool:
-    # x^(2^degree) == x mod f, and no factor of degree dividing a proper
-    # maximal divisor degree/q for each prime q | degree
-    def powmod_x2k(times):
-        y = 2  # the polynomial x
-        for _ in range(times):
-            # square: y^2 mod f
-            sq = 0
-            yy = y
-            i = 0
-            while yy:
-                if yy & 1:
-                    sq ^= 1 << (2 * i)
-                yy >>= 1
-                i += 1
-            _, y = _gf2_divmod(sq, f)
-        return y
-
-    if powmod_x2k(degree) != 2:
-        return False
-    for q in _prime_divisors(degree):
-        y = powmod_x2k(degree // q)
-        g = _gf2_gcd(y ^ 2, f)
-        if g != 1:
-            return False
-    return True
-
-
-def _gf2_gcd(a, b):
-    while b:
-        _, r = _gf2_divmod(a, b)
-        a, b = b, r
-    return a
-
-
-def _prime_divisors(n: int):
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
-
-
 class GFPExtOps:
     """F_{p^k} = F_p[x]/(f) for odd p, each element one int: coefficient i
     of x^i sits in the W-bit slot i, bits [W*i, W*(i+1)), every slot in
@@ -711,7 +639,8 @@ def _fp_divmod(a, b, p):
 
 
 def _find_gfp_modulus(p: int, k: int):
-    """Find x^k + g irreducible over F_p; return coeffs f with x^k = f mod it.
+    """Find x^k + g irreducible over F_p (p = 2 included); return coeffs f
+    with x^k = f mod it.
 
     The candidates x^k + (base-p digits of c), c = 1, 2, ..., are tested by
     Ben-Or: f is irreducible iff gcd(x^(p^i) - x, f) = 1 for each i <= k/2.
@@ -760,7 +689,9 @@ def evaluation_domain(field: FieldSpec):
             size *= p
             k += 1
         if p == 2:
-            _EXT_CACHE[p] = GF2ExtOps(k, _find_gf2_modulus(k))
+            # x^k = low mod the smallest irreducible x^k + low over F_2
+            low = sum(c << i for i, c in enumerate(_find_gfp_modulus(2, k)))
+            _EXT_CACHE[p] = GF2ExtOps(k, 1 << k | low)
         else:
             _EXT_CACHE[p] = GFPExtOps(p, k)
     return _EXT_CACHE[p]
@@ -904,10 +835,6 @@ def span(vectors, ops):
     for v in vectors:
         E.add(v)
     return E
-
-
-def scalar_rank(rows, ops) -> int:
-    return len(rref(rows, ops)[1])
 
 
 def rref(rows, ops):

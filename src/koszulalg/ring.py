@@ -5,6 +5,11 @@ Scalars in characteristic 0 are ints when integral and
 p; `FieldSpec` is the one place their arithmetic is defined.  Polynomials
 are dicts mapping exponent tuples to nonzero scalars; all arithmetic is
 exact, and `add_product` is the one loop over products of terms.
+
+The text form of polynomials and module elements is defined here once:
+`Polynomial.__str__` writes it, and one tokenizer and one term loop
+(`parse_combination`) read it, for `RingSpec.parse` (no generator names)
+and for the `.cx`/`.map` reader alike.
 """
 
 from __future__ import annotations
@@ -442,55 +447,98 @@ def evaluator(points, ops):
     return evaluate
 
 
-_TOKEN = re.compile(r"\s*([+*-]|t\d+(?:\^\d+)?|-?\d+(?:/\d+)?)")
+# One token of polynomial text, by its groups (operator, scalar, variable
+# index, exponent, name): + - *, an int or a/b, t<i> or t<i>^<e>, or a
+# generator name.
+_TOKEN = re.compile(
+    r"\s*(?:([+*-])|(\d+(?:/\d+)?)|t(\d+)(?:\^(\d+))?|([A-Za-z_][A-Za-z0-9_]*))"
+)
+# a generator name the tokenizer reads back as one name token
+_NAME = re.compile(r"(?!t\d)[A-Za-z_][A-Za-z0-9_]*")
 
 
-def parse_polynomial(ring: RingSpec, text: str) -> Polynomial:
-    """Parse `term (+ term)*` with term = coeff, coeff*factors or factors.
-
-    Factors are t<i> or t<i>^<e>.  A leading or binary '-' is accepted in
-    characteristic 0 (and folded into the coefficient mod p otherwise).
-    """
-    text = text.strip()
-    if text == "0":
-        return ring.zero()
+def _tokens(text):
+    out = []
     pos = 0
-    tokens = []
     while pos < len(text):
         m = _TOKEN.match(text, pos)
         if not m:
-            raise ValueError(f"cannot tokenize polynomial at: {text[pos:]!r}")
-        tokens.append(m.group(1))
+            if text[pos:].strip():
+                raise ValueError(f"cannot tokenize {text[pos:]!r}")
+            break
+        out.append(m.groups())
         pos = m.end()
-    result = ring.zero()
+    return out
+
+
+def _spelling(token):
+    op, scalar, var, power, name = token
+    if var:
+        return f"t{var}^{power}" if power else f"t{var}"
+    return op or scalar or name
+
+
+def parse_combination(ring: RingSpec, gen_index, text: str) -> dict:
+    """The module element {generator: Polynomial} of `term ((+|-) term)*`,
+    where a term may start with signs and is a `*`-product of scalars,
+    variables t<i> or t<i>^<e> and exactly one generator name of
+    gen_index.  With gen_index None a term names no generator, and the
+    element has the one key None."""
+    f = ring.field
+    names = {} if gen_index is None else gen_index
+    acc = {}  # generator -> {exponents: coefficient}
+    tokens = _tokens(text)
     i = 0
-    n = len(tokens)
-    while i < n:
-        sign = 1
-        while i < n and tokens[i] in "+-":
-            if tokens[i] == "-":
-                sign = -sign
+    while i < len(tokens):
+        sign = f.one
+        while tokens[i][0] in ("+", "-"):
+            if tokens[i][0] == "-":
+                sign = f.neg(sign)
             i += 1
-        if i >= n:
-            raise ValueError("dangling sign in polynomial")
-        coeff = ring.field.of(sign)
+            if i >= len(tokens):
+                raise ValueError("dangling sign")
+        coeff = sign
         exps = [0] * ring.num_vars
-        expect_factor = True
-        while i < n and expect_factor:
-            tok = tokens[i]
-            if tok.startswith("t"):
-                var, _, e = tok[1:].partition("^")
+        gen = None
+        while True:
+            _, scalar, var, power, name = tokens[i]
+            if var:
                 if not 1 <= int(var) <= ring.num_vars:
-                    raise ValueError(f"no variable {tok!r} when r = {ring.num_vars}")
-                exps[int(var) - 1] += int(e or 1)
-            elif tok in "+-":
-                break
+                    raise ValueError(
+                        f"no variable {_spelling(tokens[i])!r} when r = {ring.num_vars}"
+                    )
+                exps[int(var) - 1] += int(power) if power else 1
+            elif scalar:
+                coeff = f.mul(coeff, f.parse_scalar(scalar))
+            elif name in names:
+                if gen is not None:
+                    raise ValueError(f"two generators in one term near {name!r}")
+                gen = names[name]
+            elif gen_index is None:
+                raise ValueError(f"expected a scalar or a variable, got {_spelling(tokens[i])!r}")
             else:
-                coeff = ring.field.mul(coeff, ring.field.parse_scalar(tok))
+                raise ValueError(f"unknown generator {_spelling(tokens[i])!r}")
             i += 1
-            if i < n and tokens[i] == "*":
-                i += 1
-            else:
-                expect_factor = False
-        result = result + ring.monomial(exps, coeff)
-    return result
+            if i >= len(tokens) or tokens[i][0] != "*":
+                break
+            i += 1
+            if i >= len(tokens):
+                raise ValueError("dangling '*'")
+        if gen is None and gen_index is not None:
+            raise ValueError(f"term without a generator in {text!r}")
+        if i < len(tokens) and tokens[i][0] not in ("+", "-"):
+            raise ValueError(f"no sign before {_spelling(tokens[i])!r} in {text!r}")
+        terms = acc.setdefault(gen, {})
+        e = tuple(exps)
+        c = f.add(terms.get(e, f.zero), coeff)
+        if f.is_zero(c):
+            terms.pop(e, None)
+        else:
+            terms[e] = c
+    return ring.element(acc)
+
+
+def parse_polynomial(ring: RingSpec, text: str) -> Polynomial:
+    """The polynomial of `text` in the grammar of parse_combination, with
+    no generator names."""
+    return parse_combination(ring, None, text).get(None, ring.zero())

@@ -4,7 +4,12 @@ import pytest
 
 from koszulalg.ring import FieldSpec, RingSpec
 from koszulalg.complexes import FreeComplex, direct_sum
-from koszulalg.linalg import PolyMatrix
+from koszulalg.linalg import PolyMatrix, rref
+
+
+def scalar_rank(rows, ops):
+    """The rank of a dense scalar matrix, the number of RREF pivots."""
+    return len(rref(rows, ops)[1])
 
 
 def random_free_complex(ring, rng, max_gens=12):

@@ -16,7 +16,9 @@ from koszulalg.chainmaps import (
     random_homotopy,
     rank_six_fixture,
 )
-from koszulalg.linalg import PolyMatrix, rank_exact, scalar_rank
+from koszulalg.linalg import PolyMatrix, rank_exact
+
+from conftest import scalar_rank
 
 Q = FieldSpec(0)
 F2 = FieldSpec(2)

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from koszulalg.cli import main
-from koszulalg.ring import FieldSpec, Polynomial, RingSpec
+from koszulalg.ring import FieldSpec, Polynomial, RingSpec, parse_combination
 from koszulalg.complexes import koszul, canonical_augmentation, Augmentation, FreeComplex
 from koszulalg.linalg import PolyMatrix
 from koszulalg.chainmaps import ChainMap, standard_iota, is_chain_map, rank_six_fixture
@@ -22,7 +22,6 @@ from koszulalg.fileio import (
     complex_from_text,
     write_map,
     read_map,
-    parse_combination,
     minimal_model_lines,
     FileFormatError,
 )
@@ -95,6 +94,9 @@ class TestComplexFiles:
         assert M.n == 0
 
 
+_TWO_GENERATORS = "# complex v1\nchar 0\nr 2\nweight 1\ngen a 0\ngen b 1\n"
+
+
 class TestCombinations:
     def test_parse_signs_and_products(self):
         ring = RingSpec(Q, 2, 1)
@@ -104,14 +106,18 @@ class TestCombinations:
         assert vec[1] == ring.parse("-t2^2")
 
     def test_two_generators_in_a_term_rejected(self):
-        ring = RingSpec(Q, 2, 1)
-        with pytest.raises(FileFormatError):
-            parse_combination(ring, {"a": 0, "b": 1}, "a*b")
+        with pytest.raises(FileFormatError, match="^line 7: two generators in one term near 'b'$"):
+            complex_from_text(_TWO_GENERATORS + "d b = a*b\n")
 
     def test_term_without_generator_rejected(self):
-        ring = RingSpec(Q, 2, 1)
-        with pytest.raises(FileFormatError):
-            parse_combination(ring, {"a": 0}, "t1 + a")
+        with pytest.raises(FileFormatError, match="^line 7: term without a generator in ' t1 \\+ a'$"):
+            complex_from_text(_TWO_GENERATORS + "d b = t1 + a\n")
+
+    @pytest.mark.parametrize("expr, token", [("a b", "b"), ("t1*a 2*b", "2"), ("a - b t2*b", "t2")])
+    def test_terms_without_a_sign_between_rejected(self, expr, token):
+        """Juxtaposed terms are refused, not read as a sum."""
+        with pytest.raises(FileFormatError, match=f"^line 7: no sign before '{token}' in "):
+            complex_from_text(_TWO_GENERATORS + f"d b = {expr}\n")
 
 
 @pytest.mark.parametrize(

@@ -13,7 +13,6 @@ from koszulalg.linalg import (
     Echelon,
     GF2ExtOps,
     PolyMatrix,
-    _find_gf2_modulus,
     _find_gfp_modulus,
     dense,
     sparse,
@@ -22,11 +21,11 @@ from koszulalg.linalg import (
     evaluation_domain,
     rref,
     solve,
-    scalar_rank,
     span,
 )
 
 from bareiss import bareiss_rank
+from conftest import scalar_rank
 from gfp_oracle import TupleGFPExtOps
 
 Q = FieldSpec(0)
@@ -606,10 +605,19 @@ def test_echelon_index_left_stale_by_a_cancelling_fill(name):
     assert sorted(E.rows) == gauss_jordan(vectors, ops)[1]
 
 
+# the smallest irreducible x^n + ... over F_2, top bit included
+GF2_MODULI = {2: 0x7, 3: 0xB, 8: 0x11B, 13: 0x201B, 61: 0x2000000000000027}
+
+
 def test_gfp_modulus_is_pinned():
-    """The irreducible moduli of the F_3 and F_5 evaluation fields."""
+    """The irreducible moduli of the F_3, F_5 and F_2 evaluation fields, and
+    of the smaller F_{2^n} below; over F_2 the search finds the smallest."""
     assert _find_gfp_modulus(3, 39) == (1, 0, 2, 1, 0, 2) + (0,) * 33
     assert _find_gfp_modulus(5, 27) == (4, 4) + (0,) * 25
+    for degree, modulus in GF2_MODULI.items():
+        low = sum(c << i for i, c in enumerate(_find_gfp_modulus(2, degree)))
+        assert 1 << degree | low == modulus
+    assert evaluation_domain(F2).modulus == GF2_MODULI[61]
 
 
 # ---------------------------------------------------------------------------
@@ -784,11 +792,11 @@ def gf2_fermat_inv(dom, a):
     return acc
 
 
-@pytest.mark.parametrize("degree", [2, 3, 8, 13, 61])
+@pytest.mark.parametrize("degree", sorted(GF2_MODULI))
 def test_gf2_ext_matches_bitwise(degree):
     """mul, inv and the reduction table of F_{2^n} against the references,
     on 0, 1, x^(n-1), x^(n-1) + 1, all ones and seeded random elements."""
-    dom = GF2ExtOps(degree, _find_gf2_modulus(degree))
+    dom = GF2ExtOps(degree, GF2_MODULI[degree])
     top = 1 << (degree - 1)
     rng = random.Random(degree)
     elements = [0, 1, top, top | 1, 2 * top - 1]

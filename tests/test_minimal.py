@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from koszulalg.ring import FieldSpec, RingSpec
 from koszulalg.complexes import koszul, FreeComplex, direct_sum, min_generators_of_homology
-from koszulalg.linalg import PolyMatrix, scalar_rank
+from koszulalg.linalg import PolyMatrix
 from koszulalg.chainmaps import ChainMap
 from koszulalg.minimal import (
     minimal_model,
@@ -15,7 +15,7 @@ from koszulalg.minimal import (
     lambda_length,
 )
 
-from conftest import noisy_complex, random_free_complex
+from conftest import noisy_complex, random_free_complex, scalar_rank
 from minimal_oracle import oracle_minimal_model
 
 Q = FieldSpec(0)

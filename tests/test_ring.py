@@ -4,7 +4,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from koszulalg.ring import FieldSpec, RingSpec, Polynomial, evaluator, parse_polynomial
+from koszulalg.complexes import FreeComplex
+from koszulalg.fileio import format_combination
+from koszulalg.linalg import PolyMatrix
+from koszulalg.ring import (
+    FieldSpec, RingSpec, Polynomial, evaluator, parse_combination, parse_polynomial,
+)
 
 
 Q = FieldSpec(0)
@@ -116,6 +121,19 @@ class TestParseFuzz:
         inner()
 
     @pytest.mark.parametrize("ring", _FUZZ_RINGS, ids=["Q", "F2", "F5"])
+    def test_combination_text_roundtrip(self, ring):
+        """The combination reader gives back the element whose text
+        format_combination wrote."""
+        C = FreeComplex(ring, [("a", 0)], PolyMatrix(ring, 1, 1))
+
+        @settings(max_examples=150, deadline=None, derandomize=True)
+        @given(any_coefficient_polynomials(ring).filter(bool))
+        def inner(p):
+            assert parse_combination(ring, {"a": 0}, format_combination(C, {0: p})) == {0: p}
+
+        inner()
+
+    @pytest.mark.parametrize("ring", _FUZZ_RINGS, ids=["Q", "F2", "F5"])
     def test_edits_raise_only_value_error(self, ring):
         @settings(max_examples=300, deadline=None, derandomize=True)
         @given(edited_texts(ring))
@@ -217,6 +235,24 @@ class TestRingSpec:
     @pytest.mark.parametrize("text", ["t0", "t0^2", "t3", "2*t1*t4^2"])
     def test_parse_rejects_missing_variables(self, text):
         with pytest.raises(ValueError, match="no variable"):
+            RingSpec(Q, 2, 1).parse(text)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("t1*", "dangling '\\*'"),
+            ("t1 t2", "no sign before 't2'"),
+            ("2 3", "no sign before '3'"),
+            ("x", "expected a scalar or a variable, got 'x'"),
+            ("2*t1*x", "expected a scalar or a variable, got 'x'"),
+            ("t1*-t2", "expected a scalar or a variable, got '-'"),
+            ("t1+$", "cannot tokenize '\\$'"),
+        ],
+    )
+    def test_parse_rejects_malformed_text(self, text, message):
+        """The polynomial reader is the .cx reader's term loop with no
+        generator names, so it refuses what that loop refuses."""
+        with pytest.raises(ValueError, match=message):
             RingSpec(Q, 2, 1).parse(text)
 
     def test_weight_validation(self):
