@@ -11,15 +11,11 @@ proves the upper bound too, with kernel vectors from fraction-free
 Gauss-Jordan over k[t] checked by exact products, and moves to another
 point (and, over Q, another prime) until the check holds.
 
-An element of an extension field is one int: F_{2^n} (`GF2ExtOps`)
-keeps coefficient i in bit i, F_{p^k} for odd p (`GFPExtOps`) in a slot
-of W bits, W wide enough that a product and its folds through the
-modulus never carry from one slot into the next.  So a sum is a few int
-operations with one guard-bit correction, a product is one int multiply
-with packed folds and then one reduction of every slot mod p, and an
-inverse is Itoh-Tsujii, a^-1 = N(a)^-1 * a^(p + ... + p^(k-1)), with the
-Frobenius maps read from tables built with the field.
-
+An element of an extension field is one int, coefficient i in slot i,
+the slots wide enough that a product and its folds through the modulus
+never carry between them, so a product is one int multiply with packed
+folds: one byte a slot for F_{2^61} (`GF2ExtOps`, which inverts through
+the bit form), W bits for F_{p^k} with odd p (`GFPExtOps`, Itoh-Tsujii).
 Every product and sum of PolyMatrix objects goes through one sparse
 kernel, `sum_of_products`.
 
@@ -34,6 +30,7 @@ from __future__ import annotations
 import operator
 import random
 from itertools import count, zip_longest
+from operator import add
 
 from .ring import (
     FieldSpec, Polynomial, RingSpec, RingMismatchError, _is_prime, add_product, evaluator,
@@ -139,34 +136,46 @@ def sum_of_products(terms):
     """The PolyMatrix sum of c*A*B over the list of (c, A, B) `terms`; B None
     stands for the identity, so (c, A, None) adds c*A.
 
-    The one sparse product kernel: each entry accumulates as one exponent
-    dict through `add_product`, and a Polynomial is built only for each
-    nonzero entry of the total, so a sum that cancels builds none.
+    Each row k of B is one list of (j, exponents, coefficient) triples.
+    Every term product (* and + on the int and Fraction scalars) goes into
+    one dict keyed (i, j, exponents), zeros left in place; each total is
+    reduced mod p once.  A Polynomial is built for each nonzero entry, in
+    the order its (i, j) was first reached.  Term order inside an entry is
+    free: `evaluator`, `__str__`, `divide_exact` and `_rank_at_most` ignore it.
     """
     _, A, B = terms[0]
     ring, rows, cols = A.ring, A.rows, (A if B is None else B).cols
-    f = ring.field
-    one = ring.one()
-    acc = {}
+    p = ring.field.characteristic
+    acc = {}  # (i, j, exponents) -> unreduced coefficient, zeros included
+    get = acc.get
     for c, A, B in terms:
-        if A.ring != ring or (B is not None and B.ring != ring):
-            raise RingMismatchError("matrices over different rings")
         if B is None:
-            if (A.rows, A.cols) != (rows, cols):
-                raise ValueError("shape mismatch")
-            for key, p in A.entries.items():
-                add_product(acc.setdefault(key, {}), c, p, one, f)
-            continue
+            B = PolyMatrix.identity(ring, A.cols)
+        if A.ring != ring or B.ring != ring:
+            raise RingMismatchError("matrices over different rings")
         if A.cols != B.rows or (A.rows, B.cols) != (rows, cols):
-            raise ValueError("shape mismatch in matrix product")
+            raise ValueError("shape mismatch in a sum of products")
         by_row = {}
         for (k, j), q in B.entries.items():
-            by_row.setdefault(k, []).append((j, q))
-        for (i, k), p in A.entries.items():
-            for j, q in by_row.get(k, ()):
-                add_product(acc.setdefault((i, j), {}), c, p, q, f)
+            row = by_row.setdefault(k, [])
+            for e, v in q.terms.items():
+                row.append((j, e, v))
+        for (i, k), a in A.entries.items():
+            row = by_row.get(k, ())
+            for e1, c1 in a.terms.items():
+                c1 *= c
+                for j, e2, c2 in row:
+                    key = (i, j, tuple(map(add, e1, e2)))
+                    acc[key] = get(key, 0) + c1 * c2
+    entries = {}
+    for (i, j, e), v in acc.items():
+        t = entries.setdefault((i, j), {})
+        if p:
+            v %= p
+        if v:
+            t[e] = v
     out = PolyMatrix(ring, rows, cols)
-    out.entries = {key: Polynomial(ring, t) for key, t in acc.items() if t}
+    out.entries = {key: Polynomial(ring, t) for key, t in entries.items() if t}
     return out
 
 
@@ -357,37 +366,55 @@ def _rank_at_most(core, pivot_rows, ring) -> bool:
 # ---------------------------------------------------------------------------
 
 
-class GF2ExtOps:
-    """F_{2^n} with elements packed into ints (bit i = coefficient of x^i).
+class _PackedField:
+    """What the packed extension fields share: 0, 1, `of` (n mod p), `div`."""
 
-    `mul` multiplies by a 4-bit window: the 16 carry-less multiples of a,
-    then b four bits at a time from the top.  The product, below
-    x^(2n-1), is reduced a byte at a time from the top through the table
-    `_reduce[h] = h(x) * x^n mod f`, built by linearity with one XOR per
-    entry.  `inv` is the shift-based extended Euclid (u ^= v << j) on the
-    element and the modulus f.
-    """
-
-    def __init__(self, degree: int, modulus: int):
-        # modulus is the full irreducible polynomial, top bit included
-        self.degree = degree
-        self.modulus = modulus
-        self.zero = 0
-        self.one = 1
-        basis = [modulus ^ (1 << degree)]  # x^(n+i) mod f for i < 8
-        for _ in range(7):
-            y = basis[-1] << 1
-            basis.append(y ^ modulus if y >> degree else y)
-        table = [0] * 256
-        for h in range(1, 256):
-            low = h & -h
-            table[h] = table[h ^ low] ^ basis[low.bit_length() - 1]
-        self._reduce = table
-        self._nibbles = range(4 * ((degree - 1) // 4), -1, -4)
-        self._bytes = range(degree + 8 * ((degree - 2) // 8), degree - 1, -8)
+    zero = 0
+    one = 1
+    is_zero = staticmethod(operator.not_)
 
     def of(self, n):
-        return n % 2
+        return n % self.p
+
+    def div(self, a, b):
+        return self.mul(a, self.inv(b))
+
+
+class GF2ExtOps(_PackedField):
+    """F_{2^n} = F_2[x]/(f), `modulus` f in the bit form (bit i is the
+    coefficient of x^i, top bit included).  An element is one int whose
+    byte i holds the coefficient of x^i in its low bit; `add` is XOR.
+
+    `mul` is one int product.  Byte i + j collects the a_i * b_j, at most
+    n < 256 of them, so no byte carries into the next (Kronecker
+    substitution), and `& ones` keeps each sum mod 2.  The bytes of x^n and
+    up are folded back while packed, c = ((c & low) + high * fold) & ones
+    with fold = x^n mod f, until nothing is left above x^(n-1).
+
+    `inv` is the shift-based extended Euclid on the bit form (`unpack`, then
+    `pack`), each cofactor in its remainder's high bits; `random_element`
+    packs `getrandbits(n)`.
+    """
+
+    p = 2
+    _spread = bytes.maketrans(b"01", b"\x00\x01")  # binary digits to bytes 0, 1
+    _gather = bytes.maketrans(b"\x00\x01", b"01")
+
+    def __init__(self, degree: int, modulus: int):
+        self.degree = degree
+        self.modulus = modulus
+        self._kw = 8 * degree
+        self._low = (1 << self._kw) - 1
+        self._ones = int.from_bytes(b"\x01" * (2 * degree - 1), "big")
+        self._fold = self.pack(modulus ^ (1 << degree))
+
+    def pack(self, bits):
+        """The element whose coefficient of x^i is bit i of `bits`."""
+        return int.from_bytes(format(bits, "b").encode().translate(self._spread), "big")
+
+    def unpack(self, a):
+        """The bit form of the element a: bit i is the coefficient of x^i."""
+        return int(a.to_bytes(self.degree, "big").translate(self._gather), 2)
 
     def add(self, a, b):
         return a ^ b
@@ -398,49 +425,38 @@ class GF2ExtOps:
         return a
 
     def mul(self, a, b):
-        a2 = a << 1
-        a3 = a2 ^ a
-        a4 = a << 2
-        a8 = a << 3
-        a12 = a8 ^ a4
-        window = (0, a, a2, a3, a4, a4 ^ a, a4 ^ a2, a4 ^ a3,
-                  a8, a8 ^ a, a8 ^ a2, a8 ^ a3, a12, a12 ^ a, a12 ^ a2, a12 ^ a3)
-        acc = 0
-        for s in self._nibbles:
-            acc = (acc << 4) ^ window[b >> s & 15]
-        n, table = self.degree, self._reduce
-        for s in self._bytes:
-            h = acc >> s & 255
-            if h:
-                acc ^= h << s ^ table[h] << (s - n)
-        return acc
+        ones, kw = self._ones, self._kw
+        c = a * b & ones
+        high = c >> kw
+        while high:
+            c = ((c & self._low) + high * self._fold) & ones
+            high = c >> kw
+        return c
 
     def inv(self, a):
         if a == 0:
             raise ZeroDivisionError
-        # invariants: g1 * a = u and g2 * a = v mod f; du, dv = deg + 1
-        u, v, g1, g2 = a, self.modulus, 1, 0
-        du, dv = u.bit_length(), v.bit_length()
-        while du > 1:
-            j = du - dv
-            if j < 0:
-                u, v, g1, g2, du, dv, j = v, u, g2, g1, dv, du, -j
-            u ^= v << j
-            g1 ^= g2 << j
-            du = u.bit_length()
-        return g1
-
-    def div(self, a, b):
-        return self.mul(a, self.inv(b))
-
-    def is_zero(self, a):
-        return a == 0
+        # U = u + g1*x^s, V = v + g2*x^s (s = n + 1 lies above u and v), g1*a = u
+        # and g2*a = v mod f: one shift and XOR steps both; coprime, one reaches 1
+        u, s = self.unpack(a), self.degree + 1
+        U, V, du, dv, low = u | 1 << s, self.modulus, u.bit_length(), s, (1 << s) - 1
+        while True:
+            while du >= dv:  # u mod v
+                U ^= V << du - dv
+                du = (U & low).bit_length()
+            if du == 1:
+                return self.pack(U >> s)
+            while dv >= du:  # v mod u
+                V ^= U << dv - du
+                dv = (V & low).bit_length()
+            if dv == 1:
+                return self.pack(V >> s)
 
     def random_element(self, rng: random.Random):
-        return rng.getrandbits(self.degree)
+        return self.pack(rng.getrandbits(self.degree))
 
 
-class GFPExtOps:
+class GFPExtOps(_PackedField):
     """F_{p^k} = F_p[x]/(f) for odd p, each element one int: coefficient i
     of x^i sits in the W-bit slot i, bits [W*i, W*(i+1)), every slot in
     [0, p).  So zero is 0, one is 1 and a constant c is c.  `modulus`
@@ -473,8 +489,6 @@ class GFPExtOps:
         self.p = p
         self.k = k
         self.modulus = _find_gfp_modulus(p, k)
-        self.zero = 0
-        self.one = 1
         w = _slot_bound(p, k, self.modulus).bit_length()
         self.slot_width = w
         self._shifts = range(0, w * k, w)
@@ -514,9 +528,6 @@ class GFPExtOps:
         """The k coefficients of the element a, lowest degree first."""
         mask = self._mask
         return [a >> s & mask for s in self._shifts]
-
-    def of(self, n):
-        return n % self.p
 
     def add(self, a, b):
         return self._wrap(a + b)
@@ -572,12 +583,6 @@ class GFPExtOps:
             e = self.mul(self._frobenius(e, table), a if times_a else e)
         e = self._frobenius(e, self._sigma)  # a^(r-1)
         return self.mul(e, pow(self.mul(a, e), -1, self.p))
-
-    def div(self, a, b):
-        return self.mul(a, self.inv(b))
-
-    def is_zero(self, a):
-        return a == 0
 
     def random_element(self, rng: random.Random):
         return self.pack([rng.randrange(self.p) for _ in range(self.k)])
@@ -672,7 +677,7 @@ def _find_gfp_modulus(p: int, k: int):
             return tuple((-d) % p for d in digits)
 
 
-_EXT_CACHE = {}
+_EXT_CACHE = {}  # characteristic -> evaluation field, built on first use
 
 
 def evaluation_domain(field: FieldSpec):
@@ -680,20 +685,15 @@ def evaluation_domain(field: FieldSpec):
     p = 2**61 - 1 in characteristic 0 (rational coefficients are reduced
     mod p), an extension of F_p with >= 2**61 elements otherwise."""
     p = field.characteristic
-    if p == 0:
-        return FieldSpec(2**61 - 1)
     if p not in _EXT_CACHE:
-        k = 1
-        size = p
-        while size < 2**61:
-            size *= p
-            k += 1
-        if p == 2:
-            # x^k = low mod the smallest irreducible x^k + low over F_2
-            low = sum(c << i for i, c in enumerate(_find_gfp_modulus(2, k)))
-            _EXT_CACHE[p] = GF2ExtOps(k, 1 << k | low)
+        if p == 0:
+            _EXT_CACHE[p] = FieldSpec(2**61 - 1)
+        elif p == 2:
+            # x^61 = low mod the smallest irreducible x^61 + low over F_2
+            low = sum(c << i for i, c in enumerate(_find_gfp_modulus(2, 61)))
+            _EXT_CACHE[p] = GF2ExtOps(61, 1 << 61 | low)
         else:
-            _EXT_CACHE[p] = GFPExtOps(p, k)
+            _EXT_CACHE[p] = GFPExtOps(p, next(k for k in count(2) if p**k >= 2**61))
     return _EXT_CACHE[p]
 
 

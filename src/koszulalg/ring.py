@@ -2,9 +2,10 @@
 
 Scalars in characteristic 0 are ints when integral and
 `fractions.Fraction` otherwise, and plain ints in [0, p) in characteristic
-p; `FieldSpec` is the one place their arithmetic is defined.  Polynomials
+p; `FieldSpec` defines their arithmetic, and `linalg.sum_of_products`, the
+matrix kernel, sums their raw products and reduces mod p once.  Polynomials
 are dicts mapping exponent tuples to nonzero scalars; all arithmetic is
-exact, and `add_product` is the one loop over products of terms.
+exact.  `add_product` multiplies out single polynomials and module elements.
 
 The text form of polynomials and module elements is defined here once:
 `Polynomial.__str__` writes it, and one tokenizer and one term loop
@@ -149,10 +150,9 @@ class PrimeField(FieldSpec):
         return (-a) % self.characteristic
 
     def inv(self, a):
-        p = self.characteristic
-        if a % p == 0:
+        if a % self.characteristic == 0:
             raise ZeroDivisionError("inverse of zero")
-        return pow(a, p - 2, p)
+        return pow(a, -1, self.characteristic)
 
     def random_element(self, rng):
         return rng.randrange(self.characteristic)

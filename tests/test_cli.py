@@ -92,10 +92,65 @@ class TestSearchLowRank:
         assert "chain map: True" in out
 
 
-# The reports of commands that evaluate in F_{3^39} and F_{5^27}, recorded
-# with the earlier tuple form of that field: the evaluation points, ranks
-# and pivot rows must not depend on how its elements are stored.
+# The reports of commands that evaluate in an extension field, recorded
+# with an earlier form of it: F_{3^39} and F_{5^27} as coefficient tuples,
+# F_{2^61} with coefficient i in bit i.  The evaluation points, ranks and
+# pivot rows must not depend on how its elements are stored.
 PINNED_REPORTS = {
+    'rank-survey --char 2 --rank 4': (
+        '# koszulalg report v1\n'
+        'command rank-survey\n'
+        'ring char=2 r=4 weight=1 m=1\n'
+        'trials 100 seed 0\n'
+        'rank 14: 1\n'
+        'rank 16: 99\n'
+        'check min rank >= 2r: 14 vs 8 -> PASS\n'
+        'result PASS\n'
+    ),
+    'rank-survey --char 2 --rank 4 --rank-mode probabilistic': (
+        '# koszulalg report v1\n'
+        'command rank-survey\n'
+        'ring char=2 r=4 weight=1 m=1\n'
+        'trials 100 seed 0\n'
+        'rank 14: 1\n'
+        'rank 16: 99\n'
+        'check min rank >= 2r: 14 vs 8 -> PASS\n'
+        'result PASS\n'
+    ),
+    'rank-survey --char 2 --rank 5 --trials 30': (
+        '# koszulalg report v1\n'
+        'command rank-survey\n'
+        'ring char=2 r=5 weight=1 m=1\n'
+        'trials 30 seed 0\n'
+        'rank 32: 30\n'
+        'check min rank >= 2r: 32 vs 10 -> PASS\n'
+        'result PASS\n'
+    ),
+    'rank-survey --char 2 --rank 5 --rank-mode probabilistic --trials 30': (
+        '# koszulalg report v1\n'
+        'command rank-survey\n'
+        'ring char=2 r=5 weight=1 m=1\n'
+        'trials 30 seed 0\n'
+        'rank 32: 30\n'
+        'check min rank >= 2r: 32 vs 10 -> PASS\n'
+        'result PASS\n'
+    ),
+    'search-low-rank --char 2 --rank 4 --budget 100': (
+        '# koszulalg report v1\n'
+        'command search-low-rank\n'
+        'ring char=2 r=4 weight=1 m=1\n'
+        'budget 100 seed 0\n'
+        'best rank 16 (identity-lift rank 16, proven lower bound 8)\n'
+        'chain map: True\n'
+    ),
+    'search-low-rank --char 2 --rank 5 --budget 40': (
+        '# koszulalg report v1\n'
+        'command search-low-rank\n'
+        'ring char=2 r=5 weight=1 m=1\n'
+        'budget 40 seed 0\n'
+        'best rank 32 (identity-lift rank 32, proven lower bound 10)\n'
+        'chain map: True\n'
+    ),
     'rank-survey --char 3 --rank 3': (
         '# koszulalg report v1\n'
         'command rank-survey\n'

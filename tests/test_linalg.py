@@ -26,6 +26,7 @@ from koszulalg.linalg import (
 
 from bareiss import bareiss_rank
 from conftest import scalar_rank
+from gf2_oracle import WindowGF2ExtOps
 from gfp_oracle import TupleGFPExtOps
 
 Q = FieldSpec(0)
@@ -792,27 +793,39 @@ def gf2_fermat_inv(dom, a):
     return acc
 
 
+def gf2_reduce(dom, x):
+    """x mod the modulus by long division, in the bit form."""
+    while x >> dom.degree:
+        x ^= dom.modulus << (x.bit_length() - 1 - dom.degree)
+    return x
+
+
 @pytest.mark.parametrize("degree", sorted(GF2_MODULI))
 def test_gf2_ext_matches_bitwise(degree):
-    """mul, inv and the reduction table of F_{2^n} against the references,
-    on 0, 1, x^(n-1), x^(n-1) + 1, all ones and seeded random elements."""
+    """mul, inv and the packed fold of F_{2^n} against the references, on
+    0, 1, x^(n-1), x^(n-1) + 1, all ones and seeded random elements.  The
+    references work on the bit form, converted by pack and unpack."""
     dom = GF2ExtOps(degree, GF2_MODULI[degree])
     top = 1 << (degree - 1)
     rng = random.Random(degree)
     elements = [0, 1, top, top | 1, 2 * top - 1]
-    elements += [dom.random_element(rng) for _ in range(10)]
-    for h, reduced in enumerate(dom._reduce):
-        x = h << degree
-        while x >> degree:
-            x ^= dom.modulus << (x.bit_length() - 1 - degree)
-        assert reduced == x
+    elements += [dom.unpack(dom.random_element(rng)) for _ in range(10)]
+    for i in range(degree):
+        assert dom.pack(1 << i) == 1 << 8 * i  # coefficient i in byte i
+    # the fold is x^n mod f, and every x^(n+i) of a product reduces through it
+    assert dom.unpack(dom._fold) == gf2_reduce(dom, 1 << degree)
+    for i in range(degree - 1):
+        assert (dom.unpack(dom.mul(dom.pack(top), dom.pack(2 << i)))
+                == gf2_reduce(dom, 1 << (degree + i)))
     for a in elements:
+        A = dom.pack(a)
+        assert dom.unpack(A) == a
         for b in elements:
-            assert dom.mul(a, b) == gf2_bitwise_mul(dom, a, b)
+            assert dom.unpack(dom.mul(A, dom.pack(b))) == gf2_bitwise_mul(dom, a, b)
         if a:
-            inv = dom.inv(a)
-            assert inv == gf2_fermat_inv(dom, a)
-            assert dom.mul(a, inv) == 1
+            inv = dom.inv(A)
+            assert dom.unpack(inv) == gf2_fermat_inv(dom, a)
+            assert dom.mul(A, inv) == dom.one
     with pytest.raises(ZeroDivisionError):
         dom.inv(0)
 
@@ -821,4 +834,56 @@ def test_gf2_evaluation_field():
     """The F_2 evaluation field is F_{2^61}, and x^60 is its top element."""
     dom = evaluation_domain(F2)
     assert dom.degree == 61
-    assert dom.mul(1 << 60, 2) == dom.modulus ^ (1 << 61)
+    assert dom.unpack(dom.mul(dom.pack(1 << 60), dom.pack(2))) == dom.modulus ^ (1 << 61)
+
+
+@pytest.mark.parametrize("degree", sorted(GF2_MODULI))
+def test_gf2_random_element_matches_window_oracle(degree):
+    """random_element draws the bit-form oracle's points from the same
+    random state and leaves the same state."""
+    dom = GF2ExtOps(degree, GF2_MODULI[degree])
+    oracle = WindowGF2ExtOps(degree, GF2_MODULI[degree])
+    for seed in range(5):
+        mine, theirs = random.Random(seed), random.Random(seed)
+        for _ in range(3):
+            assert dom.unpack(dom.random_element(mine)) == oracle.random_element(theirs)
+        assert mine.getstate() == theirs.getstate()
+
+
+def _survey_f2_maps():
+    """The 120 F_2 maps of the survey benchmark: perturbations of iota at
+    r = 4 (dense homotopies) and r = 5 (sparse ones), seeds 0..59."""
+    out = []
+    for r, options in ((4, {}), (5, {"zero_probability": 0.75, "max_terms": 2})):
+        iota, Km, K0 = chainmaps.standard_iota(RingSpec(F2, r, 1), 1)
+        for seed in range(60):
+            h = chainmaps.random_homotopy(
+                Km.base, K0.base, random.Random(seed), homogeneous=True, **options
+            )
+            out.append((seed, chainmaps.perturb(iota, h).matrix))
+    return out
+
+
+def test_gf2_field_gives_the_same_ranks(random_poly_matrix, monkeypatch):
+    """On the 120 F_2 survey maps and the 30 F_2 rank-oracle matrices, the
+    byte-slot field and the bit-form oracle pick the same independent rows
+    at the point drawn from the same seed, from the peeled core and from
+    the whole matrix, and rank_exact and rank_probabilistic are the same
+    with the oracle as the evaluation field."""
+    packed = evaluation_domain(F2)
+    oracle = WindowGF2ExtOps(packed.degree, packed.modulus)
+    ring = RingSpec(F2, 3, 1)
+    cases = _survey_f2_maps()
+    cases += [(seed, random_poly_matrix(ring, random.Random(seed))) for seed in range(30)]
+    for seed, M in cases:
+        whole = {}
+        for (i, j), entry in M.entries.items():
+            whole.setdefault(i, {})[j] = entry
+        r = M.ring.num_vars
+        for rows in (linalg._peel(M)[1], whole):
+            assert (linalg._rows_at_point(rows, packed, random.Random(seed), r)
+                    == linalg._rows_at_point(rows, oracle, random.Random(seed), r))
+    ranks = [(rank_exact(M), rank_probabilistic(M, seed)) for seed, M in cases]
+    monkeypatch.setitem(linalg._EXT_CACHE, 2, oracle)
+    assert evaluation_domain(F2) is oracle
+    assert [(rank_exact(M), rank_probabilistic(M, seed)) for seed, M in cases] == ranks

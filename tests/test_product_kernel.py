@@ -64,6 +64,56 @@ def test_products_match_oracle(field, seed):
     assert sum_of_products([(c, A, B), (field.neg(c), A, B)]).is_zero()
 
 
+def _first_reached(terms):
+    """The (i, j) of the sum of c*A*B in the order the kernel first reaches
+    them: each term in turn; for B None each entry of A, otherwise each
+    entry (i, k) of A with each entry (k, j) of B, in storage order."""
+    seen = {}
+    for _, A, B in terms:
+        if B is None:
+            seen.update(dict.fromkeys(A.entries))
+            continue
+        for i, k in A.entries:
+            for k2, j in B.entries:
+                if k2 == k:
+                    seen.setdefault((i, j))
+    return list(seen)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
+@pytest.mark.parametrize("seed", range(6))
+def test_entries_come_in_first_reached_order(field, seed):
+    """sum_of_products gives its entries in the order each (i, j) is first
+    reached, cancelled entries left out, on sums with scaled, identity and
+    cancelling terms; _peel, and through it _rows_at_point, iterates the
+    rows and columns of its core in that order."""
+    rng = random.Random(100 + seed)
+    ring = RingSpec(field, 3, 1)
+    m, k, n = (rng.randint(3, 7) for _ in range(3))
+    A, B = _matrix(ring, rng, m, k), _matrix(ring, rng, k, n)
+    A2 = PolyMatrix(ring, m, k, {key: p for key, p in A.entries.items() if rng.random() < 0.6})
+    C = _matrix(ring, rng, m, n)
+    C2 = PolyMatrix(ring, m, n, {key: p for key, p in C.entries.items() if rng.random() < 0.5})
+    c, s = _scalar(field, rng), _scalar(field, rng)
+    minus = field.neg(c)
+    # c*A2*B and c*C2 cancel their parts of the first terms; s*A*B adds back
+    terms = [(c, A, B), (c, C, None), (minus, A2, B), (minus, C2, None), (s, A, B),
+             (field.one, C, None)]
+    got = sum_of_products(terms)
+    want = oracle_sum(terms)
+    assert got.entries == want
+    assert list(got.entries) == [key for key in _first_reached(terms) if key in want]
+    partial = terms[:4]  # the pairs of c*A*B and c*A2*B, c*C and c*C2, only
+    got = sum_of_products(partial)
+    assert list(got.entries) == [key for key in _first_reached(partial)
+                                 if key in oracle_sum(partial)]
+    _, core = linalg._peel(got)
+    order = list(dict.fromkeys(i for i, _ in got.entries))
+    assert list(core) == [i for i in order if i in core]
+    for i, row in core.items():
+        assert list(row) == [j for i2, j in got.entries if i2 == i and j in row]
+
+
 @pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
 @pytest.mark.parametrize("seed", range(4))
 def test_polynomial_product_matches_schoolbook(field, seed):
