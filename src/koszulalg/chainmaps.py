@@ -9,11 +9,11 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from operator import add
 
-from .ring import FieldSpec, RingSpec
-from .complexes import FreeComplex, HomologyData, koszul, tensor_quotient
-from .linalg import PolyMatrix, rank_exact, rank_probabilistic, sum_of_products
+from .ring import FieldSpec, Polynomial, RingSpec
+from .complexes import FreeComplex, HomologyData, koszul, tensor_columns, tensor_quotient
+from .linalg import PolyMatrix, apply_columns, axpy, rank_exact, rank_probabilistic
+from .linalg import sum_of_products
 
 
 @dataclass
@@ -55,16 +55,6 @@ class Homotopy:
     def __post_init__(self):
         if self.matrix.rows != self.target.n or self.matrix.cols != self.source.n:
             raise ValueError("homotopy matrix has wrong shape")
-
-    def degree_violations(self):
-        """Entries whose weighted degree differs from the -1 requirement."""
-        bad = []
-        for (i, j), p in sorted(self.matrix.entries.items()):
-            want = self.source.degree(j) - 1 - self.target.degree(i)
-            got = p.weighted_degree()
-            if got != want:
-                bad.append((i, j, got, want))
-        return bad
 
 
 def standard_iota(ring: RingSpec, m: int):
@@ -129,28 +119,12 @@ def induced_map_mod(f: ChainMap, a):
     Returns (matrix rows over k, source HomologyData, target HomologyData);
     the matrix has one row per target class and one column per source class.
     """
-    a = tuple(a)
     Fs = tensor_quotient(f.source, a)
     Ft = tensor_quotient(f.target, a)
     Hs = HomologyData(Fs)
     Ht = HomologyData(Ft)
-    ops = Hs.field
-    items_s = Fs.tensor_info["items"]
-    lookup_t = Ft.tensor_info["lookup"]
-    by_column = f.matrix.columns()
-    cols = []
-    for rep in Hs.representatives:
-        image = {}
-        for pos, c in rep.items():
-            gi, mu = items_s[pos]
-            # the terms of t^mu * f_ij mod t^a, as in tensor_quotient: an
-            # exponent reaching its bound has no lookup entry
-            for i, p in by_column.get(gi, {}).items():
-                for e, pc in p.terms.items():
-                    k = lookup_t.get((i, tuple(map(add, e, mu))))
-                    if k is not None:
-                        image[k] = ops.add(image.get(k, ops.zero), ops.mul(c, pc))
-        cols.append(Ht.project(image))
+    columns = tensor_columns(f.matrix, Fs.tensor_info["items"], Ft.tensor_info["lookup"])
+    cols = [Ht.project(apply_columns(columns, rep, Hs.field)) for rep in Hs.representatives]
     rows = [[cols[j][i] for j in range(len(cols))] for i in range(Ht.total_dim)]
     return rows, Hs, Ht
 
@@ -169,7 +143,9 @@ def random_homotopy(
     generators.  With homogeneous=True every entry gets the exact
     degree-(-1) monomial degree (impossible choices are skipped)."""
     ring = source.ring
-    M = PolyMatrix(ring, target.n, source.n)
+    f = ring.field
+    entries = {}  # (i, j) -> exponent dict; a cancelled entry is deleted, so a
+    # later draw re-enters it last
     for j in range(source.n):
         if rng.random() < zero_probability:
             continue
@@ -182,10 +158,13 @@ def random_homotopy(
                 total = need // ring.var_weight
             else:
                 total = rng.randint(0, degree_bound)
-            exps = _random_composition(rng, total, ring.num_vars)
-            coeff = _random_nonzero_scalar(ring, rng)
-            p = M.entry(i, j) + ring.monomial(exps, coeff)
-            M.set(i, j, p)
+            exps = tuple(_random_composition(rng, total, ring.num_vars))
+            terms = entries.setdefault((i, j), {})
+            axpy(terms, f.one, {exps: _random_nonzero_scalar(ring, rng)}, f)
+            if not terms:
+                del entries[(i, j)]
+    M = PolyMatrix(ring, target.n, source.n)
+    M.entries = {key: Polynomial(ring, terms) for key, terms in entries.items()}
     return Homotopy(source, target, M)
 
 

@@ -3,12 +3,14 @@
 A FreeComplex stores its differential as a square PolyMatrix whose
 column j is d(e_j) in the generator basis.  An element of a free module
 is a dict {generator index: nonzero Polynomial}; a missing generator has
-coordinate 0 (see RingSpec.element).  Koszul complexes carry the
-exterior product (signs keyed to exterior length) so they are honest
-dgas; tensor_quotient and HomologyData provide the finite-dimensional
-coefficient reductions everything downstream is checked against.  A
-FiniteComplex knows only the degree of each basis vector; a tensor
-quotient's `tensor_info` maps its basis to (generator, monomial) pairs.
+coordinate 0 (see RingSpec.element); `linear_combination` sums R multiples
+of elements.  Koszul complexes carry the exterior product (signs keyed to
+exterior length) so they are honest dgas; tensor_quotient and HomologyData
+provide the finite-dimensional coefficient reductions everything
+downstream is checked against, `tensor_columns` reducing any polynomial
+matrix mod t^a.  A FiniteComplex knows only the degree of each basis
+vector; a tensor quotient's `tensor_info` maps its basis to (generator,
+monomial) pairs.
 """
 
 from __future__ import annotations
@@ -17,8 +19,8 @@ import itertools
 from dataclasses import dataclass
 from operator import add
 
-from .ring import Polynomial, RingSpec, _grlex_key, add_product
-from .linalg import PolyMatrix, Echelon, axpy, span, sparse_dot
+from .ring import RingSpec, _grlex_key, add_product
+from .linalg import PolyMatrix, Echelon, apply_columns, axpy, span, sparse_dot
 
 
 class FreeComplex:
@@ -56,52 +58,49 @@ class FreeComplex:
         return self.differential.apply(element)
 
     def validate(self):
-        """Every violated invariant as a list of messages; [] means ok."""
+        """Every violated invariant as a list of messages; [] means ok.
+        The d∘d witness is the first entry of d @ d in (row, column) order."""
         problems = []
-        f = self.ring.field
-        by_row = self.differential.transpose().columns()  # {i: {k: d_ik}}
-        # (d∘d)[i, j] = sum_k d_ik d_kj, row by row; the first nonzero
-        # entry in (row, column) order is the one witness reported
-        for i in sorted(by_row):
-            dd_row = {}
-            for k, p in by_row[i].items():
-                for j, q in by_row.get(k, {}).items():
-                    add_product(dd_row.setdefault(j, {}), f.one, p, q, f)
-            bad = [j for j, terms in dd_row.items() if terms]
-            if bad:
-                j = min(bad)
-                problems.append(
-                    f"d∘d != 0: column {self.generators[j][0]} hits "
-                    f"{self.generators[i][0]} with {Polynomial(self.ring, dd_row[j])}"
-                )
-                break
-        for (i, j) in sorted(self.differential.entries):
-            p = self.differential.entries[(i, j)]
-            want = self.degree(j) + 1 - self.degree(i)
-            got = p.weighted_degree()
-            if got != want:
-                problems.append(
-                    f"inhomogeneous entry d[{self.generators[i][0]}, "
-                    f"{self.generators[j][0]}]: degree {got}, expected {want}"
-                )
+        names = [name for name, _ in self.generators]
+        dd = self.differential @ self.differential
+        if dd.entries:
+            i, j = min(dd.entries)
+            problems.append(
+                f"d∘d != 0: column {names[j]} hits {names[i]} with {dd.entries[i, j]}"
+            )
+        for i, j, got, want in degree_violations(self.differential, self, self, 1):
+            problems.append(
+                f"inhomogeneous entry d[{names[i]}, {names[j]}]: degree {got}, expected {want}"
+            )
         return problems
 
     def __repr__(self):
         return f"FreeComplex({self.n} generators over {self.ring})"
 
 
-def direct_sum(A: FreeComplex, B: FreeComplex, rename=None) -> FreeComplex:
+def degree_violations(M: PolyMatrix, source: FreeComplex, target: FreeComplex, shift: int):
+    """The entries of M (target.n x source.n) whose weighted degree is not
+    deg e_j + shift - deg e_i, as sorted (i, j, got, want); got is None
+    for an inhomogeneous entry."""
+    bad = []
+    for (i, j), p in sorted(M.entries.items()):
+        want = source.degree(j) + shift - target.degree(i)
+        got = p.weighted_degree()
+        if got != want:
+            bad.append((i, j, got, want))
+    return bad
+
+
+def direct_sum(A: FreeComplex, B: FreeComplex) -> FreeComplex:
     if A.ring != B.ring:
         raise ValueError("summands over different rings")
     gens = list(A.generators)
     used = {n for n, _ in gens}
-    mapping = {}
     for name, deg in B.generators:
-        new = name if name not in used else (rename or "b_") + name
+        new = name if name not in used else "b_" + name
         while new in used:
             new += "'"
         used.add(new)
-        mapping[name] = new
         gens.append((new, deg))
     n_a = A.n
     D = PolyMatrix(A.ring, len(gens), len(gens))
@@ -203,15 +202,20 @@ class Augmentation:
         """epsilon applied to a sparse vector {generator: scalar} (a constant element)."""
         return sparse_dot(vector, dict(enumerate(self.values)), self.source.ring.field)
 
+    def on_columns(self, M: PolyMatrix):
+        """epsilon of the constant part of each column of M, one scalar per column."""
+        columns = M.columns()
+        return [
+            self.of_scalars({i: p.constant_coeff() for i, p in columns.get(j, {}).items()})
+            for j in range(M.cols)
+        ]
+
     def validate(self):
-        f = self.source.ring.field
-        columns = self.source.differential.columns()
+        C = self.source
         return [
             f"augmentation does not kill d({name})"
-            for j, (name, _) in enumerate(self.source.generators)
-            if not f.is_zero(
-                self.of_scalars({i: p.constant_coeff() for i, p in columns.get(j, {}).items()})
-            )
+            for (name, _), v in zip(C.generators, self.on_columns(C.differential))
+            if not C.ring.field.is_zero(v)
         ]
 
 
@@ -225,50 +229,43 @@ class DgaStructure:
     table: dict  # (i, j) -> the module element e_i e_j; a missing cell is 0
 
     def multiply(self, x, y):
-        f = self.complex.ring.field
-        acc = {}
-        for a, xa in x.items():
-            for b, yb in y.items():
-                cell = self.table.get((a, b))
-                if cell:
-                    prod = xa * yb
-                    for c, coeff in cell.items():
-                        add_product(acc.setdefault(c, {}), f.one, prod, coeff, f)
-        return self.complex.ring.element(acc)
+        table = self.table
+        return linear_combination(self.complex.ring, [
+            (xa * yb, table[a, b]) for a, xa in x.items() for b, yb in y.items() if (a, b) in table
+        ])
 
-    def validate(self, check_associativity=True):
+    def validate(self):
         C = self.complex
-        f = C.ring.field
+        ring = C.ring
         problems = []
         unit = C.basis_element(self.unit)
         for i in range(C.n):
             e = C.basis_element(i)
             if self.multiply(unit, e) != e or self.multiply(e, unit) != e:
                 problems.append(f"unit law fails on {C.generators[i][0]}")
-        if check_associativity:
-            for a in range(C.n):
-                ea = C.basis_element(a)
-                for b in range(C.n):
-                    ab = self.multiply(ea, C.basis_element(b))
-                    for c in range(C.n):
-                        ec = C.basis_element(c)
-                        left = self.multiply(ab, ec)
-                        right = self.multiply(ea, self.multiply(C.basis_element(b), ec))
-                        if left != right:
-                            problems.append(
-                                "associativity fails on "
-                                f"({C.generators[a][0]}, {C.generators[b][0]}, {C.generators[c][0]})"
-                            )
+        for a in range(C.n):
+            ea = C.basis_element(a)
+            for b in range(C.n):
+                ab = self.multiply(ea, C.basis_element(b))
+                for c in range(C.n):
+                    ec = C.basis_element(c)
+                    left = self.multiply(ab, ec)
+                    right = self.multiply(ea, self.multiply(C.basis_element(b), ec))
+                    if left != right:
+                        problems.append(
+                            "associativity fails on "
+                            f"({C.generators[a][0]}, {C.generators[b][0]}, {C.generators[c][0]})"
+                        )
         # Leibniz on basis pairs
         for a in range(C.n):
             ea = C.basis_element(a)
             da = C.d(ea)
-            sign = f.neg(f.one) if self.parity[a] % 2 else f.one
+            sign = ring.constant(-1 if self.parity[a] % 2 else 1)
             for b in range(C.n):
                 eb = C.basis_element(b)
                 lhs = C.d(self.multiply(ea, eb))
                 rhs = linear_combination(
-                    C.ring, [(f.one, self.multiply(da, eb)), (sign, self.multiply(ea, C.d(eb)))]
+                    ring, [(ring.one(), self.multiply(da, eb)), (sign, self.multiply(ea, C.d(eb)))]
                 )
                 if lhs != rhs:
                     problems.append(
@@ -278,12 +275,14 @@ class DgaStructure:
 
 
 def linear_combination(ring: RingSpec, pairs):
-    """The module element sum c * x over the (scalar c, element x) pairs."""
+    """The module element sum c * x over the (Polynomial c, element x)
+    pairs: the product of a map held as its list of images x (a matrix
+    held as entries has `PolyMatrix.apply`)."""
     f = ring.field
     acc = {}
     for c, x in pairs:
         for u, p in x.items():
-            axpy(acc.setdefault(u, {}), c, p.terms, f)
+            add_product(acc.setdefault(u, {}), f.one, c, p, f)
     return ring.element(acc)
 
 
@@ -319,16 +318,8 @@ class FiniteComplex:
         return by_col
 
     def boundary_squared_is_zero(self) -> bool:
-        f = self.field
         by_col = self.columns()
-        for col in by_col.values():
-            acc = {}
-            for i, c in col.items():
-                for i2, c2 in by_col.get(i, {}).items():
-                    acc[i2] = f.add(acc.get(i2, f.zero), f.mul(c2, c))
-            if any(not f.is_zero(v) for v in acc.values()):
-                return False
-        return True
+        return not any(apply_columns(by_col, col, self.field) for col in by_col.values())
 
     def validate(self):
         problems = []
@@ -347,29 +338,38 @@ def tensor_quotient(C: FreeComplex, a) -> FiniteComplex:
     if len(a) != ring.num_vars or any(x < 1 for x in a):
         raise ValueError("need one exponent >= 1 per variable")
     monomials = sorted(itertools.product(*(range(x) for x in a)), key=_grlex_key)
-    degrees = []
-    lookup = {}
-    for gi, (_, deg) in enumerate(C.generators):
-        for mu in monomials:
-            lookup[(gi, mu)] = len(degrees)
-            degrees.append(deg + ring.var_weight * sum(mu))
-    # the keys ((i, e + mu), (j, mu)) of distinct terms are distinct, so
-    # no two combine; an exponent reaching its bound has no lookup entry
-    boundary = {}
-    for (i, j), p in C.differential.entries.items():
-        for mu in monomials:
-            col = lookup[(j, mu)]
+    items = [(gi, mu) for gi in range(C.n) for mu in monomials]
+    lookup = {item: k for k, item in enumerate(items)}
+    degrees = [C.degree(gi) + ring.var_weight * sum(mu) for gi, mu in items]
+    columns = tensor_columns(C.differential, items, lookup)
+    F = FiniteComplex(
+        ring.field, degrees, {(i, j): c for j, col in columns.items() for i, c in col.items()}
+    )
+    F.tensor_info = {"bounds": a, "items": items, "lookup": lookup}
+    return F
+
+
+def tensor_columns(M: PolyMatrix, items, lookup):
+    """The k-matrix of M tensor R/(t^a) by column, {k: {row: scalar}}, from
+    the tensor basis `items` (position k holds (generator j, exponents mu))
+    to the one indexed by `lookup` ({(generator, exponents): position}).
+
+    A term t^e of M[i, j] sends (j, mu) to (i, e + mu).  The images of the
+    terms of one column are distinct, so no two combine; an exponent
+    reaching its bound has no lookup entry.
+    """
+    by_column = M.columns()
+    out = {}
+    for k, (j, mu) in enumerate(items):
+        col = {}
+        for i, p in by_column.get(j, {}).items():
             for e, c in p.terms.items():
                 row = lookup.get((i, tuple(map(add, e, mu))))
                 if row is not None:
-                    boundary[(row, col)] = c
-    F = FiniteComplex(ring.field, degrees, boundary)
-    F.tensor_info = {
-        "bounds": a,
-        "items": [(gi, mu) for gi, _ in enumerate(C.generators) for mu in monomials],
-        "lookup": lookup,
-    }
-    return F
+                    col[row] = c
+        if col:
+            out[k] = col
+    return out
 
 
 def _cycles(columns, idx, ops):

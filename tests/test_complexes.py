@@ -1,12 +1,15 @@
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
 from koszulalg.ring import FieldSpec, RingSpec
 from koszulalg.complexes import (
     FreeComplex,
+    degree_violations,
     koszul,
+    linear_combination,
     direct_sum,
     canonical_augmentation,
     Augmentation,
@@ -85,6 +88,60 @@ class TestFreeComplex:
         S = direct_sum(A, B)
         assert S.n == A.n + B.n
         assert S.validate() == []
+
+
+def _random_polynomial(ring, rng, terms=3):
+    """A nonzero polynomial of a few terms of degree <= 2; over Q its
+    coefficients are fractions with denominators up to 4."""
+    denominators = (1, 2, 3, 4) if ring.field.characteristic == 0 else (1,)
+    p = ring.zero()
+    while p.is_zero():
+        for _ in range(rng.randint(1, terms)):
+            exps = [rng.randint(0, 2) for _ in range(ring.num_vars)]
+            c = Fraction(rng.choice((-3, -2, -1, 1, 2, 3)), rng.choice(denominators))
+            p = p + ring.monomial(exps, c)
+    return p
+
+
+@pytest.mark.parametrize("field", [Q, F2, F3], ids=["Q", "F2", "F3"])
+def test_linear_combination_matches_matrix_apply(field):
+    """sum c_k x_k equals M.apply({k: c_k}) for M with column k = x_k, with
+    some pairs cancelling outright (c, x) + (-c, x) and others in part."""
+    ring = RingSpec(field, 2, 1)
+    rng = random.Random(7)
+    n = 5
+    for _ in range(40):
+        pairs = []
+        for _ in range(rng.randint(1, 5)):
+            support = rng.sample(range(n), rng.randint(1, 3))
+            x = {u: _random_polynomial(ring, rng) for u in sorted(support)}
+            pairs.append((_random_polynomial(ring, rng), x))
+        c, x = pairs[0]
+        pairs.append((-c, x))  # cancels pair 0 outright
+        c, x = pairs[-2]
+        pairs.append((c, {u: -p for u, p in x.items() if u % 2}))  # cancels part of it
+        M = PolyMatrix(ring, n, len(pairs))
+        for k, (_, x) in enumerate(pairs):
+            for u, p in x.items():
+                M.set(u, k, p)
+        got = linear_combination(ring, pairs)
+        want = M.apply({k: c for k, (c, _) in enumerate(pairs)})
+        assert got == want
+        assert list(got) == sorted(got)
+    assert linear_combination(ring, []) == {}
+
+
+def test_degree_violations_shift():
+    """want = deg e_j + shift - deg e_i, sorted by (i, j); got is None for
+    an inhomogeneous entry."""
+    ring = RingSpec(Q, 2, 1)
+    C = FreeComplex(ring, [("a", 0), ("b", 1), ("c", 3)], PolyMatrix(ring, 3, 3))
+    M = PolyMatrix(ring, 3, 3)
+    M.set(2, 0, ring.parse("t1"))  # degree 1; deg a + shift - deg c = shift - 3
+    M.set(0, 1, ring.parse("t1 + t2^2"))  # inhomogeneous
+    M.set(1, 2, ring.parse("t1*t2"))  # degree 2; deg c + shift - deg b = shift + 2
+    assert degree_violations(M, C, C, 0) == [(0, 1, None, 1), (2, 0, 1, -3)]
+    assert degree_violations(M, C, C, 4) == [(0, 1, None, 5), (1, 2, 2, 6)]
 
 
 class TestKoszul:

@@ -283,6 +283,23 @@ class TestVerifyBoundsReports:
         assert rep["min_generators"] == 4 == original(C, (2, 2))
         assert "min_generators" not in verify_bounds(koszul(ring, 0).base, 0)
 
+    def test_one_verdict_for_library_and_cli(self, monkeypatch, tmp_path, capsys):
+        """A generator count below 2^r fails the report as it fails the CLI."""
+        from koszulalg.cli import main
+        from koszulalg.fileio import write_complex
+
+        K = koszul(RingSpec(F2, 3, 1), 1)
+        monkeypatch.setattr(lift, "min_generators_of_homology", lambda complex, a: 1)
+        rep = verify_bounds(K.base, 1, canonical_augmentation(K))
+        assert rep["failures"] == ["min generators"]
+        assert rep["passed"] is False
+        path = str(tmp_path / "k.cx")
+        write_complex(path, K.base, canonical_augmentation(K))
+        assert main(["verify-bounds", path]) == 1
+        out = capsys.readouterr().out
+        assert "check min generators of homology >= 2^r: 1 vs 8 -> FAIL" in out
+        assert out.endswith("result FAIL: min generators\n")
+
     def test_no_improved_bound_outside_its_case(self):
         K = koszul(RingSpec(Q, 3, 1), 1)
         assert "improved_bound" not in verify_bounds(K.base, 1, canonical_augmentation(K))

@@ -136,15 +136,19 @@ class TestAgainstMatrixProductOracle:
             assert mm.model.n == K.n
 
     def test_no_matrix_products(self, monkeypatch, random_corpus):
+        """The cancellation makes no matrix product: the one `@` of a
+        minimal_model call is the d∘d check of its input, d @ d."""
         noisy = noisy_complex(koszul(RingSpec(F3, 3, 1), 1).base, random.Random(0), pairs=6)
         products = []
         matmul = PolyMatrix.__matmul__
         monkeypatch.setattr(
-            PolyMatrix, "__matmul__", lambda a, b: products.append(1) or matmul(a, b)
+            PolyMatrix, "__matmul__", lambda a, b: products.append((a, b)) or matmul(a, b)
         )
         for C in [noisy] + [C for C, _ in random_corpus]:
+            products.clear()
             minimal_model(C)
-        assert products == []
+            assert len(products) == 1
+            assert all(operand is C.differential for operand in products[0])
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)
