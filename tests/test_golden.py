@@ -3,7 +3,10 @@
 The files were written by an earlier form of the module-map products
 (their own term loops in `DgaStructure.multiply`, the lifts, d∘d and the
 tensor-quotient reductions), so these tests hold the single products to
-the same reports, written maps, complexes and induced matrices.
+the same reports, written maps, complexes and induced matrices.  The
+`minimal` files (the model with its inclusion, projection and homotopy
+blocks) were written while the rank-one updates of `minimal_model` still
+multiplied terms through the field's own `mul` and `add`.
 `golden_outputs` builds every pinned text; `tests/golden/` holds one
 file per name it returns.
 """
@@ -98,6 +101,9 @@ def golden_outputs():
         out[f"lift.{name}.txt"] = _cli(["lift", f"{name}.cx", "--out", f"lift-{name}"])
         for part in ("alpha.map", "beta.map", "source.cx", "km.cx", "k0.cx", "model.cx"):
             out[f"lift.{name}.{part}"] = Path(f"lift-{name}.{part}").read_text()
+    name = "noisy-K3(1)-Q"
+    out[f"minimal.{name}.txt"] = _cli(["minimal", f"{name}.cx", "--out", f"minimal-{name}.cx"])
+    out[f"minimal.{name}.model.cx"] = Path(f"minimal-{name}.cx").read_text()
     iota, _, _ = standard_iota(_ring(3, 2), 1)
     rows, _, _ = induced_map_mod(iota, (2, 2))
     out["induced_map_mod.K2(1)-F3.txt"] = "".join(f"{row!r}\n" for row in rows)
