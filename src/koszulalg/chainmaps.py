@@ -31,7 +31,7 @@ class ChainMap:
 
     def compose(self, other: "ChainMap") -> "ChainMap":
         """self ∘ other (other first)."""
-        if other.target is not self.source and other.target != self.source:
+        if other.target is not self.source:
             raise ValueError("composition shape mismatch")
         return ChainMap(other.source, self.target, self.matrix @ other.matrix)
 

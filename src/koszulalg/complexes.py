@@ -19,7 +19,7 @@ import itertools
 from dataclasses import dataclass
 from operator import add
 
-from .ring import RingSpec, _grlex_key, add_product
+from .ring import RingSpec, _grlex_key, add_product, triples
 from .linalg import PolyMatrix, Echelon, apply_columns, axpy, span, sparse_dot
 
 
@@ -200,7 +200,8 @@ class Augmentation:
 
     def of_scalars(self, vector):
         """epsilon applied to a sparse vector {generator: scalar} (a constant element)."""
-        return sparse_dot(vector, dict(enumerate(self.values)), self.source.ring.field)
+        values = self.values
+        return self.source.ring.field.of(sum(x * values[i] for i, x in vector.items()))
 
     def on_columns(self, M: PolyMatrix):
         """epsilon of the constant part of each column of M, one scalar per column."""
@@ -278,12 +279,12 @@ def linear_combination(ring: RingSpec, pairs):
     """The module element sum c * x over the (Polynomial c, element x)
     pairs: the product of a map held as its list of images x (a matrix
     held as entries has `PolyMatrix.apply`)."""
-    f = ring.field
-    acc = {}
-    for c, x in pairs:
-        for u, p in x.items():
-            add_product(acc.setdefault(u, {}), f.one, c, p, f)
-    return ring.element(acc)
+    one = ring.field.one
+    products = [(0, one, c, triples(x)) for c, x in pairs]
+    if not products:
+        return {}  # most products in a dga's associativity check are 0
+    sums = add_product(products, ring)
+    return {u: p for (_, u), p in sorted(sums.items())}
 
 
 # ---------------------------------------------------------------------------
@@ -492,13 +493,15 @@ def min_generators_of_homology(C: FreeComplex, a) -> int:
         image = span((columns.get(j, {}) for j in by_degree.get(q - 1, ())), ops)
         for z in cycles.pop(q - w, ()):
             for var in range(C.ring.num_vars):
-                image.add(_shift_by_variable(z, var, info, ops))
+                image.add(_shift_by_variable(z, var, info))
         count += len(Z) - image.rank
     return count
 
 
-def _shift_by_variable(vector, var, info, ops):
-    """Multiply a sparse tensor-basis vector by t_{var+1}, truncating at the bounds."""
+def _shift_by_variable(vector, var, info):
+    """Multiply a sparse tensor-basis vector by t_{var+1}, truncating at
+    the bounds.  (g, mu) -> (g, mu + e_var) is injective, so no two
+    positions meet and each coefficient is copied, not summed."""
     bounds = info["bounds"]
     lookup = info["lookup"]
     items = info["items"]
@@ -507,12 +510,6 @@ def _shift_by_variable(vector, var, info, ops):
         gi, mu = items[pos]
         new_mu = list(mu)
         new_mu[var] += 1
-        if new_mu[var] >= bounds[var]:
-            continue
-        key = lookup[(gi, tuple(new_mu))]
-        s = ops.add(out.get(key, ops.zero), c)
-        if ops.is_zero(s):
-            out.pop(key, None)
-        else:
-            out[key] = s
+        if new_mu[var] < bounds[var]:
+            out[lookup[(gi, tuple(new_mu))]] = c
     return out

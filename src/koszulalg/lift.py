@@ -287,7 +287,7 @@ def lift_beta(
     model = F.model_complex
     ring = model.ring
     f = ring.field
-    if augmentation.source is not model and augmentation.source != model:
+    if augmentation.source is not model:
         raise ValueError("augmentation does not belong to the model")
     rep = check_properties(F, augmentation)
     if rep["failures"]:
@@ -432,8 +432,9 @@ def pipeline(C: FreeComplex, m: int, augmentation: Augmentation = None):
 
 
 def _default_augmentation(C: FreeComplex) -> Augmentation:
-    """Indicator of a single degree-0 cycle generator named s0 if present,
-    otherwise of the first degree-0 generator with d = 0."""
+    """The indicator of the first degree-0 generator, in generator order,
+    whose indicator passes `Augmentation.validate` (no d(e_k) has a
+    nonzero constant coefficient at it); the name plays no part."""
     f = C.ring.field
     for j, (name, q) in enumerate(C.generators):
         if q != 0:

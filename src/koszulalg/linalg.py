@@ -16,8 +16,8 @@ the slots wide enough that a product and its folds through the modulus
 never carry between them, so a product is one int multiply with packed
 folds: one byte a slot for F_{2^61} (`GF2ExtOps`, which inverts through
 the bit form), W bits for F_{p^k} with odd p (`GFPExtOps`, Itoh-Tsujii).
-Every product and sum of PolyMatrix objects goes through one sparse
-kernel, `sum_of_products`.
+Every product and sum of PolyMatrix objects is one `sum_of_products`,
+which hands all its term products to `ring.add_product` in one call.
 
 Also hosts the scalar linear algebra used by the homology, filtration
 and lifting code: one sparse-row elimination kernel (`Echelon`, rows kept
@@ -30,10 +30,10 @@ from __future__ import annotations
 import operator
 import random
 from itertools import count, zip_longest
-from operator import add
 
 from .ring import (
-    FieldSpec, Polynomial, RingSpec, RingMismatchError, _is_prime, add_product, evaluator,
+    FieldSpec, Polynomial, RingSpec, RingMismatchError, ScalarField, _is_prime, add_product,
+    evaluator, triples,
 )
 
 
@@ -117,13 +117,12 @@ class PolyMatrix:
 
     def apply(self, element):
         """Matrix times a module element {j: nonzero Polynomial}, as one."""
-        f = self.ring.field
-        acc = {}
-        for (i, j), p in self.entries.items():
-            v = element.get(j)
-            if v is not None:
-                add_product(acc.setdefault(i, {}), f.one, p, v, f)
-        return self.ring.element(acc)
+        one = self.ring.field.one
+        rows = {k: triples({0: p}) for k, p in element.items()}  # element as a column
+        sums = add_product(
+            ((i, one, p, rows[k]) for (i, k), p in self.entries.items() if k in rows), self.ring
+        )
+        return {i: p for (i, _), p in sorted(sums.items())}
 
     def __str__(self):
         lines = []
@@ -136,18 +135,14 @@ def sum_of_products(terms):
     """The PolyMatrix sum of c*A*B over the list of (c, A, B) `terms`; B None
     stands for the identity, so (c, A, None) adds c*A.
 
-    Each row k of B is one list of (j, exponents, coefficient) triples.
-    Every term product (* and + on the int and Fraction scalars) goes into
-    one dict keyed (i, j, exponents), zeros left in place; each total is
-    reduced mod p once.  A Polynomial is built for each nonzero entry, in
-    the order its (i, j) was first reached.  Term order inside an entry is
-    free: `evaluator`, `__str__`, `divide_exact` and `_rank_at_most` ignore it.
+    Each row k of B is one list of (j, exponents, coefficient) triples, and
+    every entry (i, k) of A is one product of `add_product`, which sums
+    them all in one call; the entries come in the order their (i, j) was
+    first reached.
     """
     _, A, B = terms[0]
     ring, rows, cols = A.ring, A.rows, (A if B is None else B).cols
-    p = ring.field.characteristic
-    acc = {}  # (i, j, exponents) -> unreduced coefficient, zeros included
-    get = acc.get
+    products = []
     for c, A, B in terms:
         if B is None:
             B = PolyMatrix.identity(ring, A.cols)
@@ -160,22 +155,9 @@ def sum_of_products(terms):
             row = by_row.setdefault(k, [])
             for e, v in q.terms.items():
                 row.append((j, e, v))
-        for (i, k), a in A.entries.items():
-            row = by_row.get(k, ())
-            for e1, c1 in a.terms.items():
-                c1 *= c
-                for j, e2, c2 in row:
-                    key = (i, j, tuple(map(add, e1, e2)))
-                    acc[key] = get(key, 0) + c1 * c2
-    entries = {}
-    for (i, j, e), v in acc.items():
-        t = entries.setdefault((i, j), {})
-        if p:
-            v %= p
-        if v:
-            t[e] = v
+        products += [(i, c, a, by_row[k]) for (i, k), a in A.entries.items() if k in by_row]
     out = PolyMatrix(ring, rows, cols)
-    out.entries = {key: Polynomial(ring, t) for key, t in entries.items() if t}
+    out.entries = add_product(products, ring)
     return out
 
 
@@ -310,8 +292,8 @@ def _rank_at_most(core, pivot_rows, ring) -> bool:
     pivot block.  For each free column j, x = d*e_j - sum_t A[t][j]*e_{q_t}
     is then a kernel vector of the pivot rows.  These cols - k vectors are
     independent (x for j is d at j and 0 in the other free columns), so
-    core*x = 0, checked for each of them with exact products, proves
-    rank <= k.
+    core @ X = 0 for the matrix X with these columns, one exact product,
+    proves rank <= k.
     """
     cols = {j for row in core.values() for j in row}
     k = len(pivot_rows)
@@ -319,7 +301,8 @@ def _rank_at_most(core, pivot_rows, ring) -> bool:
         return True
     A = [dict(core[i]) for i in pivot_rows]
     pivot_col = [None] * k
-    zero = ring.zero()
+    one = ring.field.one
+    minus = ring.field.neg(one)
     d = None  # the previous pivot; None is 1
     for _ in range(k):
         _, s, q = min(
@@ -330,35 +313,29 @@ def _rank_at_most(core, pivot_rows, ring) -> bool:
         pivot_col[s] = q
         prow = A[s]
         piv = prow.pop(q)
+        prow_terms = triples(prow)
         for t, row in enumerate(A):
             if t == s:
                 continue
-            f = row.pop(q, zero)
-            new = {}
-            for j in row.keys() | prow.keys():
-                num = piv * row.get(j, zero) - f * prow.get(j, zero)
-                if num:
-                    new[j] = num if d is None else num.divide_exact(d)
-            A[t] = new
+            # row <- (piv * row - f * prow) / d, f the entry of row at q
+            f = row.pop(q, None)
+            products = [(0, one, piv, triples(row))]
+            if f is not None:
+                products.append((0, minus, f, prow_terms))
+            A[t] = {
+                j: num if d is None else num.divide_exact(d)
+                for (_, j), num in add_product(products, ring).items()
+            }
         d = piv
     if d is None:
         d = ring.one()
-    by_free = {j: [] for j in cols.difference(pivot_col)}
+    X = {j: {j: d} for j in cols.difference(pivot_col)}  # by row
     for q, row in zip(pivot_col, A):
-        for j, a in row.items():
-            by_free[j].append((q, -a))
-    for j, entries in by_free.items():
-        x = dict(entries)
-        x[j] = d
-        for row in core.values():
-            acc = zero
-            for c, p in row.items():
-                xc = x.get(c)
-                if xc is not None:
-                    acc = acc + p * xc
-            if acc:
-                return False
-    return True
+        X[q] = {j: -a for j, a in row.items()}
+    rows_of_x = {c: triples(x) for c, x in X.items()}
+    return not add_product(
+        ((i, one, p, rows_of_x[c]) for i, row in core.items() for c, p in row.items()), ring
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -366,18 +343,11 @@ def _rank_at_most(core, pivot_rows, ring) -> bool:
 # ---------------------------------------------------------------------------
 
 
-class _PackedField:
-    """What the packed extension fields share: 0, 1, `of` (n mod p), `div`."""
-
-    zero = 0
-    one = 1
-    is_zero = staticmethod(operator.not_)
+class _PackedField(ScalarField):
+    """A packed extension field of F_p: an int n stands for n mod p."""
 
     def of(self, n):
         return n % self.p
-
-    def div(self, a, b):
-        return self.mul(a, self.inv(b))
 
 
 class GF2ExtOps(_PackedField):
@@ -698,10 +668,9 @@ def evaluation_domain(field: FieldSpec):
 
 
 # ---------------------------------------------------------------------------
-# scalar linear algebra over a field (any object with the scalar protocol
-# of FieldSpec: a FieldSpec or an evaluation domain).  Vectors are sparse
-# {index: nonzero} dicts.  All elimination goes through Echelon; the
-# functions at the end wrap it.
+# scalar linear algebra over a field (any `ScalarField`: a FieldSpec or an
+# evaluation domain).  Vectors are sparse {index: nonzero} dicts.  All
+# elimination goes through Echelon; the functions at the end wrap it.
 # ---------------------------------------------------------------------------
 
 

@@ -3,7 +3,8 @@
 A differential entry with nonzero constant term is necessarily a pure
 scalar (homogeneity between distinct degrees), so each cancellation is a
 change of basis killing one generator pair.  For the pivot c = d_ij it
-is a rank-one update of sparse rows, with no matrix product:
+is a rank-one update of sparse rows, with no matrix product; each of
+these four is one `ring.add_product` call:
 
     D[u, v]    -= c^-1 d_uj d_iv            (the Schur complement)
     incl[:, v] -= c^-1 d_iv incl[:, j]
@@ -19,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .ring import Polynomial, add_product
+from .ring import add_product, triples
 from .complexes import FreeComplex
 from .linalg import PolyMatrix, apply_columns, axpy, span, sum_of_products
 from .chainmaps import ChainMap, Homotopy
@@ -107,13 +108,10 @@ def minimal_model(C: FreeComplex, pivot_rng=None) -> MinimalModel:
             row.pop(i, None)
         row_i.pop(i, None)
         row_i.pop(j)
-        for a, p in incl[j].items():
-            _add_rank_one(hom.setdefault(a, {}), c_inv, p, proj[i], ring)
-        for v, d_iv in row_i.items():
-            _add_rank_one(incl[v], minus, d_iv, incl[j], ring)
-        for u, d_uj in col_j.items():
-            _add_rank_one(proj[u], minus, d_uj, proj[i], ring)
-            _add_rank_one(rows[u], minus, d_uj, row_i, ring)
+        _add_rank_one(hom, c_inv, incl[j], proj[i], ring)
+        _add_rank_one(incl, minus, row_i, incl[j], ring)
+        _add_rank_one(proj, minus, col_j, proj[i], ring)
+        _add_rank_one(rows, minus, col_j, row_i, ring)
         for g in (i, j):
             del incl[g], proj[g]
     kept = sorted(incl)
@@ -133,21 +131,32 @@ def minimal_model(C: FreeComplex, pivot_rng=None) -> MinimalModel:
     )
 
 
-def _add_rank_one(vec, c, p, other, ring):
-    """vec += c * p * other for sparse vectors {index: Polynomial}, in place."""
-    for k, q in other.items():
-        old = vec.get(k)
-        terms = add_product(dict(old.terms) if old is not None else {}, c, p, q, ring.field)
-        if terms:
-            vec[k] = Polynomial(ring, terms)
-        elif old is not None:
-            del vec[k]
+def _add_rank_one(vectors, c, coeffs, other, ring):
+    """vectors[v] += c * coeffs[v] * other for each v of coeffs, in place,
+    as one `add_product`; vectors and other are sparse {index: Polynomial}
+    and vectors[v] is made empty when absent.  Only the entries at the
+    indices of other change, so each vector keeps its order."""
+    one, unit, row = ring.field.one, ring.one(), triples(other)
+    products = []
+    for v, p in coeffs.items():
+        vec = vectors.setdefault(v, {})
+        products.append((v, one, unit, triples({k: vec[k] for k in other if k in vec})))
+        products.append((v, c, p, row))
+    sums = add_product(products, ring)
+    for v in coeffs:
+        vec = vectors[v]
+        for k in other:
+            q = sums.get((v, k))
+            if q is None:
+                vec.pop(k, None)
+            else:
+                vec[k] = q
 
 
-def _assemble(ring, rows, cols, triples):
+def _assemble(ring, rows, cols, entries):
     """The PolyMatrix with the (i, j, p) entries given."""
     M = PolyMatrix(ring, rows, cols)
-    M.entries = {(i, j): p for i, j, p in triples}
+    M.entries = {(i, j): p for i, j, p in entries}
     return M
 
 

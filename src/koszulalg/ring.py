@@ -2,10 +2,12 @@
 
 Scalars in characteristic 0 are ints when integral and
 `fractions.Fraction` otherwise, and plain ints in [0, p) in characteristic
-p; `FieldSpec` defines their arithmetic, and `linalg.sum_of_products`, the
-matrix kernel, sums their raw products and reduces mod p once.  Polynomials
-are dicts mapping exponent tuples to nonzero scalars; all arithmetic is
-exact.  `add_product` multiplies out single polynomials and module elements.
+p; `FieldSpec` defines their arithmetic on the protocol of `ScalarField`,
+which the evaluation fields in linalg share.  Polynomials are dicts
+mapping exponent tuples to nonzero scalars; all arithmetic is exact.
+`add_product`, the one loop over products of terms, sums the raw
+products of many entries in one call and reduces each total mod p once;
+every product of polynomials, matrices and module elements goes through it.
 
 The text form of polynomials and module elements is defined here once:
 `Polynomial.__str__` writes it, and one tokenizer and one term loop
@@ -47,16 +49,26 @@ def _is_prime(n: int) -> bool:
     return True
 
 
+class ScalarField:
+    """The scalar protocol of every field here: zero, one, of, add, sub,
+    neg, mul, inv, div, is_zero; the fields that ranks are evaluated in
+    (F_p and the extensions in linalg) also draw points with random_element."""
+
+    zero = 0
+    one = 1
+    is_zero = staticmethod(operator.not_)  # a == 0 on ints and Fractions
+
+    def div(self, a, b):
+        return self.mul(a, self.inv(b))
+
+
 @dataclass(frozen=True)
-class FieldSpec:
+class FieldSpec(ScalarField):
     """The coefficient field: Q (characteristic 0) or F_p (p prime, p < 2**61).
 
     `FieldSpec(c)` returns a `RationalField` or a `PrimeField`, so the
     arithmetic is chosen once, by class, and no scalar operation tests the
-    characteristic.  Both implement the scalar protocol shared with the
-    extension fields in linalg: zero, one, of, add, sub, neg, mul, inv,
-    div, is_zero; the fields that ranks are evaluated in (F_p and the
-    extensions) also draw points with random_element.
+    characteristic.
     """
 
     characteristic: int = 0
@@ -72,11 +84,6 @@ class FieldSpec:
             raise ValueError(f"characteristic must be 0 or prime, got {c}")
         if c >= 2**61:
             raise ValueError("prime characteristic must be < 2**61")
-
-    def div(self, a, b):
-        return self.mul(a, self.inv(b))
-
-    is_zero = staticmethod(operator.not_)  # a == 0 on ints and Fractions
 
     def format_scalar(self, a) -> str:
         return str(a)
@@ -102,9 +109,6 @@ class RationalField(FieldSpec):
     types agree on `==`, `hash` and `str`, so either may stand for a
     value."""
 
-    zero = 0
-    one = 1
-
     def of(self, n):
         """Coerce an int or a Fraction into the field."""
         return n if type(n) is int else _integral(Fraction(n))
@@ -124,9 +128,6 @@ class RationalField(FieldSpec):
 @dataclass(frozen=True)
 class PrimeField(FieldSpec):
     """F_p, with scalars as ints in [0, p)."""
-
-    zero = 0
-    one = 1
 
     def of(self, n):
         """Coerce an int, or a Fraction whose denominator is prime to p."""
@@ -308,8 +309,9 @@ class Polynomial:
 
     def __mul__(self, other):
         self._check(other)
-        f = self.ring.field
-        return Polynomial(self.ring, add_product({}, f.one, self, other, f))
+        ring = self.ring
+        product = add_product([(0, ring.field.one, self, triples({0: other}))], ring)
+        return product.get((0, 0)) or ring.zero()
 
     def scale(self, c):
         f = self.ring.field
@@ -385,26 +387,42 @@ class Polynomial:
         return f"Polynomial({self})"
 
 
-def add_product(terms, c, p, q, field):
-    """terms += c * p * q on an exponent dict {exps: scalar}, in place.
+def add_product(products, ring):
+    """The sums of c * p * row over the (i, c, p, row) `products`, as
+    {(i, j): nonzero Polynomial}: the one loop over products of terms.
 
-    Exponents are added term by term and cancelled terms are dropped, so
-    no intermediate Polynomial is built; c = 1 costs no multiplication.
-    Returns terms.
+    c is a scalar, p a Polynomial and row the (j, exponents, coefficient)
+    triples of a module element (`triples`).  Every term product
+    c * c1 * c2, with * and + on the raw int and Fraction scalars, goes
+    into one dict keyed (i, j, e1 + e2), zeros left in place; one collect
+    step then reduces each total mod p once and builds a Polynomial for
+    each nonzero (i, j), in the order its (i, j) was first reached.  Term
+    order inside a Polynomial is free: `evaluator`, `__str__`,
+    `divide_exact` and `linalg._rank_at_most` ignore it.
     """
-    mul, plus, is_zero, zero = field.mul, field.add, field.is_zero, field.zero
-    scaled = c != field.one
-    for e1, c1 in p.terms.items():
-        if scaled:
-            c1 = mul(c, c1)
-        for e2, c2 in q.terms.items():
-            e = tuple(map(add, e1, e2))
-            s = plus(terms.get(e, zero), mul(c1, c2))
-            if is_zero(s):
-                terms.pop(e, None)
-            else:
-                terms[e] = s
-    return terms
+    acc = {}  # (i, j, exponents) -> unreduced coefficient, zeros included
+    get = acc.get
+    for i, c, p, row in products:
+        for e1, c1 in p.terms.items():
+            c1 *= c
+            for j, e2, c2 in row:
+                key = (i, j, tuple(map(add, e1, e2)))
+                acc[key] = get(key, 0) + c1 * c2
+    char = ring.field.characteristic
+    sums = {}
+    for (i, j, e), v in acc.items():
+        t = sums.setdefault((i, j), {})
+        if char:
+            v %= char
+        if v:
+            t[e] = v
+    return {key: Polynomial(ring, t) for key, t in sums.items() if t}
+
+
+def triples(element):
+    """The (j, exponents, coefficient) triples of a module element
+    {j: Polynomial}: the `row` of an `add_product`."""
+    return [(j, e, v) for j, p in element.items() for e, v in p.terms.items()]
 
 
 def evaluator(points, ops):

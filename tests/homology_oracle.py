@@ -40,7 +40,7 @@ def min_generators_by_projection(C, a):
         for var in range(C.ring.num_vars):
             for k in rep_ids:
                 coords = {}
-                for b, c in _shift_by_variable(H.representatives[k], var, info, ops).items():
+                for b, c in _shift_by_variable(H.representatives[k], var, info).items():
                     column = proj.get(b)
                     if column:
                         axpy(coords, c, column, ops)

@@ -1,18 +1,20 @@
-"""The one sparse product kernel (linalg.sum_of_products) and the chain-map
-checks on it, against entry-by-entry products (product_oracle)."""
+"""The one term-product loop (ring.add_product), the matrix sums built on
+it (linalg.sum_of_products) and the chain-map checks on them, against
+entry-by-entry products (product_oracle)."""
 
 import random
 from fractions import Fraction
 
 import pytest
 
-from koszulalg import linalg
+from koszulalg import linalg, ring as ring_module
 from koszulalg.chainmaps import (
     ChainMap, is_chain_map, perturb, random_homotopy, standard_iota,
 )
+from koszulalg.complexes import koszul, linear_combination
 from koszulalg.linalg import PolyMatrix, sum_of_products
 from koszulalg.minimal import minimal_model
-from koszulalg.ring import FieldSpec, RingSpec
+from koszulalg.ring import FieldSpec, PrimeField, RationalField, RingSpec
 
 from conftest import noisy_complex, random_free_complex
 from product_oracle import oracle_commutator, oracle_sum, oracle_verify, schoolbook_mul
@@ -114,6 +116,20 @@ def test_entries_come_in_first_reached_order(field, seed):
         assert list(row) == [j for i2, j in got.entries if i2 == i and j in row]
 
 
+def test_add_product_reduces_each_total_once():
+    """Over F_3, 2*t1^2 and 4*t1^2 meet in one total 6*t1^2 = 0: that
+    entry is dropped, not built, and the (i, j) come in the order first
+    reached."""
+    ring = RingSpec(FieldSpec(3), 2, 1)
+    t1, t2 = ring.var(1), ring.var(2)
+    row = ring_module.triples({5: t1.scale(2), 4: t2})
+    sums = ring_module.add_product(
+        [(0, 1, t1, row), (1, 2, ring.one(), row), (0, 2, t1, row[:1])], ring
+    )
+    assert list(sums) == [(0, 4), (1, 5), (1, 4)]
+    assert sums == {(0, 4): t1 * t2, (1, 5): t1, (1, 4): t2.scale(2)}
+
+
 @pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
 @pytest.mark.parametrize("seed", range(4))
 def test_polynomial_product_matches_schoolbook(field, seed):
@@ -165,7 +181,44 @@ def test_chain_map_check_builds_no_polynomial(monkeypatch):
         raise AssertionError("a Polynomial was built")
 
     monkeypatch.setattr(linalg, "Polynomial", no_polynomial)
+    monkeypatch.setattr(ring_module, "Polynomial", no_polynomial)
     assert is_chain_map(gamma) is None
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
+def test_product_paths_make_no_field_calls(field, monkeypatch):
+    """Polynomial.__mul__, sum_of_products (through @ and +),
+    PolyMatrix.apply, linear_combination and the rank-one updates of
+    minimal_model multiply and add raw scalars in add_product: no
+    FieldSpec.mul or FieldSpec.add call on any term."""
+    rng = random.Random(3)
+    ring = RingSpec(field, 3, 1)
+    A, B, C = _matrix(ring, rng, 5, 4), _matrix(ring, rng, 4, 6), _matrix(ring, rng, 5, 6)
+    p, q = _poly(ring, rng), _poly(ring, rng)
+    x = {k: _poly(ring, rng) for k in range(4) if rng.random() < 0.7}
+    pairs = [(_poly(ring, rng), {k: _poly(ring, rng) for k in range(3)}) for _ in range(3)]
+    noisy = noisy_complex(koszul(ring, 1).base, random.Random(1), pairs=4)
+    calls = []
+    for cls in (RationalField, PrimeField):
+        for name in ("mul", "add"):
+            static = isinstance(cls.__dict__[name], staticmethod)
+            original = getattr(cls, name)
+
+            def spy(self, *args, original=original, static=static, name=name):
+                calls.append(name)
+                return original(*args) if static else original(self, *args)
+
+            monkeypatch.setattr(cls, name, spy)
+    assert field.mul(1, 1) == 1 and calls == ["mul"]  # the spies are live
+    calls.clear()
+    p * q
+    A @ B
+    A @ B + C
+    A.apply(x)
+    linear_combination(ring, pairs)
+    mm = minimal_model(noisy)
+    assert mm.model.n < noisy.n  # pairs were cancelled by rank-one updates
+    assert calls == []
 
 
 def _corrupt(mm, rng):
