@@ -6,7 +6,10 @@ tensor-quotient reductions), so these tests hold the single products to
 the same reports, written maps, complexes and induced matrices.  The
 `minimal` files (the model with its inclusion, projection and homotopy
 blocks) were written while the rank-one updates of `minimal_model` still
-multiplied terms through the field's own `mul` and `add`.
+multiplied terms through the field's own `mul` and `add`.  The
+`filtration` reports and the `verify-bounds` report of K_3(0)/Q (where
+the lambda action is nontrivial) were written while the filtration and
+bound reports still took a minimal model or a complex.
 `golden_outputs` builds every pinned text; `tests/golden/` holds one
 file per name it returns.
 """
@@ -32,6 +35,7 @@ GOLDEN = Path(__file__).parent / "golden"
 
 KOSZUL_INPUTS = [
     # name, char, r, m, weight
+    ("K3(0)-Q", 0, 3, 0, 1),
     ("K3(1)-F2", 2, 3, 1, 1),
     ("K3(1)-F3", 3, 3, 1, 1),
     ("K3(1)-Q", 0, 3, 1, 1),
@@ -41,6 +45,8 @@ KOSZUL_INPUTS = [
     ("K5(1)-F2", 2, 5, 1, 1),
 ]
 NOISY_INPUTS = [("noisy-K3(1)-Q", 0), ("noisy-K3(1)-F3", 3)]
+# with an augmentation; not minimal ("reduced 16 -> 8"); nontrivial lambda
+FILTRATION_INPUTS = ["K3(1)-F2", "noisy-K3(1)-Q", "K3(0)-Q"]
 
 # random_homotopy draws: name, char, r, keyword options; seeds 0..199
 HOMOTOPY_DRAWS = [
@@ -97,6 +103,8 @@ def golden_outputs():
         out[f"verify-bounds.{name}.txt"] = _cli(["verify-bounds", f"{name}.cx", "--m", str(m)])
     for name, _ in NOISY_INPUTS:
         out[f"verify-bounds.{name}.txt"] = _cli(["verify-bounds", f"{name}.cx"])
+    for name in FILTRATION_INPUTS:
+        out[f"filtration.{name}.txt"] = _cli(["filtration", f"{name}.cx"])
     for name in ("K3(1)-Q", "noisy-K3(1)-Q"):
         out[f"lift.{name}.txt"] = _cli(["lift", f"{name}.cx", "--out", f"lift-{name}"])
         for part in ("alpha.map", "beta.map", "source.cx", "km.cx", "k0.cx", "model.cx"):
