@@ -247,17 +247,15 @@ def cmd_filtration(args):
     if not is_minimal(C):
         mm = minimal_model(C)  # validates C
         lines.append(f"input not minimal; reduced {C.n} -> {mm.model.n} generators")
-        target = mm
         model = mm.model
     else:
         problems = C.validate()
         if problems:
             raise UsageError("invalid complex: " + "; ".join(problems))
-        target = C
         model = C
-    F = compute_filtration(target)
+    F = compute_filtration(model)
     rep = check_properties(F, aug if aug is not None and aug.source == model else None)
-    brep = bound_checks(model, F)
+    brep = bound_checks(F)
     lines.append(f"length {F.length}")
     lines.append("dims " + " ".join(str(d) for d in F.dims()))
     for msg in rep["failures"]:

@@ -78,6 +78,16 @@ class FreeComplex:
         return f"FreeComplex({self.n} generators over {self.ring})"
 
 
+def monomial_slices(model: FreeComplex):
+    """{exponent tuple: {j: {i: scalar}}}, the slices A_mu by column;
+    d(x) = sum_mu mu * (A_mu @ x)."""
+    slices = {}
+    for (i, j), p in model.differential.entries.items():
+        for exps, c in p.terms.items():
+            slices.setdefault(exps, {}).setdefault(j, {})[i] = c
+    return slices
+
+
 def degree_violations(M: PolyMatrix, source: FreeComplex, target: FreeComplex, shift: int):
     """The entries of M (target.n x source.n) whose weighted degree is not
     deg e_j + shift - deg e_i, as sorted (i, j, got, want); got is None

@@ -4,31 +4,17 @@ F_1 is the kernel of the differential restricted to constant coordinate
 vectors; F_{i+1} collects the constant vectors whose differential has
 all monomial slices inside F_i.  Everything is scalar linear algebra on
 sparse vectors {generator: scalar}: the slices (one scalar matrix per
-monomial occurring in the minimal differential) are stored by column,
-and each level is one Echelon.
+monomial occurring in the minimal differential, `monomial_slices`) are
+stored by column, and each level is one Echelon.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .complexes import FreeComplex, Augmentation
+from .complexes import FreeComplex, Augmentation, monomial_slices
 from .linalg import Echelon, apply_columns, span
-from .minimal import MinimalModel, is_minimal, lambda_ops, lambda_length
-
-
-def _model_of(M) -> FreeComplex:
-    return M.model if isinstance(M, MinimalModel) else M
-
-
-def monomial_slices(model: FreeComplex):
-    """{exponent tuple: {j: {i: scalar}}}, the slices A_mu by column;
-    d(x) = sum_mu mu * (A_mu @ x)."""
-    slices = {}
-    for (i, j), p in model.differential.entries.items():
-        for exps, c in p.terms.items():
-            slices.setdefault(exps, {}).setdefault(j, {})[i] = c
-    return slices
+from .minimal import is_minimal, lambda_ops, lambda_length
 
 
 def slice_images(slices, v, ops):
@@ -46,7 +32,6 @@ class Filtration:
     model_complex: FreeComplex
     subspaces: list  # Echelons; subspaces[i] spans F_{i+1}
     length: int
-    minimal: MinimalModel = None
 
     def dims(self):
         return [E.rank for E in self.subspaces]
@@ -89,8 +74,7 @@ class Filtration:
         return out
 
 
-def compute_filtration(M) -> Filtration:
-    model = _model_of(M)
+def compute_filtration(model: FreeComplex) -> Filtration:
     if not is_minimal(model):
         raise ValueError("filtration needs a minimal differential")
     if model.n == 0:
@@ -116,12 +100,7 @@ def compute_filtration(M) -> Filtration:
             )
         levels.append(nxt)
         prev = nxt
-    return Filtration(
-        model_complex=model,
-        subspaces=levels,
-        length=len(levels),
-        minimal=M if isinstance(M, MinimalModel) else None,
-    )
+    return Filtration(model_complex=model, subspaces=levels, length=len(levels))
 
 
 def check_properties(F: Filtration, augmentation: Augmentation = None):
@@ -179,17 +158,15 @@ def check_properties(F: Filtration, augmentation: Augmentation = None):
         else:
             witnesses[i] = witness
     return {
-        "dims": F.dims(),
-        "length": F.length,
         "failures": failures,
         "quotient_witnesses": witnesses,
         "passed": not failures,
     }
 
 
-def bound_checks(M, F: Filtration):
+def bound_checks(F: Filtration):
     """Dimension / length inequalities with both sides computed."""
-    model = _model_of(M)
+    model = F.model_complex
     n = model.n
     ell = F.length
     action = lambda_ops(model)

@@ -27,6 +27,7 @@ from .complexes import (
     degree_violations,
     linear_combination,
     min_generators_of_homology,
+    monomial_slices,
 )
 from .chainmaps import ChainMap, is_chain_map, rank_of_map, restricted_rank
 from .linalg import PolyMatrix, Echelon, axpy, solve
@@ -35,7 +36,6 @@ from .filtration import (
     Filtration,
     compute_filtration,
     check_properties,
-    monomial_slices,
     slice_images,
     bound_checks,
     report_checks,
@@ -413,7 +413,7 @@ def pipeline(C: FreeComplex, m: int, augmentation: Augmentation = None):
     if augmentation is None:
         augmentation = _default_augmentation(C)
     model_aug = Augmentation(mm.model, augmentation.on_columns(mm.inclusion.matrix))
-    F = compute_filtration(mm)
+    F = compute_filtration(mm.model)
     Km = koszul(C.ring, m)
     alpha = lift_alpha(C, augmentation, m, Km)
     K0 = koszul(C.ring, 0)
@@ -464,7 +464,7 @@ def verify_bounds(C: FreeComplex, m: int, augmentation: Augmentation = None):
     r = C.ring.num_vars
     gamma = parts["gamma"]
     rank = rank_of_map(gamma)
-    checks = bound_checks(model, F)
+    checks = bound_checks(F)
     lam_sum = checks["lambda_sum"]
     degrees = checks["nonzero_degrees"]
     report = {
@@ -473,9 +473,6 @@ def verify_bounds(C: FreeComplex, m: int, augmentation: Augmentation = None):
         "dim_H": model.n,
         "rank_gamma": rank,
         "length": F.length,
-        "lambda_sum": lam_sum,
-        "lambda_trivial": checks["lambda_trivial"],
-        "nonzero_degrees": degrees,
         "a_dim_vs_2r": (model.n, 2 * r, model.n >= 2 * r),
         "a_rank_vs_2r": (rank, 2 * r, rank >= 2 * r),
         "b_length_vs_r_plus_1": (F.length, r + 1, F.length >= r + 1),
@@ -544,8 +541,6 @@ def _improved_bound(gamma: ChainMap, Km: KoszulComplex):
         "r": r,
         "restricted_basis_size": len(sub),
         "restricted_rank": restricted,
-        "restricted_full": restricted == r + 1,
-        "odd_rank_at_least": restricted,
         "total_bound": 2 * (r + 1),
         "passed": restricted == r + 1,
     }

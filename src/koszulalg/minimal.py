@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .ring import add_product, triples
-from .complexes import FreeComplex
+from .complexes import FreeComplex, monomial_slices
 from .linalg import PolyMatrix, apply_columns, axpy, span, sum_of_products
 from .chainmaps import ChainMap, Homotopy
 
@@ -204,31 +204,26 @@ class LambdaAction:
         return not any(self.maps)
 
 
-def lambda_ops(M) -> LambdaAction:
-    """Extract the lambda_i matrices from a minimal model (or FreeComplex)."""
-    model = M.model if isinstance(M, MinimalModel) else M
+def lambda_ops(model: FreeComplex) -> LambdaAction:
+    """The lambda_i matrices of a minimal complex: the slices of t_i."""
     if not is_minimal(model):
         raise ValueError("lambda operators need a minimal differential")
-    ring = model.ring
+    r = model.ring.num_vars
+    slices = monomial_slices(model)
     maps = []
-    for var in range(ring.num_vars):
-        exps = [0] * ring.num_vars
-        exps[var] = 1
-        exps = tuple(exps)
+    for var in range(r):
         mat = {}
-        for (i, j), p in model.differential.entries.items():
-            if model.degree(i) != model.degree(j):
-                continue  # only the degree-preserving part acts on H^q
-            c = p.terms.get(exps)
-            if c is not None:
-                mat.setdefault(j, {})[i] = c
+        for j, col in slices.get(tuple(int(k == var) for k in range(r)), {}).items():
+            # only the degree-preserving part acts on H^q
+            kept = {i: c for i, c in col.items() if model.degree(i) == model.degree(j)}
+            if kept:
+                mat[j] = kept
         maps.append(mat)
     return LambdaAction(model, maps)
 
 
-def lambda_length(M, q: int) -> int:
+def lambda_length(action: LambdaAction, q: int) -> int:
     """Minimal i with (Λ⁺)^i H^q = 0; 0 when H^q itself is zero."""
-    action = M if isinstance(M, LambdaAction) else lambda_ops(M)
     model = action.model
     ops = model.ring.field
     n = model.n

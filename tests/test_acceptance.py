@@ -151,9 +151,9 @@ def test_criterion_6_filtration(capsys, random_corpus):
         mm = minimal_model(C)
         if mm.model.n == 0:
             continue
-        F = compute_filtration(mm)
+        F = compute_filtration(mm.model)
         ok = ok and check_properties(F)["passed"]
-        rep = bound_checks(mm, F)
+        rep = bound_checks(F)
         got, want, fine = rep["dim_vs_twice_length"]
         ok = ok and fine and got >= want
     with capsys.disabled():
@@ -173,7 +173,7 @@ def test_criterion_7_pipeline(capsys):
             ok = ok and rep["beta_filtration_violations"] == []
             # independent route: filtration bounds on the minimal model
             run = pipeline(K.base, 1, aug)
-            alt = bound_checks(run["minimal"], run["filtration"])
+            alt = bound_checks(run["filtration"])
             ok = ok and alt["passed"]
             ok = ok and alt["dim_H"] == rep["dim_H"]
             ok = ok and run["filtration"].length == rep["length"]

@@ -261,7 +261,7 @@ class TestProperties:
                 mm = minimal_model(C)
                 if mm.model.n == 0:
                     continue
-                F = compute_filtration(mm)
+                F = compute_filtration(mm.model)
                 rep = check_properties(F)
                 assert rep["passed"], rep["failures"]
 
@@ -270,7 +270,7 @@ class TestBounds:
     def test_k3_m0_values(self):
         K = koszul(RingSpec(Q, 3, 1), 0)
         F = compute_filtration(K.base)
-        rep = bound_checks(K.base, F)
+        rep = bound_checks(F)
         assert rep["dim_H"] == 8
         assert rep["dim_vs_twice_length"] == (8, 6, True)
         assert rep["lambda_sum"] == 4
@@ -279,7 +279,7 @@ class TestBounds:
     def test_k3_m1_degree_count(self):
         K = koszul(RingSpec(Q, 3, 1), 1)
         F = compute_filtration(K.base)
-        rep = bound_checks(K.base, F)
+        rep = bound_checks(F)
         assert rep["lambda_trivial"]
         assert rep["nonzero_degrees"] == 4
         assert rep["degrees_vs_length"] == (4, 4, True)
@@ -292,7 +292,7 @@ class TestBounds:
                 mm = minimal_model(C)
                 if mm.model.n == 0:
                     continue
-                F = compute_filtration(mm)
-                rep = bound_checks(mm, F)
+                F = compute_filtration(mm.model)
+                rep = bound_checks(F)
                 assert rep["dim_vs_twice_length"][2]
                 assert rep["passed"]

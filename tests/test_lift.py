@@ -162,7 +162,7 @@ class TestBeta:
         tried = 0
         for _ in range(12):
             C, _ = random_free_complex(ring, rng)
-            F = compute_filtration(minimal_model(C))
+            F = compute_filtration(minimal_model(C).model)
             combos = [v for i in range(1, F.length + 1) for v in F.basis(i) if len(v) > 1]
             if not combos:
                 continue
@@ -246,7 +246,7 @@ class TestVerifyBoundsReports:
         rep = verify_bounds(K.base, 1, canonical_augmentation(K))
         assert len(runs) == 1
         parts = rep["parts"]
-        assert rep["bound_checks"] == bound_checks(parts["minimal"], parts["filtration"])
+        assert rep["bound_checks"] == bound_checks(parts["filtration"])
         alone = case0_improved_bound(K.base, 1, canonical_augmentation(K))
         del alone["parts"]
         assert rep["improved_bound"] == alone

@@ -215,11 +215,11 @@ class TestLambda:
         # all generators of K_r(0) under weight 1 live in degree 0 and the
         # lambda algebra acts like the full exterior algebra: length r+1
         K = koszul(RingSpec(field, r, 1), 0)
-        assert lambda_length(K.base, 0) == r + 1
+        assert lambda_length(lambda_ops(K.base), 0) == r + 1
 
     def test_lambda_length_zero_on_empty_degree(self):
         K = koszul(RingSpec(Q, 2, 1), 0)
-        assert lambda_length(K.base, 5) == 0
+        assert lambda_length(lambda_ops(K.base), 5) == 0
 
     def test_lambda_requires_minimal(self):
         ring = RingSpec(Q, 1, 1)
