@@ -1,5 +1,6 @@
-"""Every name a library module imports is used in that module, and every
-function, class and method the library defines is used somewhere.
+"""Every name a library module imports is used in that module, every
+function, class and method the library defines is used somewhere, and
+every dataclass field it defines is read somewhere.
 
 No linter runs on this package, so these stdlib-`ast` checks stand in for
 one.  `__init__.py` is exempt from the import check: its imports are the
@@ -72,3 +73,44 @@ def test_detects_a_dead_definition():
                        "def helper(): pass\ndef unused(): pass\n"}
     users = list(library.values()) + ["from m import A, unused\nA().used()\nhelper()\n"]
     assert dead_definitions(library, users) == [("m.py", 3, "dead"), ("m.py", 5, "unused")]
+
+
+def _is_dataclass(decorator):
+    target = decorator.func if isinstance(decorator, ast.Call) else decorator
+    return getattr(target, "id", getattr(target, "attr", None)) == "dataclass"
+
+
+def dead_fields(library, users):
+    """(module, line, class.field) of each dataclass field defined in the
+    `library` sources ({module: source}) that no source in `users` reads
+    as an attribute."""
+    read = {
+        node.attr
+        for source in users
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+    return sorted(
+        (module, stmt.lineno, f"{node.name}.{stmt.target.id}")
+        for module, source in library.items()
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ClassDef) and any(map(_is_dataclass, node.decorator_list))
+        for stmt in node.body
+        if isinstance(stmt, ast.AnnAssign) and stmt.target.id not in read
+    )
+
+
+def test_no_dead_fields():
+    library = {p.name: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
+    assert dead_fields(library, [p.read_text() for p in USERS]) == []
+
+
+def test_detects_a_dead_field():
+    library = {"m.py": "@dataclass\nclass A:\n    read: int\n    written: int\n"
+                       "    dead: int = 0\n\n"
+                       "@dataclass(frozen=True)\nclass B:\n    unread: int\n\n"
+                       "class Plain:\n    ignored: int\n"}
+    users = list(library.values()) + ["a = A(1, 2, dead=3)\na.written = a.read\n"]
+    assert dead_fields(library, users) == [
+        ("m.py", 4, "A.written"), ("m.py", 5, "A.dead"), ("m.py", 9, "B.unread")
+    ]
