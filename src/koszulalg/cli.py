@@ -248,13 +248,15 @@ def cmd_filtration(args):
         mm = minimal_model(C)  # validates C
         lines.append(f"input not minimal; reduced {C.n} -> {mm.model.n} generators")
         model = mm.model
+        if aug is not None:
+            aug = mm.model_augmentation(aug)
     else:
         problems = C.validate()
         if problems:
             raise UsageError("invalid complex: " + "; ".join(problems))
         model = C
     F = compute_filtration(model)
-    rep = check_properties(F, aug if aug is not None and aug.source == model else None)
+    rep = check_properties(F, aug)
     brep = bound_checks(F)
     lines.append(f"length {F.length}")
     lines.append("dims " + " ".join(str(d) for d in F.dims()))

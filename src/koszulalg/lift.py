@@ -412,7 +412,7 @@ def pipeline(C: FreeComplex, m: int, augmentation: Augmentation = None):
     mm = minimal_model(C)
     if augmentation is None:
         augmentation = _default_augmentation(C)
-    model_aug = Augmentation(mm.model, augmentation.on_columns(mm.inclusion.matrix))
+    model_aug = mm.model_augmentation(augmentation)
     F = compute_filtration(mm.model)
     Km = koszul(C.ring, m)
     alpha = lift_alpha(C, augmentation, m, Km)

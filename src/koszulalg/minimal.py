@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .ring import add_product, triples
-from .complexes import FreeComplex, monomial_slices
+from .complexes import FreeComplex, Augmentation, monomial_slices
 from .linalg import PolyMatrix, apply_columns, axpy, span, sum_of_products
 from .chainmaps import ChainMap, Homotopy
 
@@ -33,6 +33,10 @@ class MinimalModel:
     projection: ChainMap  # source -> model
     homotopy: Homotopy  # source -> source
     source: FreeComplex
+
+    def model_augmentation(self, augmentation: Augmentation) -> Augmentation:
+        """The augmentation of the source carried to the model (ε ∘ inclusion)."""
+        return Augmentation(self.model, augmentation.on_columns(self.inclusion.matrix))
 
     def verify(self):
         """Exact certificate identities; [] when all hold."""

@@ -1,4 +1,5 @@
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -7,10 +8,13 @@ import pytest
 
 from koszulalg import fileio, lift
 from koszulalg.cli import build_parser, main
-from koszulalg.complexes import Augmentation, FreeComplex
+from koszulalg.complexes import Augmentation, FreeComplex, koszul
 from koszulalg.fileio import write_complex
 from koszulalg.linalg import PolyMatrix
+from koszulalg.minimal import minimal_model
 from koszulalg.ring import FieldSpec, RingSpec
+
+from conftest import noisy_complex
 
 
 def run(argv, capsys):
@@ -417,6 +421,30 @@ def test_failed_lift_prints_degree_and_obstruction(tmp_path, capsys):
         "assertion failed: obstruction lifting generator s1 in degree 1; "
         "degree 1; obstruction e0: t1^2\n"
     )
+
+
+def test_filtration_checks_the_augmentation_on_the_model(tmp_path, capsys):
+    """A noisy K_3(1)/Q whose augmentation is the indicator of a cancelled
+    degree-0 generator: carried to the model it vanishes on F_1, so
+    `filtration` fails check (c), as `verify-bounds` finds no
+    augmentation-1 cycle."""
+    C = noisy_complex(koszul(RingSpec(FieldSpec(0), 3, 1), 1).base, random.Random(1), pairs=4)
+    kept = {name for name, _ in minimal_model(C).model.generators}
+    f = C.ring.field
+    indicators = (
+        Augmentation(C, [f.one if k == j else f.zero for k in range(C.n)])
+        for j, (name, q) in enumerate(C.generators)
+        if q == 0 and name not in kept
+    )
+    aug = next(a for a in indicators if not a.validate())
+    cx = str(tmp_path / "cancelled.cx")
+    write_complex(cx, C, aug)
+    code, out, _ = run(["filtration", cx], capsys)
+    assert code == 1
+    assert "property failure: (c) augmentation vanishes on all of F_1" in out
+    code, _, err = run(["verify-bounds", cx], capsys)
+    assert code == 1
+    assert "no augmentation-1 cycle" in err
 
 
 INVALID = [
