@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import operator
 import random
-from itertools import count, zip_longest
+from itertools import count, islice, zip_longest
 
 from .ring import (
     FieldSpec, Polynomial, RingSpec, RingMismatchError, ScalarField, _is_prime, add_product,
@@ -174,7 +174,7 @@ def rank_exact(M: PolyMatrix) -> int:
     k-minor is nonzero there), and checked kernel vectors prove rank <= k
     (`_rank_at_most`).  Only the run time depends on the point, which is
     drawn from a fixed seed; a point where the certificate fails is
-    replaced by the next one.
+    replaced by the next one, up to `_POINTS` points (then RuntimeError).
     """
     return _evaluation_rank(M, random.Random(_SEED), certify=True)
 
@@ -195,19 +195,26 @@ def rank_probabilistic(M: PolyMatrix, seed: int) -> int:
 
 
 _SEED = 2008  # the points of rank_exact
+# The certificate fails at a point only when the rank there is below the
+# rank over R, i.e. the point is a zero of each nonzero maximal minor, of
+# degree D <= min(rows, cols) * (max entry degree).  By Schwartz-Zippel
+# each point fails with probability at most D / |field|, |field| >=
+# 2**61 - 1, so failing at this many points is a fault, not bad luck.
+_POINTS = 8
 
 
 def _evaluation_rank(M, rng, certify):
     rank, core = _peel(M)
     if not core:
         return rank
-    for ops in _domains(M.ring.field):
+    for ops in islice(_domains(M.ring.field), _POINTS):
         try:
             rows = _rows_at_point(core, ops, rng, M.ring.num_vars)
         except ValueError:
             continue  # p divides a denominator
         if not certify or _rank_at_most(core, rows, M.ring):
             return rank + len(rows)
+    raise RuntimeError(f"no rank certificate at {_POINTS} evaluation points")
 
 
 def _peel(M):

@@ -168,6 +168,26 @@ class TestRankRetries:
         # both ranks try 2**61 - 1, where the entry has no residue, then the next prime
         assert fields[0] == P61 and fields[1] < P61 and fields[2:] == fields[:2]
 
+    @pytest.mark.parametrize("field", [Q, F2, F5], ids=["Q", "F2", "F5"])
+    def test_gives_up_when_no_certificate_holds(self, field, monkeypatch):
+        calls = []
+
+        def never(*args):
+            calls.append(args)
+            # fail rather than hang where the retries do not end
+            assert len(calls) <= 100, "rank_exact still retrying after 100 points"
+            return False
+
+        monkeypatch.setattr(linalg, "_rank_at_most", never)
+        ring = RingSpec(field, 2, 1)
+        M = PolyMatrix(ring, 2, 2, {
+            (0, 0): ring.var(1), (0, 1): ring.var(2), (1, 0): ring.var(2), (1, 1): ring.var(1),
+        })
+        with pytest.raises(RuntimeError) as failure:
+            rank_exact(M)
+        assert len(calls) == linalg._POINTS
+        assert f"at {linalg._POINTS} evaluation points" in str(failure.value)
+
     @pytest.mark.parametrize("field", [Q, F2, F3], ids=["Q", "F2", "F3"])
     def test_peeled_matrices_need_no_evaluation_field(self, field, monkeypatch):
         def refuse(field):
