@@ -214,7 +214,7 @@ def _evaluation_rank(M, rng, certify):
             continue  # p divides a denominator
         if not certify or _rank_at_most(core, rows, M.ring):
             return rank + len(rows)
-    raise RuntimeError(f"no rank certificate at {_POINTS} evaluation points")
+    raise RuntimeError(f"rank not decided at {_POINTS} evaluation points")
 
 
 def _peel(M):
