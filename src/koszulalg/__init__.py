@@ -6,7 +6,7 @@ pipeline giving lower bounds on total homology dimension and map ranks.
 All arithmetic is exact (rationals or prime fields).
 """
 
-from .ring import FieldSpec, RingSpec, Polynomial, parse_polynomial
+from .ring import FieldSpec, RingSpec, Polynomial
 from .linalg import PolyMatrix, rank_exact, rank_probabilistic
 from .complexes import (
     FreeComplex,
@@ -17,7 +17,6 @@ from .complexes import (
     canonical_augmentation,
     DgaStructure,
     tensor_quotient,
-    HomologyData,
     min_generators_of_homology,
 )
 from .chainmaps import (
@@ -28,7 +27,6 @@ from .chainmaps import (
     is_chain_map,
     rank_of_map,
     restricted_rank,
-    induced_map_mod,
     random_homotopy,
     rank_six_fixture,
 )

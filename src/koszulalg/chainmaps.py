@@ -11,9 +11,8 @@ import random
 from dataclasses import dataclass
 
 from .ring import FieldSpec, Polynomial, RingSpec
-from .complexes import FreeComplex, HomologyData, koszul, tensor_columns, tensor_quotient
-from .linalg import PolyMatrix, apply_columns, axpy, rank_exact, rank_probabilistic
-from .linalg import sum_of_products
+from .complexes import FreeComplex, koszul
+from .linalg import PolyMatrix, axpy, rank_exact, rank_probabilistic, sum_of_products
 
 
 @dataclass
@@ -111,22 +110,6 @@ def restricted_rank(f: ChainMap, sub_basis) -> int:
     if not sub_basis:
         return 0
     return rank_exact(f.matrix.submatrix_columns(sub_basis))
-
-
-def induced_map_mod(f: ChainMap, a):
-    """Induced k-linear map on homology of the two tensor-quotient complexes.
-
-    Returns (matrix rows over k, source HomologyData, target HomologyData);
-    the matrix has one row per target class and one column per source class.
-    """
-    Fs = tensor_quotient(f.source, a)
-    Ft = tensor_quotient(f.target, a)
-    Hs = HomologyData(Fs)
-    Ht = HomologyData(Ft)
-    columns = tensor_columns(f.matrix, Fs.tensor_info["items"], Ft.tensor_info["lookup"])
-    cols = [Ht.project(apply_columns(columns, rep, Hs.field)) for rep in Hs.representatives]
-    rows = [[cols[j][i] for j in range(len(cols))] for i in range(Ht.total_dim)]
-    return rows, Hs, Ht
 
 
 def random_homotopy(

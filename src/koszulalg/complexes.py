@@ -8,9 +8,9 @@ of elements.  Koszul complexes carry the exterior product (signs keyed to
 exterior length) so they are honest dgas; tensor_quotient and HomologyData
 provide the finite-dimensional coefficient reductions everything
 downstream is checked against, `tensor_columns` reducing any polynomial
-matrix mod t^a.  A FiniteComplex knows only the degree of each basis
-vector; a tensor quotient's `tensor_info` maps its basis to (generator,
-monomial) pairs.
+matrix mod t^a.  A FiniteComplex holds the degree of each basis vector
+and its boundary by column; a tensor quotient's `tensor_info` maps its
+basis to (generator, monomial) pairs.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from operator import add
 
 from .ring import RingSpec, _grlex_key, add_product, triples
-from .linalg import PolyMatrix, Echelon, apply_columns, axpy, span, sparse_dot
+from .linalg import PolyMatrix, Echelon, apply_columns, span
 
 
 class FreeComplex:
@@ -126,8 +126,10 @@ def direct_sum(A: FreeComplex, B: FreeComplex) -> FreeComplex:
 # ---------------------------------------------------------------------------
 
 
-def _subset_name(I) -> str:
-    return "s0" if not I else "s" + "".join(str(i) for i in I)
+def _subset_name(I, r) -> str:
+    """s0, s1, s12, ...; from r = 10 on the indices are joined by _ (s1_12),
+    so that s12 and s1_2 differ."""
+    return "s0" if not I else "s" + ("_" if r >= 10 else "").join(map(str, I))
 
 
 def _shuffle_sign(I, J) -> int:
@@ -156,7 +158,7 @@ class KoszulComplex:
         self.subset_index = {I: i for i, I in enumerate(self.subsets)}
         w = ring.var_weight
         gen_degree = (lambda I: len(I) * m) if w == 1 else (lambda I: len(I) * (2 * m + 1))
-        gens = [(_subset_name(I), gen_degree(I)) for I in self.subsets]
+        gens = [(_subset_name(I, r), gen_degree(I)) for I in self.subsets]
         n = len(self.subsets)
         D = PolyMatrix(ring, n, n)
         for j, I in enumerate(self.subsets):
@@ -305,10 +307,10 @@ def linear_combination(ring: RingSpec, pairs):
 class FiniteComplex:
     """Complex of finite-dimensional k-spaces; boundary of degree +1."""
 
-    def __init__(self, field_spec, degrees, boundary_entries):
+    def __init__(self, field_spec, degrees, columns):
         self.field = field_spec
         self.degrees = list(degrees)  # the degree of each basis vector
-        self.boundary = dict(boundary_entries)  # (i, j) -> scalar
+        self.columns = columns  # the boundary by column: {j: {i: nonzero scalar}}
         self.tensor_info = None  # set by tensor_quotient
 
     @property
@@ -321,24 +323,18 @@ class FiniteComplex:
             by_degree.setdefault(q, []).append(i)
         return by_degree
 
-    def columns(self):
-        """The boundary by column: {j: {i: nonzero scalar}}."""
-        by_col = {}
-        for (i, j), c in self.boundary.items():
-            by_col.setdefault(j, {})[i] = c
-        return by_col
-
     def boundary_squared_is_zero(self) -> bool:
-        by_col = self.columns()
-        return not any(apply_columns(by_col, col, self.field) for col in by_col.values())
+        columns = self.columns
+        return not any(apply_columns(columns, col, self.field) for col in columns.values())
 
     def validate(self):
         problems = []
         if not self.boundary_squared_is_zero():
             problems.append("boundary squared is nonzero")
-        for (i, j), c in self.boundary.items():
-            if self.degrees[i] != self.degrees[j] + 1:
-                problems.append(f"boundary entry {i},{j} not of degree +1")
+        for j, col in self.columns.items():
+            for i in col:
+                if self.degrees[i] != self.degrees[j] + 1:
+                    problems.append(f"boundary entry {i},{j} not of degree +1")
         return problems
 
 
@@ -352,10 +348,7 @@ def tensor_quotient(C: FreeComplex, a) -> FiniteComplex:
     items = [(gi, mu) for gi in range(C.n) for mu in monomials]
     lookup = {item: k for k, item in enumerate(items)}
     degrees = [C.degree(gi) + ring.var_weight * sum(mu) for gi, mu in items]
-    columns = tensor_columns(C.differential, items, lookup)
-    F = FiniteComplex(
-        ring.field, degrees, {(i, j): c for j, col in columns.items() for i, c in col.items()}
-    )
+    F = FiniteComplex(ring.field, degrees, tensor_columns(C.differential, items, lookup))
     F.tensor_info = {"bounds": a, "items": items, "lookup": lookup}
     return F
 
@@ -415,7 +408,7 @@ class HomologyData:
         F = self.complex
         ops = self.field
         by_degree = F.degree_indices()
-        columns = F.columns()
+        columns = F.columns
         for q in sorted(by_degree):
             idx = by_degree[q]
             kernel = _cycles(columns, idx, ops)
@@ -461,19 +454,6 @@ class HomologyData:
     def total_dim(self):
         return len(self.representatives)
 
-    def project(self, vector):
-        """Coordinates of a sparse (cycle) vector in the homology basis."""
-        return [sparse_dot(row, vector, self.field) for row in self.projection_rows]
-
-    def include(self, h_coords):
-        """The sparse cycle with the given homology coordinates."""
-        ops = self.field
-        out = {}
-        for c, rep in zip(h_coords, self.representatives):
-            if not ops.is_zero(c):
-                axpy(out, c, rep, ops)
-        return out
-
 
 def min_generators_of_homology(C: FreeComplex, a) -> int:
     """dim_k of H(C ⊗ R/(t^a)) / (t_1..t_r)·H, via the induced R-action.
@@ -495,7 +475,7 @@ def min_generators_of_homology(C: FreeComplex, a) -> int:
     info = F.tensor_info
     w = C.ring.var_weight
     by_degree = F.degree_indices()
-    columns = F.columns()
+    columns = F.columns
     cycles = {}  # degree -> sparse basis of Z, kept until degree + w is done
     count = 0
     for q in sorted(by_degree):

@@ -5,7 +5,8 @@ vectors; F_{i+1} collects the constant vectors whose differential has
 all monomial slices inside F_i.  Everything is scalar linear algebra on
 sparse vectors {generator: scalar}: the slices (one scalar matrix per
 monomial occurring in the minimal differential, `monomial_slices`) are
-stored by column, and each level is one Echelon.
+stored by column and decoded once, into `Filtration.slices`, and each
+level is one Echelon.
 """
 
 from __future__ import annotations
@@ -31,7 +32,11 @@ def slice_images(slices, v, ops):
 class Filtration:
     model_complex: FreeComplex
     subspaces: list  # Echelons; subspaces[i] spans F_{i+1}
-    length: int
+    slices: dict  # monomial_slices(model_complex)
+
+    @property
+    def length(self):
+        return len(self.subspaces)
 
     def dims(self):
         return [E.rank for E in self.subspaces]
@@ -100,14 +105,14 @@ def compute_filtration(model: FreeComplex) -> Filtration:
             )
         levels.append(nxt)
         prev = nxt
-    return Filtration(model_complex=model, subspaces=levels, length=len(levels))
+    return Filtration(model_complex=model, subspaces=levels, slices=slices)
 
 
 def check_properties(F: Filtration, augmentation: Augmentation = None):
     """Report dict; 'failures' is empty iff everything holds."""
     model = F.model_complex
     ops = model.ring.field
-    slices = monomial_slices(model)
+    slices = F.slices
     failures = []
     # (a) strict ascent, exhaustion, stabilization
     prev_dim = 0
@@ -119,8 +124,6 @@ def check_properties(F: Filtration, augmentation: Augmentation = None):
         prev_dim = level.rank
     if F.subspaces and F.subspaces[-1].rank != model.n:
         failures.append("(a) filtration does not exhaust the model")
-    if F.length != len(F.subspaces):
-        failures.append("(a) recorded length disagrees with the chain")
     # (b) every slice of d(F_i) lies in F_{i-1}
     for i in range(1, F.length + 1):
         prev = F.level(i - 1)

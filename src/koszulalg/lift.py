@@ -27,7 +27,6 @@ from .complexes import (
     degree_violations,
     linear_combination,
     min_generators_of_homology,
-    monomial_slices,
 )
 from .chainmaps import ChainMap, is_chain_map, rank_of_map, restricted_rank
 from .linalg import PolyMatrix, Echelon, axpy, solve
@@ -297,7 +296,7 @@ def lift_beta(
     n = model.n
     k0 = K0.subset_index[()]
     cache = BoundaryCache(K0.base)
-    slices = monomial_slices(model)
+    slices = F.slices
     # The processed part of the model: its k-basis d_j, each tagged by a
     # unit in column n + j.  The d_j are independent, so the residual of
     # (v | 0) is (0 | -coordinates of v) when v is in their span.

@@ -52,10 +52,6 @@ class PolyMatrix:
                 self.set(i, j, p)
 
     @classmethod
-    def zero(cls, ring, rows, cols):
-        return cls(ring, rows, cols)
-
-    @classmethod
     def identity(cls, ring, n):
         m = cls(ring, n, n)
         one = ring.one()
@@ -101,11 +97,6 @@ class PolyMatrix:
 
     def __matmul__(self, other):
         return sum_of_products([(self.ring.field.one, self, other)])
-
-    def transpose(self):
-        out = PolyMatrix(self.ring, self.cols, self.rows)
-        out.entries = {(j, i): p for (i, j), p in self.entries.items()}
-        return out
 
     def submatrix_columns(self, col_indices):
         out = PolyMatrix(self.ring, self.rows, len(col_indices))
@@ -679,18 +670,6 @@ def evaluation_domain(field: FieldSpec):
 # evaluation domain).  Vectors are sparse {index: nonzero} dicts.  All
 # elimination goes through Echelon; the functions at the end wrap it.
 # ---------------------------------------------------------------------------
-
-
-def sparse_dot(row, vec, ops):
-    """Dot product of two sparse vectors given as {index: coeff} dicts."""
-    if len(vec) < len(row):
-        row, vec = vec, row
-    acc = ops.zero
-    for pos, c in row.items():
-        other = vec.get(pos)
-        if other is not None:
-            acc = ops.add(acc, ops.mul(c, other))
-    return acc
 
 
 def sparse(vec, ops):

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 from .ring import add_product, triples
 from .complexes import FreeComplex, Augmentation, monomial_slices
-from .linalg import PolyMatrix, apply_columns, axpy, span, sum_of_products
+from .linalg import PolyMatrix, apply_columns, span, sum_of_products
 from .chainmaps import ChainMap, Homotopy
 
 
@@ -177,32 +177,6 @@ class LambdaAction:
 
     model: FreeComplex
     maps: list  # one scalar matrix, by column, per variable
-
-    def _product(self, a, b):
-        """maps[a] @ maps[b], by column."""
-        f = self.model.ring.field
-        return {j: apply_columns(self.maps[a], col, f) for j, col in self.maps[b].items()}
-
-    def check_anticommutation(self):
-        """(a, b, i, j) for each nonzero entry of lambda_a lambda_b +
-        lambda_b lambda_a (a <= b), then of each lambda_a^2."""
-        f = self.model.ring.field
-        problems = []
-
-        def report(a, b, columns):
-            nonzero = sorted((i, j) for j, col in columns.items() for i in col)
-            problems.extend((a, b, i, j) for i, j in nonzero)
-
-        for a in range(len(self.maps)):
-            for b in range(a, len(self.maps)):
-                total = self._product(a, b)
-                for j, col in self._product(b, a).items():
-                    axpy(total.setdefault(j, {}), f.one, col, f)
-                report(a, b, total)
-        # lambda_i^2 = 0 follows from d^2 = 0 in every characteristic
-        for a in range(len(self.maps)):
-            report(a, a, self._product(a, a))
-        return problems
 
     def is_trivial(self) -> bool:
         return not any(self.maps)

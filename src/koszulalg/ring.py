@@ -208,7 +208,9 @@ class RingSpec:
         return Polynomial(self, {exps: c})
 
     def parse(self, text: str) -> "Polynomial":
-        return parse_polynomial(self, text)
+        """The polynomial of `text` in the grammar of `parse_combination`,
+        with no generator names."""
+        return parse_combination(self, None, text).get(None, self.zero())
 
     def element(self, terms) -> dict:
         """The module element with these coordinates.
@@ -258,9 +260,6 @@ class Polynomial:
 
     def constant_coeff(self):
         return self.terms.get((0,) * self.ring.num_vars, self.ring.field.zero)
-
-    def coeff(self, exps):
-        return self.terms.get(tuple(exps), self.ring.field.zero)
 
     def total_degree(self) -> int:
         """Max unweighted exponent sum; -1 for the zero polynomial."""
@@ -312,13 +311,6 @@ class Polynomial:
         ring = self.ring
         product = add_product([(0, ring.field.one, self, triples({0: other}))], ring)
         return product.get((0, 0)) or ring.zero()
-
-    def scale(self, c):
-        f = self.ring.field
-        c = f.of(c)
-        if f.is_zero(c):
-            return self.ring.zero()
-        return Polynomial(self.ring, {e: f.mul(c, v) for e, v in self.terms.items()})
 
     # -- operations used by the elimination kernels --
 
@@ -554,9 +546,3 @@ def parse_combination(ring: RingSpec, gen_index, text: str) -> dict:
         else:
             terms[e] = c
     return ring.element(acc)
-
-
-def parse_polynomial(ring: RingSpec, text: str) -> Polynomial:
-    """The polynomial of `text` in the grammar of parse_combination, with
-    no generator names."""
-    return parse_combination(ring, None, text).get(None, ring.zero())

@@ -39,7 +39,7 @@ def oracle_minimal_model(C: FreeComplex) -> MinimalModel:
     n0 = C.n
     incl = PolyMatrix.identity(ring, n0)  # n0 x n_cur
     proj = PolyMatrix.identity(ring, n0)  # n_cur x n0
-    hom = PolyMatrix.zero(ring, n0, n0)
+    hom = PolyMatrix(ring, n0, n0)
     cur = FreeComplex(ring, list(C.generators), C.differential)
     while True:
         pivots = _scalar_pivots(cur)
@@ -55,7 +55,7 @@ def oracle_minimal_model(C: FreeComplex) -> MinimalModel:
             inc_s.entries[(v, col)] = ring.one()
             d_iv = cur.differential.entries.get((i, v))
             if d_iv is not None:
-                inc_s.entries[(j, col)] = d_iv.scale(f.neg(c_inv))
+                inc_s.entries[(j, col)] = d_iv * ring.constant(f.neg(c_inv))
         # local projection: e_u -> e_u; e_i -> -c^{-1} sum_u d_{uj} e_u; e_j -> 0
         prj_s = PolyMatrix(ring, len(keep), n)
         row_of = {v: row for row, v in enumerate(keep)}
@@ -64,7 +64,7 @@ def oracle_minimal_model(C: FreeComplex) -> MinimalModel:
         for u in keep:
             d_uj = cur.differential.entries.get((u, j))
             if d_uj is not None:
-                prj_s.entries[(row_of[u], i)] = d_uj.scale(f.neg(c_inv))
+                prj_s.entries[(row_of[u], i)] = d_uj * ring.constant(f.neg(c_inv))
         # local homotopy: e_i -> c^{-1} e_j
         hom_s = PolyMatrix(ring, n, n)
         hom_s.entries[(j, i)] = ring.constant(c_inv)

@@ -40,7 +40,7 @@ def oracle_sum(terms):
                 entry = ring.zero()
                 for k in range(A.cols):
                     entry = entry + schoolbook_mul(A.entry(i, k), B.entry(k, j))
-                entry = entry.scale(c)
+                entry = schoolbook_mul(entry, ring.constant(c))
                 total[(i, j)] = total.get((i, j), ring.zero()) + entry
     return {key: p for key, p in total.items() if p}
 

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from koszulalg.ring import FieldSpec, RingSpec
-from koszulalg.complexes import koszul, FreeComplex, canonical_augmentation
+from koszulalg.complexes import koszul, FreeComplex, canonical_augmentation, monomial_slices
 from koszulalg.linalg import Echelon, PolyMatrix, dense
 from koszulalg.minimal import minimal_model
 from koszulalg.filtration import (
@@ -215,7 +215,7 @@ class TestProperties:
             for I in subsets:
                 E.add({K.subset_index[I]: Q.one})
             subspaces.append(E)
-        return Filtration(K.base, subspaces, len(subspaces))
+        return Filtration(K.base, subspaces, monomial_slices(K.base))
 
     def test_slice_escape_detected(self):
         # s12 in F_2, but d(s12) has slices s1 and s2 outside F_1

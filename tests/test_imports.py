@@ -1,6 +1,7 @@
 """Every name a library module imports is used in that module, every
 function, class and method the library defines is used somewhere, and
-every dataclass field it defines is read somewhere.
+outside the tests too unless it is traced or `KEPT`, and every dataclass
+field it defines is read somewhere.
 
 No linter runs on this package, so these stdlib-`ast` checks stand in for
 one.  `__init__.py` is exempt from the import check: its imports are the
@@ -8,6 +9,7 @@ public re-exports.
 """
 
 import ast
+import importlib.util
 from pathlib import Path
 
 import pytest
@@ -42,11 +44,12 @@ def test_detects_an_unused_import():
     assert unused_imports("import os\nfrom a import b, c\nc()\n") == [(1, "os"), (2, "b")]
 
 
-def dead_definitions(library, users):
+def dead_definitions(library, users, named=()):
     """(module, line, name) of each function, class and method defined in
     the `library` sources ({module: source}), dunders aside, whose name no
-    source in `users` reads as a name or an attribute."""
-    used = set()
+    source in `users` reads as a name or an attribute, and that is not
+    among the `named`."""
+    used = set(named)
     for source in users:
         for node in ast.walk(ast.parse(source)):
             if isinstance(node, ast.Name):
@@ -73,6 +76,50 @@ def test_detects_a_dead_definition():
                        "def helper(): pass\ndef unused(): pass\n"}
     users = list(library.values()) + ["from m import A, unused\nA().used()\nhelper()\n"]
     assert dead_definitions(library, users) == [("m.py", 3, "dead"), ("m.py", 5, "unused")]
+
+
+# Definitions that may have tests as their only users, each with its reason.
+KEPT = {
+    "multiplicative_alpha": "the multiplicative bound, which ROADMAP item 4 gives a CLI caller",
+    "parse": "RingSpec.parse, the documented reader of the polynomial text form",
+}
+
+
+def _traced_layers():
+    """The LAYERS of perfbench/tracing.py, loaded as test_benchmark_layers does."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracing", ROOT / "perfbench" / "tracing.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.LAYERS
+
+
+def definitions_only_tests_use(library, users, layers, kept):
+    """The dead definitions of `library` when only `users` count, with
+    the last part of each traced layer name in `layers` and the `kept`
+    names counted as used.  The callers pass the library outside
+    `__init__.py` and the benchmark as `users`, so a definition that only
+    the tests or the re-exports name is listed."""
+    named = {name.rsplit(".", 1)[-1] for name in layers} | set(kept)
+    return dead_definitions(library, users, named)
+
+
+def test_no_test_only_definitions():
+    library = {p.name: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
+    users = [p.read_text() for p in MODULES]
+    users += [p.read_text() for p in sorted((ROOT / "perfbench").rglob("*.py"))]
+    assert definitions_only_tests_use(library, users, _traced_layers(), KEPT) == []
+
+
+def test_detects_a_test_only_definition():
+    library = {"m.py": "def used(): pass\ndef traced(): pass\ndef kept(): pass\n"
+                       "def tested(): pass\nclass A:\n    def exported(self): pass\n"}
+    users = list(library.values()) + ["used()\n"]
+    # neither a test ("A().exported(); tested()") nor __init__.py is a user
+    assert definitions_only_tests_use(library, users, {"m.traced": ()}, {"kept": ""}) == [
+        ("m.py", 4, "tested"), ("m.py", 5, "A"), ("m.py", 6, "exported")
+    ]
 
 
 def _is_dataclass(decorator):

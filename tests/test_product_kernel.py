@@ -122,12 +122,12 @@ def test_add_product_reduces_each_total_once():
     reached."""
     ring = RingSpec(FieldSpec(3), 2, 1)
     t1, t2 = ring.var(1), ring.var(2)
-    row = ring_module.triples({5: t1.scale(2), 4: t2})
+    row = ring_module.triples({5: ring.monomial((1, 0), 2), 4: t2})
     sums = ring_module.add_product(
         [(0, 1, t1, row), (1, 2, ring.one(), row), (0, 2, t1, row[:1])], ring
     )
     assert list(sums) == [(0, 4), (1, 5), (1, 4)]
-    assert sums == {(0, 4): t1 * t2, (1, 5): t1, (1, 4): t2.scale(2)}
+    assert sums == {(0, 4): t1 * t2, (1, 5): t1, (1, 4): ring.monomial((0, 1), 2)}
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
