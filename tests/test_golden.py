@@ -9,7 +9,10 @@ blocks) were written while the rank-one updates of `minimal_model` still
 multiplied terms through the field's own `mul` and `add`.  The
 `filtration` reports and the `verify-bounds` report of K_3(0)/Q (where
 the lambda action is nontrivial) were written while the filtration and
-bound reports still took a minimal model or a complex.
+bound reports still took a minimal model or a complex.  The `lift`
+files of noisy-K3(1)-F3, the one β pinned over a finite field, were
+written while the filtration's graded bases still came from per-degree
+nullspaces of its annihilator.
 `golden_outputs` builds every pinned text; `tests/golden/` holds one
 file per name it returns.
 """
@@ -106,7 +109,7 @@ def golden_outputs():
         out[f"verify-bounds.{name}.txt"] = _cli(["verify-bounds", f"{name}.cx"])
     for name in FILTRATION_INPUTS:
         out[f"filtration.{name}.txt"] = _cli(["filtration", f"{name}.cx"])
-    for name in ("K3(1)-Q", "noisy-K3(1)-Q"):
+    for name in ("K3(1)-Q", "noisy-K3(1)-Q", "noisy-K3(1)-F3"):
         out[f"lift.{name}.txt"] = _cli(["lift", f"{name}.cx", "--out", f"lift-{name}"])
         for part in ("alpha.map", "beta.map", "source.cx", "km.cx", "k0.cx", "model.cx"):
             out[f"lift.{name}.{part}"] = Path(f"lift-{name}.{part}").read_text()
