@@ -28,7 +28,7 @@ from .chainmaps import (
     rank_six_fixture,
 )
 from .linalg import PolyMatrix, rank_exact
-from .minimal import minimal_model, is_minimal
+from .minimal import minimal_model
 from .filtration import compute_filtration, check_properties, bound_checks, report_checks
 from .lift import LiftError, pipeline, verify_bounds
 from .fileio import (
@@ -244,18 +244,12 @@ def cmd_minimal(args):
 def cmd_filtration(args):
     C, aug, _ = read_complex(args.complex)
     lines = [f"input {args.complex}"]
-    if not is_minimal(C):
-        mm = minimal_model(C)  # validates C
+    mm = minimal_model(C)  # validates C
+    if mm.model.n < C.n:
         lines.append(f"input not minimal; reduced {C.n} -> {mm.model.n} generators")
-        model = mm.model
-        if aug is not None:
-            aug = mm.model_augmentation(aug)
-    else:
-        problems = C.validate()
-        if problems:
-            raise UsageError("invalid complex: " + "; ".join(problems))
-        model = C
-    F = compute_filtration(model)
+    if aug is not None:
+        aug = mm.model_augmentation(aug)
+    F = compute_filtration(mm.model)
     rep = check_properties(F, aug)
     brep = bound_checks(F)
     lines.append(f"length {F.length}")
@@ -351,7 +345,7 @@ def build_parser():
     )
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, ring=False, m=False, seed=False, rank_mode=False, out=True):
+    def common(sp, ring=False, m=False, seed=False, rank_mode=False):
         if ring:
             sp.add_argument("--char", type=int, default=2)
             sp.add_argument("--rank", type=int, default=3)
@@ -364,8 +358,7 @@ def build_parser():
             sp.add_argument(
                 "--rank-mode", choices=("exact", "probabilistic"), default="exact"
             )
-        if out:
-            sp.add_argument("--out", default=None)
+        sp.add_argument("--out", default=None)
 
     sp = sub.add_parser("fixture", help="reproduce the rank-6 perturbation fixture")
     sp.add_argument("--weight", type=int, choices=(1, 2), default=1)

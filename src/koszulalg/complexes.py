@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from operator import add
 
 from .ring import RingSpec, _grlex_key, add_product, triples
-from .linalg import PolyMatrix, Echelon, apply_columns, span
+from .linalg import PolyMatrix, Echelon, span
 
 
 class FreeComplex:
@@ -33,8 +33,7 @@ class FreeComplex:
         if differential.rows != n or differential.cols != n:
             raise ValueError("differential must be square of size #generators")
         self.differential = differential
-        self._index = {name: i for i, (name, _) in enumerate(self.generators)}
-        if len(self._index) != n:
+        if len({name for name, _ in self.generators}) != n:
             raise ValueError("duplicate generator names")
 
     @property
@@ -47,9 +46,6 @@ class FreeComplex:
     @property
     def degrees(self):
         return [d for _, d in self.generators]
-
-    def index(self, name: str) -> int:
-        return self._index[name]
 
     def basis_element(self, i: int):
         return {i: self.ring.one()}
@@ -86,6 +82,13 @@ def monomial_slices(model: FreeComplex):
         for exps, c in p.terms.items():
             slices.setdefault(exps, {}).setdefault(j, {})[i] = c
     return slices
+
+
+def monomial_image(x, exps):
+    """The terms of t^exps * x for a module element x, as {(generator,
+    exponents): scalar} in the order of x and of its terms.  The keys
+    are distinct, so no two terms combine."""
+    return {(u, tuple(map(add, e, exps))): c for u, p in x.items() for e, c in p.terms.items()}
 
 
 def degree_violations(M: PolyMatrix, source: FreeComplex, target: FreeComplex, shift: int):
@@ -323,20 +326,6 @@ class FiniteComplex:
             by_degree.setdefault(q, []).append(i)
         return by_degree
 
-    def boundary_squared_is_zero(self) -> bool:
-        columns = self.columns
-        return not any(apply_columns(columns, col, self.field) for col in columns.values())
-
-    def validate(self):
-        problems = []
-        if not self.boundary_squared_is_zero():
-            problems.append("boundary squared is nonzero")
-        for j, col in self.columns.items():
-            for i in col:
-                if self.degrees[i] != self.degrees[j] + 1:
-                    problems.append(f"boundary entry {i},{j} not of degree +1")
-        return problems
-
 
 def tensor_quotient(C: FreeComplex, a) -> FiniteComplex:
     """C tensor_R R/(t_1^{a_1},...,t_r^{a_r}) as a finite complex over k."""
@@ -358,19 +347,17 @@ def tensor_columns(M: PolyMatrix, items, lookup):
     the tensor basis `items` (position k holds (generator j, exponents mu))
     to the one indexed by `lookup` ({(generator, exponents): position}).
 
-    A term t^e of M[i, j] sends (j, mu) to (i, e + mu).  The images of the
-    terms of one column are distinct, so no two combine; an exponent
-    reaching its bound has no lookup entry.
+    A term t^e of M[i, j] sends (j, mu) to (i, e + mu), a key of
+    `monomial_image`; an exponent reaching its bound has no lookup entry.
     """
     by_column = M.columns()
     out = {}
     for k, (j, mu) in enumerate(items):
         col = {}
-        for i, p in by_column.get(j, {}).items():
-            for e, c in p.terms.items():
-                row = lookup.get((i, tuple(map(add, e, mu))))
-                if row is not None:
-                    col[row] = c
+        for key, c in monomial_image(by_column.get(j, {}), mu).items():
+            row = lookup.get(key)
+            if row is not None:
+                col[row] = c
         if col:
             out[k] = col
     return out

@@ -53,30 +53,20 @@ class Filtration:
         return [rows[c] for c in sorted(rows)]
 
     def graded_basis(self, i):
-        """Homogeneous basis of F_i as {degree: list of sparse vectors}."""
+        """Homogeneous basis of F_i as {degree: list of sparse vectors}.
+
+        Every slice is homogeneous, so F_i is graded, and the RREF rows of
+        its degree parts, taken together, are already in RREF: they are
+        the rows of F_i (the RREF is unique).  So these are `basis(i)`,
+        grouped by degree in increasing order."""
         model = self.model_complex
-        ops = model.ring.field
-        level = self.level(i)
-        if not level.rank:
-            return {}
-        # v lies in F_i iff it is orthogonal to every annihilator row
-        annihilator = level.nullspace(range(model.n))
-        by_degree = {}
-        for c in range(model.n):
-            by_degree.setdefault(model.degree(c), []).append(c)
         out = {}
-        total = 0
-        for q in sorted(by_degree):
-            cols = set(by_degree[q])
-            vecs = span(
-                ({c: x for c, x in w.items() if c in cols} for w in annihilator), ops
-            ).nullspace(by_degree[q])
-            if vecs:
-                out[q] = vecs
-                total += len(vecs)
-        if total != level.rank:
-            raise ValueError("filtration level is not degree-homogeneous")
-        return out
+        for v in self.basis(i):
+            degrees = {model.degree(c) for c in v}
+            if len(degrees) != 1:
+                raise ValueError("filtration level is not degree-homogeneous")
+            out.setdefault(degrees.pop(), []).append(v)
+        return dict(sorted(out.items()))
 
 
 def compute_filtration(model: FreeComplex) -> Filtration:
@@ -172,7 +162,7 @@ def bound_checks(F: Filtration):
     model = F.model_complex
     n = model.n
     ell = F.length
-    action = lambda_ops(model)
+    action = lambda_ops(F)
     degrees = sorted(set(model.degrees))
     lengths = {q: lambda_length(action, q) for q in degrees}
     lam_sum = sum(lengths.values())

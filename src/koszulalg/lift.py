@@ -15,7 +15,7 @@ sparse rows for `linalg.solve`.
 
 from __future__ import annotations
 
-from operator import add, sub
+from operator import sub
 
 from .ring import RingSpec
 from .complexes import (
@@ -27,6 +27,7 @@ from .complexes import (
     degree_violations,
     linear_combination,
     min_generators_of_homology,
+    monomial_image,
 )
 from .chainmaps import ChainMap, is_chain_map, rank_of_map, restricted_rank
 from .linalg import PolyMatrix, Echelon, axpy, solve
@@ -73,17 +74,6 @@ def monomials_of_weighted_degree(ring: RingSpec, wdeg: int):
     return out
 
 
-def _column_image(column, exps):
-    """Terms of d(mu * e_i) as {(target gen, exponent): scalar}, where
-    column is d(e_i) and mu = t^exps.  The keys are distinct, so no two
-    terms combine."""
-    return {
-        (u, tuple(map(add, e, exps))): c
-        for u, p in column.items()
-        for e, c in p.terms.items()
-    }
-
-
 class BoundaryCache:
     """What `solve_boundary_equation` reads of one complex, built once
     for all the solves that share it: d by column, the number of terms
@@ -107,42 +97,39 @@ class BoundaryCache:
         return got
 
     def image(self, i, exps):
-        """d(mu * e_i) for mu = t^exps, as in `_column_image`."""
+        """The terms of d(mu * e_i) for mu = t^exps, by `monomial_image`."""
         key = (i, exps)
         got = self._images.get(key)
         if got is None:
-            got = self._images[key] = _column_image(self.columns.get(i, {}), exps)
+            got = self._images[key] = monomial_image(self.columns.get(i, {}), exps)
         return got
 
 
 def solve_boundary_equation(
-    C: FreeComplex,
+    cache: BoundaryCache,
     rhs,
     degree: int,
     allowed=None,
     augmentation: Augmentation = None,
     aug_value=None,
-    cache: BoundaryCache = None,
 ):
-    """Homogeneous solution y of d(y) = rhs with deg(y) = degree, or None;
-    rhs and y are module elements {generator: Polynomial}.
+    """Homogeneous solution y of d(y) = rhs with deg(y) = degree in the
+    complex C of `cache`, or None; rhs and y are module elements
+    {generator: Polynomial}.
 
     allowed restricts the generators y may involve; when an augmentation
     and aug_value are given, epsilon(y) = aug_value is imposed as an
     extra linear condition.  The unknowns are the monomial multiples
     mu * e_i of degree `degree`, in the order of `allowed` and then of
     `monomials_of_weighted_degree`.  Their images d(mu * e_i) come from
-    `cache`, a BoundaryCache of C shared with other solves, or from a
-    fresh one when it is None; a cache builds each image at most once.
-    The shortcut asks only for the images that can equal rhs up to a
-    scalar, and the general solve, when it runs, for every unknown.
+    the cache, which may be shared with other solves and builds each
+    image at most once.  The shortcut asks only for the images that can
+    equal rhs up to a scalar, and the general solve, when it runs, for
+    every unknown.
     """
+    C = cache.complex
     ring = C.ring
     f = ring.field
-    if cache is None:
-        cache = BoundaryCache(C)
-    elif cache.complex is not C:
-        raise ValueError("the cache belongs to another complex")
     allowed = range(C.n) if allowed is None else list(allowed)
     image = cache.image
     rhs_terms = {(u, e): c for u, p in rhs.items() for e, c in p.terms.items()}
@@ -228,17 +215,15 @@ def _solve_in_koszul(
         if ell > max_length:
             return None
         allowed = [j for j in range(C.n) if K.exterior_length(j) == ell]
-        sol = solve_boundary_equation(C, part, degree, allowed=allowed, cache=cache)
+        sol = solve_boundary_equation(cache, part, degree, allowed=allowed)
         if sol is None:
             return None
         y.update(sol)  # each length has generators of its own
     return y
 
 
-def lift_alpha(
-    C: FreeComplex, augmentation: Augmentation, m: int, source: KoszulComplex = None
-) -> ChainMap:
-    """Chain map from the weight-m Koszul complex into C.
+def lift_alpha(C: FreeComplex, augmentation: Augmentation, Km: KoszulComplex) -> ChainMap:
+    """Chain map from the weight-m Koszul complex Km into C.
 
     The image of the empty generator is an augmentation-1 cycle; higher
     generators are lifted inductively over exterior length.  A failed
@@ -247,14 +232,9 @@ def lift_alpha(
     """
     ring = C.ring
     f = ring.field
-    Km = source if source is not None else koszul(ring, m)
-    if Km.m != m:
-        raise ValueError("source complex has the wrong annihilator exponent")
     cache = BoundaryCache(C)
     images = []
-    one = solve_boundary_equation(
-        C, {}, 0, augmentation=augmentation, aug_value=f.one, cache=cache
-    )
+    one = solve_boundary_equation(cache, {}, 0, augmentation=augmentation, aug_value=f.one)
     if one is None:
         raise LiftError(
             "no augmentation-1 cycle of degree 0 exists", degree=0
@@ -265,7 +245,7 @@ def lift_alpha(
         # alpha(d e_j) = sum of d_uj * alpha(e_u)
         rhs = linear_combination(ring, [(p, images[u]) for u, p in columns.get(j, {}).items()])
         deg = Km.base.degree(j)
-        sol = solve_boundary_equation(C, rhs, deg, cache=cache)
+        sol = solve_boundary_equation(cache, rhs, deg)
         if sol is None:
             raise LiftError(
                 f"obstruction lifting generator {Km.base.generators[j][0]} "
@@ -277,12 +257,10 @@ def lift_alpha(
     return _chain_map(Km.base, C, images, "lift is not a chain map at column {}")
 
 
-def lift_beta(
-    F: Filtration, augmentation: Augmentation, K0: KoszulComplex = None
-) -> ChainMap:
+def lift_beta(F: Filtration, augmentation: Augmentation, K0: KoszulComplex) -> ChainMap:
     """Chain map from the filtered minimal model onto the weight-0
-    Koszul complex K0 (built here when not given), sending F_i into
-    exterior length <= i-1 and commuting with the augmentations."""
+    Koszul complex K0, sending F_i into exterior length <= i-1 and
+    commuting with the augmentations."""
     model = F.model_complex
     ring = model.ring
     f = ring.field
@@ -291,8 +269,6 @@ def lift_beta(
     rep = check_properties(F, augmentation)
     if rep["failures"]:
         raise LiftError("filtration unfit for lifting: " + "; ".join(rep["failures"]))
-    if K0 is None:
-        K0 = koszul(ring, 0)
     n = model.n
     k0 = K0.subset_index[()]
     cache = BoundaryCache(K0.base)
@@ -380,7 +356,7 @@ def _chain_map(source: FreeComplex, target: FreeComplex, images, message):
     return g
 
 
-def beta_respects_filtration(beta: ChainMap, F: Filtration, K0: KoszulComplex = None):
+def beta_respects_filtration(beta: ChainMap, F: Filtration, K0: KoszulComplex):
     """Column-wise check: F_i lands in exterior length <= i-1.
 
     Returns the pairs (i, u), one per basis vector v of F_i and generator
@@ -389,8 +365,6 @@ def beta_respects_filtration(beta: ChainMap, F: Filtration, K0: KoszulComplex = 
     """
     model = F.model_complex
     f = model.ring.field
-    if K0 is None:
-        K0 = koszul(model.ring, 0)
     columns = beta.matrix.columns()
     violations = []
     for i in range(1, F.length + 1):
@@ -405,16 +379,18 @@ def beta_respects_filtration(beta: ChainMap, F: Filtration, K0: KoszulComplex = 
 
 
 def pipeline(C: FreeComplex, m: int, augmentation: Augmentation = None):
-    """minimal_model (which validates C) -> filtration -> alpha -> beta;
+    """minimal_model (which validates C) -> alpha -> filtration -> beta;
     returns a dict of parts, with the Koszul complexes K_r(m) and K_r(0)
-    that alpha and beta use as "koszul_m" and "koszul_0"."""
+    that alpha and beta use as "koszul_m" and "koszul_0".  alpha comes
+    before the filtration: a C with zero homology has no augmentation-1
+    cycle, and that is the failure to report."""
     mm = minimal_model(C)
     if augmentation is None:
         augmentation = _default_augmentation(C)
+    Km = koszul(C.ring, m)
+    alpha = lift_alpha(C, augmentation, Km)
     model_aug = mm.model_augmentation(augmentation)
     F = compute_filtration(mm.model)
-    Km = koszul(C.ring, m)
-    alpha = lift_alpha(C, augmentation, m, Km)
     K0 = koszul(C.ring, 0)
     beta = lift_beta(F, model_aug, K0)
     gamma = beta.compose(mm.projection).compose(alpha)
@@ -565,7 +541,7 @@ def multiplicative_alpha(
     for i in range(1, ring.num_vars + 1):
         rhs = {dga.unit: ring.var(i, m + 1)}
         deg = Km.base.degree(Km.subset_index[(i,)])
-        sol = solve_boundary_equation(C, rhs, deg, cache=cache)
+        sol = solve_boundary_equation(cache, rhs, deg)
         if sol is None:
             raise LiftError(
                 f"obstruction lifting the generator for t{i}", degree=deg,

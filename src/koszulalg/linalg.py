@@ -42,14 +42,11 @@ class PolyMatrix:
 
     __slots__ = ("ring", "rows", "cols", "entries")
 
-    def __init__(self, ring: RingSpec, rows: int, cols: int, entries=None):
+    def __init__(self, ring: RingSpec, rows: int, cols: int):
         self.ring = ring
         self.rows = rows
         self.cols = cols
         self.entries = {}
-        if entries:
-            for (i, j), p in entries.items():
-                self.set(i, j, p)
 
     @classmethod
     def identity(cls, ring, n):

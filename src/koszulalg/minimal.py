@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .ring import add_product, triples
-from .complexes import FreeComplex, Augmentation, monomial_slices
+from .complexes import FreeComplex, Augmentation
 from .linalg import PolyMatrix, apply_columns, span, sum_of_products
 from .chainmaps import ChainMap, Homotopy
 
@@ -182,16 +182,15 @@ class LambdaAction:
         return not any(self.maps)
 
 
-def lambda_ops(model: FreeComplex) -> LambdaAction:
-    """The lambda_i matrices of a minimal complex: the slices of t_i."""
-    if not is_minimal(model):
-        raise ValueError("lambda operators need a minimal differential")
+def lambda_ops(F) -> LambdaAction:
+    """The lambda_i matrices of the minimal model of the Filtration F:
+    the slices of t_i, read from `F.slices`."""
+    model = F.model_complex
     r = model.ring.num_vars
-    slices = monomial_slices(model)
     maps = []
     for var in range(r):
         mat = {}
-        for j, col in slices.get(tuple(int(k == var) for k in range(r)), {}).items():
+        for j, col in F.slices.get(tuple(int(k == var) for k in range(r)), {}).items():
             # only the degree-preserving part acts on H^q
             kept = {i: c for i, c in col.items() if model.degree(i) == model.degree(j)}
             if kept:

@@ -10,7 +10,8 @@ both are the same basis-free integer.
 Also here, on the same projection rows: `project` and `include`, the
 coordinates of a cycle in the homology basis and back, and
 `induced_map_mod`, the map a chain map induces on the homology of the
-tensor quotients.
+tensor quotients; and `finite_complex_problems`, the check that a
+FiniteComplex is a complex.
 """
 
 from koszulalg.complexes import HomologyData, _shift_by_variable, tensor_columns, tensor_quotient
@@ -27,6 +28,18 @@ def sparse_dot(row, vec, ops):
         if other is not None:
             acc = ops.add(acc, ops.mul(c, other))
     return acc
+
+
+def finite_complex_problems(F):
+    """Every violated invariant of the FiniteComplex F; [] means ok."""
+    problems = []
+    if any(apply_columns(F.columns, col, F.field) for col in F.columns.values()):
+        problems.append("boundary squared is nonzero")
+    for j, col in F.columns.items():
+        for i in col:
+            if F.degrees[i] != F.degrees[j] + 1:
+                problems.append(f"boundary entry {i},{j} not of degree +1")
+    return problems
 
 
 def project(H, vector):

@@ -447,11 +447,24 @@ def test_filtration_checks_the_augmentation_on_the_model(tmp_path, capsys):
     assert "no augmentation-1 cycle" in err
 
 
+@pytest.mark.parametrize("command", ["verify-bounds", "lift"])
+def test_zero_homology_is_a_failed_lift(tmp_path, capsys, command):
+    """A well-formed complex with zero homology (d b = a) has no
+    augmentation-1 cycle: a failed assertion, not an input error."""
+    cx = tmp_path / "acyclic.cx"
+    cx.write_text(
+        "# complex v1\nchar 2\nr 2\nweight 1\ngen a 1\ngen b 0\nd b = a\naugment b = 1\n"
+    )
+    code, out, err = run([command, str(cx)], capsys)
+    assert (code, out) == (1, "")
+    assert err == "assertion failed: no augmentation-1 cycle of degree 0 exists; degree 0\n"
+
+
 INVALID = [
-    # minimal differential (no scalar entry), so `filtration` checks it itself
+    # every command reaches minimal_model, which checks the complex, with
+    # a minimal differential (no scalar entry) as with scalar entries
     ("gen a 0\ngen b 0\ngen c 0\nd a = t1*b\nd b = t1*c\n",
      "d∘d != 0: column a hits c with t1^2"),
-    # scalar entries: every command reaches minimal_model, which checks it
     ("gen a 0\ngen b 1\ngen c 2\nd a = b\nd b = c\n",
      "d∘d != 0: column a hits c with 1"),
     ("gen a 0\ngen b 1\nd a = b + t1*b\n",

@@ -1,7 +1,8 @@
 """Every name a library module imports is used in that module, every
 function, class and method the library defines is used somewhere, and
-outside the tests too unless it is traced or `KEPT`, and every dataclass
-field it defines is read somewhere.
+outside the tests too unless it is traced or `KEPT`, every parameter
+with a default is passed outside the tests unless it is in
+`KEPT_OPTIONS`, and every dataclass field it defines is read somewhere.
 
 No linter runs on this package, so these stdlib-`ast` checks stand in for
 one.  `__init__.py` is exempt from the import check: its imports are the
@@ -119,6 +120,84 @@ def test_detects_a_test_only_definition():
     # neither a test ("A().exported(); tested()") nor __init__.py is a user
     assert definitions_only_tests_use(library, users, {"m.traced": ()}, {"kept": ""}) == [
         ("m.py", 4, "tested"), ("m.py", 5, "A"), ("m.py", 6, "exported")
+    ]
+
+
+def _options(node, method):
+    """(position, name) of each parameter with a default of the function
+    `node`, position None for a keyword-only one.  A method's first
+    parameter is bound, so its positions start after it."""
+    a = node.args
+    positional = (a.posonlyargs + a.args)[method:]
+    out = [(k, p.arg) for k, p in enumerate(positional) if k >= len(positional) - len(a.defaults)]
+    return out + [(None, p.arg) for p, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None]
+
+
+def unpassed_options(library, users):
+    """(module, line, "function.parameter") of each parameter with a
+    default, of a function or method defined in the `library` sources
+    ({module: source}), that no call in `users` passes by position or
+    keyword.  Calls match by name, as in `dead_definitions`: `f(...)` and
+    `x.f(...)` call every f, `C(...)` calls `C.__init__`, and a call with
+    *args or **kwargs passes every parameter."""
+    calls = {}
+    for source in users:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                calls.setdefault(name, []).append(node)
+
+    def passed(name, position, arg):
+        return any(
+            any(isinstance(x, ast.Starred) for x in call.args)
+            or (position is not None and position < len(call.args))
+            or any(k.arg in (None, arg) for k in call.keywords)
+            for call in calls.get(name, ())
+        )
+
+    found = []
+    for module, source in library.items():
+        for owner in ast.walk(ast.parse(source)):
+            if not isinstance(owner, (ast.Module, ast.ClassDef, ast.FunctionDef)):
+                continue
+            method = isinstance(owner, ast.ClassDef)
+            for node in owner.body:
+                if not isinstance(node, ast.FunctionDef):
+                    continue
+                name = owner.name if method and node.name == "__init__" else node.name
+                qualified = f"{owner.name}.{node.name}" if method else node.name
+                found += [
+                    (module, node.lineno, f"{qualified}.{arg}")
+                    for position, arg in _options(node, method)
+                    if not passed(name, position, arg)
+                ]
+    return sorted(found)
+
+
+# Parameters with a default that only the tests pass, each with its reason.
+KEPT_OPTIONS = {
+    "minimal_model.pivot_rng": "the test seam for the pivot-order invariance of the model",
+    "case0_improved_bound.augmentation": "case0_improved_bound is a traced layer only tests call",
+}
+
+
+def test_no_test_only_options():
+    """The flagged parameters are exactly the kept ones, so an exception
+    that no longer applies is flagged too."""
+    library = {p.name: p.read_text() for p in MODULES}
+    users = [p.read_text() for p in MODULES]
+    users += [p.read_text() for p in sorted((ROOT / "perfbench").rglob("*.py"))]
+    assert {name for _, _, name in unpassed_options(library, users)} == set(KEPT_OPTIONS)
+
+
+def test_detects_a_test_only_option():
+    library = {"m.py": "def f(a, b=1, *, c=2, d=3): pass\n"
+                       "class A:\n    def __init__(self, x=0, y=0): pass\n"
+                       "    def m(self, z=0):\n        def inner(w=0): pass\n"}
+    users = list(library.values()) + ["f(1, 2, c=3)\nA(1)\nA().m(**{})\n"]
+    # neither a test ("f(d=4); A(y=1); inner(1)") nor __init__.py is a user
+    assert unpassed_options(library, users) == [
+        ("m.py", 1, "f.d"), ("m.py", 3, "A.__init__.y"), ("m.py", 5, "inner.w")
     ]
 
 

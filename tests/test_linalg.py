@@ -56,7 +56,9 @@ def _random_matrix(ring, rng, rows, cols, density=0.4, max_deg=3):
 
 
 def _transpose(M):
-    return PolyMatrix(M.ring, M.cols, M.rows, {(j, i): p for (i, j), p in M.entries.items()})
+    T = PolyMatrix(M.ring, M.cols, M.rows)
+    T.entries = {(j, i): p for (i, j), p in M.entries.items()}
+    return T
 
 
 class TestRankExact:
@@ -144,17 +146,19 @@ class TestRankRetries:
         # a single entry is peeled: no evaluation field is needed
         fields = self._fields_tried(monkeypatch)
         ring = RingSpec(Q, 1, 1)
-        M = PolyMatrix(ring, 1, 1, {(0, 0): ring.monomial((1,), P61)})
+        M = PolyMatrix(ring, 1, 1)
+        M.entries = {(0, 0): ring.monomial((1,), P61)}
         assert rank_exact(M) == 1 and fields == []
 
     def test_row_vanishing_mod_p_takes_the_next_prime(self, monkeypatch):
         # mod 2**61 - 1 the first row is zero, so the rank there is 1; the
         # kernel certificate fails over Q and the next prime gives 2
         ring = RingSpec(Q, 2, 1)
-        M = PolyMatrix(ring, 2, 2, {
+        M = PolyMatrix(ring, 2, 2)
+        M.entries = {
             (0, 0): ring.monomial((1, 0), P61), (0, 1): ring.monomial((0, 1), P61),
             (1, 0): ring.var(2), (1, 1): ring.var(1),
-        })
+        }
         fields = self._fields_tried(monkeypatch)
         assert rank_exact(M) == 2 == bareiss_rank(M)
         assert fields[0] == P61 and len(fields) == 2 and fields[1] < P61
@@ -162,10 +166,11 @@ class TestRankRetries:
 
     def test_denominator_divisible_by_the_prime(self, monkeypatch):
         ring = RingSpec(Q, 2, 1)
-        M = PolyMatrix(ring, 2, 2, {
+        M = PolyMatrix(ring, 2, 2)
+        M.entries = {
             (0, 0): ring.monomial((1, 0), Fraction(1, P61)), (0, 1): ring.var(2),
             (1, 0): ring.var(2), (1, 1): ring.var(1),
-        })
+        }
         fields = self._fields_tried(monkeypatch)
         assert rank_exact(M) == 2
         assert rank_probabilistic(M, seed=0) == 2
@@ -184,9 +189,10 @@ class TestRankRetries:
 
         monkeypatch.setattr(linalg, "_rank_at_most", never)
         ring = RingSpec(field, 2, 1)
-        M = PolyMatrix(ring, 2, 2, {
+        M = PolyMatrix(ring, 2, 2)
+        M.entries = {
             (0, 0): ring.var(1), (0, 1): ring.var(2), (1, 0): ring.var(2), (1, 1): ring.var(1),
-        })
+        }
         with pytest.raises(RuntimeError) as failure:
             rank_exact(M)
         assert len(calls) == linalg._POINTS
@@ -199,10 +205,11 @@ class TestRankRetries:
 
         monkeypatch.setattr(linalg, "evaluation_domain", refuse)
         ring = RingSpec(field, 2, 1)
-        triangular = PolyMatrix(ring, 3, 3, {
+        triangular = PolyMatrix(ring, 3, 3)
+        triangular.entries = {
             (0, 0): ring.var(1), (0, 1): ring.var(2), (0, 2): ring.parse("t1*t2 + 1"),
             (1, 1): ring.var(1, 2), (1, 2): ring.var(2), (2, 2): ring.parse("t1 + t2"),
-        })
+        }
         for M, rank in [(PolyMatrix(ring, 3, 4), 0),
                         (PolyMatrix.identity(ring, 4), 4), (triangular, 3)]:
             assert rank_exact(M) == rank == rank_probabilistic(M, seed=1)

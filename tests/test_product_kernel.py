@@ -93,9 +93,11 @@ def test_entries_come_in_first_reached_order(field, seed):
     ring = RingSpec(field, 3, 1)
     m, k, n = (rng.randint(3, 7) for _ in range(3))
     A, B = _matrix(ring, rng, m, k), _matrix(ring, rng, k, n)
-    A2 = PolyMatrix(ring, m, k, {key: p for key, p in A.entries.items() if rng.random() < 0.6})
+    A2 = PolyMatrix(ring, m, k)
+    A2.entries = {key: p for key, p in A.entries.items() if rng.random() < 0.6}
     C = _matrix(ring, rng, m, n)
-    C2 = PolyMatrix(ring, m, n, {key: p for key, p in C.entries.items() if rng.random() < 0.5})
+    C2 = PolyMatrix(ring, m, n)
+    C2.entries = {key: p for key, p in C.entries.items() if rng.random() < 0.5}
     c, s = _scalar(field, rng), _scalar(field, rng)
     minus = field.neg(c)
     # c*A2*B and c*C2 cancel their parts of the first terms; s*A*B adds back
