@@ -12,7 +12,10 @@ the lambda action is nontrivial) were written while the filtration and
 bound reports still took a minimal model or a complex.  The `lift`
 files of noisy-K3(1)-F3, the one β pinned over a finite field, were
 written while the filtration's graded bases still came from per-degree
-nullspaces of its annihilator.
+nullspaces of its annihilator.  The `verify-bounds --m 1` report of
+K_3(0)/Q, whose every generator meets a term of d that survives mod
+t^2, was written while the generator count still built the whole
+quotient.
 `golden_outputs` builds every pinned text; `tests/golden/` holds one
 file per name it returns.
 """
@@ -105,6 +108,8 @@ def golden_outputs():
     out = {}
     for name, _, _, m, _ in KOSZUL_INPUTS:
         out[f"verify-bounds.{name}.txt"] = _cli(["verify-bounds", f"{name}.cx", "--m", str(m)])
+    # every generator live: the count runs the general loop
+    out["verify-bounds.K3(0)-Q.m1.txt"] = _cli(["verify-bounds", "K3(0)-Q.cx", "--m", "1"])
     for name, _ in NOISY_INPUTS:
         out[f"verify-bounds.{name}.txt"] = _cli(["verify-bounds", f"{name}.cx"])
     for name in FILTRATION_INPUTS:
