@@ -249,6 +249,8 @@ def cmd_filtration(args):
         lines.append(f"input not minimal; reduced {C.n} -> {mm.model.n} generators")
     if aug is not None:
         aug = mm.model_augmentation(aug)
+    if mm.model.n == 0:
+        raise MathFailure("zero model has no filtration")
     F = compute_filtration(mm.model)
     rep = check_properties(F, aug)
     brep = bound_checks(F)
@@ -267,15 +269,15 @@ def cmd_filtration(args):
 
 def cmd_lift(args):
     C, aug, _ = read_complex(args.complex)
-    parts = pipeline(C, args.m, aug)
+    parts = pipeline(C, args.m, aug)  # raises LiftError unless alpha and beta are chain maps
     gamma = parts["gamma"]
     rank = rank_exact(gamma.matrix)
     r = C.ring.num_vars
     lines = [
         f"input {args.complex}",
         f"m {args.m}",
-        f"alpha chain map: {is_chain_map(parts['alpha']) is None}",
-        f"beta chain map: {is_chain_map(parts['beta']) is None}",
+        "alpha chain map: True",
+        "beta chain map: True",
         f"rank(beta . alpha) {rank}",
         _fmt_check("rank >= 2r", rank, 2 * r, rank >= 2 * r),
     ]

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from operator import add
+from operator import add, lt
 
 from .ring import RingSpec, _grlex_key, add_product, triples
 from .linalg import PolyMatrix, Echelon, span
@@ -450,21 +450,37 @@ def min_generators_of_homology(C: FreeComplex, a) -> int:
     degree by the variable weight w: the image of (t_1..t_r)·H in H_q is
     that sum modulo B_q.  The count is basis-free.
 
+    A generator is live when some term t^e of its row or column of d
+    survives mod t^a, that is e_i < a_i for every i.  Every other
+    generator g spans a direct summand S·g of C ⊗ S, S = R/(t^a), with
+    zero differential, so H(C ⊗ S) is H(live part) ⊕ S^(#isolated), and
+    S·g needs one generator.  The count is the number of isolated
+    generators plus the loop above on the quotient of the live part
+    alone (the rows and columns of d at the live generators).
+
     A homotopy equivalence over R stays one after tensoring with R/(t^a),
     so H(C ⊗ R/(t^a)) is an R-module invariant of C up to homotopy: C
     and its minimal model give the same count, and the model is smaller.
     """
     a = tuple(a)
-    if any(x < 2 for x in a):
-        raise ValueError("exponents must be >= 2 for a nontrivial R-action")
-    F = tensor_quotient(C, a)
+    if len(a) != C.ring.num_vars or any(x < 2 for x in a):
+        raise ValueError("need one exponent >= 2 per variable for a nontrivial R-action")
+    entries = C.differential.entries
+    live = set()
+    for (i, j), p in entries.items():
+        if any(all(map(lt, e, a)) for e in p.terms):
+            live.update((i, j))
+    at = {g: k for k, g in enumerate(sorted(live))}
+    D = PolyMatrix(C.ring, len(at), len(at))
+    D.entries = {(at[i], at[j]): p for (i, j), p in entries.items() if i in at and j in at}
+    F = tensor_quotient(FreeComplex(C.ring, [C.generators[g] for g in at], D), a)
     ops = F.field
     info = F.tensor_info
     w = C.ring.var_weight
     by_degree = F.degree_indices()
     columns = F.columns
     cycles = {}  # degree -> sparse basis of Z, kept until degree + w is done
-    count = 0
+    count = C.n - len(at)
     for q in sorted(by_degree):
         Z = cycles[q] = _cycles(columns, by_degree[q], ops)
         image = span((columns.get(j, {}) for j in by_degree.get(q - 1, ())), ops)

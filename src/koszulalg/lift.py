@@ -196,16 +196,16 @@ def solve_boundary_equation(
 
 
 def _solve_in_koszul(
-    K: KoszulComplex, rhs, degree: int, max_length: int, cache: BoundaryCache
+    K: KoszulComplex, of_length, rhs, degree: int, max_length: int, cache: BoundaryCache
 ):
     """Graded solve inside a Koszul complex, split by exterior length.
 
     The differential lowers exterior length by exactly one, so the
     equation decouples into one system per length; each component of the
     right-hand side at length l-1 is matched from length-l generators
-    (l <= max_length).  cache is a BoundaryCache of K.base.
+    (l <= max_length), listed in increasing index order by
+    `of_length[l]`.  cache is a BoundaryCache of K.base.
     """
-    C = K.base
     by_length = {}
     for u, p in rhs.items():
         by_length.setdefault(K.exterior_length(u), {})[u] = p
@@ -214,8 +214,7 @@ def _solve_in_koszul(
         ell = ell_minus_1 + 1
         if ell > max_length:
             return None
-        allowed = [j for j in range(C.n) if K.exterior_length(j) == ell]
-        sol = solve_boundary_equation(cache, part, degree, allowed=allowed)
+        sol = solve_boundary_equation(cache, part, degree, allowed=of_length.get(ell, []))
         if sol is None:
             return None
         y.update(sol)  # each length has generators of its own
@@ -272,6 +271,9 @@ def lift_beta(F: Filtration, augmentation: Augmentation, K0: KoszulComplex) -> C
     n = model.n
     k0 = K0.subset_index[()]
     cache = BoundaryCache(K0.base)
+    of_length = {}  # exterior length -> K0's generators of that length
+    for j in range(K0.n):
+        of_length.setdefault(K0.exterior_length(j), []).append(j)
     slices = F.slices
     # The processed part of the model: its k-basis d_j, each tagged by a
     # unit in column n + j.  The d_j are independent, so the residual of
@@ -312,7 +314,7 @@ def lift_beta(F: Filtration, augmentation: Augmentation, K0: KoszulComplex) -> C
                         (ring.monomial(exps, c), defined_images[j]) for j, c in coords.items()
                     ]
                 rhs = linear_combination(ring, pairs)
-                sol = _solve_in_koszul(K0, rhs, q, level - 1, cache)
+                sol = _solve_in_koszul(K0, of_length, rhs, q, level - 1, cache)
                 if sol is None:
                     raise LiftError(
                         f"no exterior-length <= {level - 1} preimage in degree {q}",

@@ -6,9 +6,10 @@ from pathlib import Path
 
 import pytest
 
-from koszulalg import fileio, lift
+from koszulalg import cli, fileio, lift
+from koszulalg.chainmaps import is_chain_map
 from koszulalg.cli import build_parser, main
-from koszulalg.complexes import Augmentation, FreeComplex, koszul
+from koszulalg.complexes import Augmentation, FreeComplex, canonical_augmentation, koszul
 from koszulalg.fileio import write_complex
 from koszulalg.linalg import PolyMatrix
 from koszulalg.minimal import minimal_model
@@ -458,6 +459,51 @@ def test_zero_homology_is_a_failed_lift(tmp_path, capsys, command):
     code, out, err = run([command, str(cx)], capsys)
     assert (code, out) == (1, "")
     assert err == "assertion failed: no augmentation-1 cycle of degree 0 exists; degree 0\n"
+
+
+def test_zero_homology_has_no_filtration(tmp_path, capsys):
+    """`filtration` on the complex with zero homology above: its minimal
+    model is zero, a failed assertion, not an input error."""
+    cx = tmp_path / "acyclic.cx"
+    cx.write_text(
+        "# complex v1\nchar 2\nr 2\nweight 1\ngen a 1\ngen b 0\nd b = a\naugment b = 1\n"
+    )
+    code, out, err = run(["filtration", str(cx)], capsys)
+    assert (code, out) == (1, "")
+    assert err == "assertion failed: zero model has no filtration\n"
+
+
+def test_lift_checks_each_chain_map_once(tmp_path, capsys, monkeypatch):
+    """The lifts check that alpha and beta are chain maps; `lift` prints
+    those results without checking them again."""
+    calls = []
+
+    def spy(f):
+        calls.append(f)
+        return is_chain_map(f)
+
+    monkeypatch.setattr(lift, "is_chain_map", spy)
+    monkeypatch.setattr(cli, "is_chain_map", spy)
+    cx = str(tmp_path / "k.cx")
+    assert run(["koszul", "--char", "3", "--rank", "3", "--out", cx], capsys)[0] == 0
+    for _ in range(2):
+        calls.clear()
+        code, out, _ = run(["lift", cx, "--m", "1"], capsys)
+        assert code == 0
+        assert "alpha chain map: True\nbeta chain map: True\n" in out
+        assert len(calls) == 2
+
+
+def test_verify_bounds_koszul_r8(tmp_path, capsys):
+    """K_8(1)/F_2: every term of d is some t_i^2, so no generator survives
+    mod t^2 and the count of 256 needs no quotient."""
+    K = koszul(RingSpec(FieldSpec(2), 8, 1), 1)
+    cx = str(tmp_path / "k8.cx")
+    write_complex(cx, K.base, canonical_augmentation(K))
+    code, out, _ = run(["verify-bounds", cx, "--m", "1"], capsys)
+    assert code == 0
+    assert "check min generators of homology >= 2^r: 256 vs 256 -> PASS\n" in out
+    assert out.endswith("result PASS\n")
 
 
 INVALID = [

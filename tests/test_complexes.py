@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from koszulalg import complexes
 from koszulalg.ring import FieldSpec, RingSpec, _NAME
 from koszulalg.complexes import (
     FreeComplex,
@@ -338,6 +339,9 @@ class TestMinGenerators:
         K = koszul(RingSpec(Q, 2, 1), 0)
         with pytest.raises(ValueError):
             min_generators_of_homology(K.base, (1, 1))
+        # one exponent per variable, also when no generator is live
+        with pytest.raises(ValueError):
+            min_generators_of_homology(koszul(RingSpec(Q, 2, 1), 1).base, (2,))
 
 
 def _nonzero_quotient_cases(field):
@@ -356,12 +360,49 @@ def _nonzero_quotient_cases(field):
         yield noisy_complex(koszul(ring, 1).base, rng, pairs=2), (2, 3)[:r]
 
 
+def _split_cases(field):
+    """Complexes some of whose generators meet no term of d that survives
+    mod t^a (all of K_r(1) at a = (2,...)), beside live ones."""
+    rng = random.Random(7)
+    for r in (1, 2, 3):
+        ring = RingSpec(field, r, 1)
+        both = direct_sum(koszul(ring, 0).base, koszul(ring, 1).base)
+        yield both, (2,) * r
+        yield noisy_complex(both, rng), (2,) * r
+        yield koszul(ring, 1).base, (2, 3, 2)[:r]
+        yield koszul(ring, 2).base, (3, 2, 4)[:r]
+
+
 @pytest.mark.parametrize("field", [Q, F2, F3], ids=["Q", "F2", "F3"])
 def test_min_generators_matches_projection_oracle(field):
-    """dim Z - dim(B + t·Z) per degree is the count the homology
-    projections give, on quotients whose differential is nonzero."""
+    """dim Z - dim(B + t·Z) per degree, with the isolated generators split
+    off, is the count the homology projections of the whole quotient
+    give, on quotients whose differential is nonzero and on complexes
+    that are partly isolated."""
     nonzero = 0
     for C, a in _nonzero_quotient_cases(field):
         assert min_generators_of_homology(C, a) == min_generators_by_projection(C, a)
         nonzero += bool(tensor_quotient(C, a).columns)
     assert nonzero >= 12
+    split = list(_split_cases(field))
+    assert len(split) == 12
+    for C, a in split:
+        assert min_generators_of_homology(C, a) == min_generators_by_projection(C, a)
+
+
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_isolated_generators_build_no_quotient_item(monkeypatch, r):
+    """In K_r(1) every term of d is some t_i^2, zero mod t^2: each
+    generator is its own summand, and the count builds no quotient item."""
+    sizes = []
+    tensor_quotient = complexes.tensor_quotient
+
+    def spy(C, a):
+        F = tensor_quotient(C, a)
+        sizes.append(F.n)
+        return F
+
+    monkeypatch.setattr(complexes, "tensor_quotient", spy)
+    K = koszul(RingSpec(F2, r, 1), 1)
+    assert min_generators_of_homology(K.base, (2,) * r) == 2 ** r
+    assert sum(sizes) == 0
