@@ -119,12 +119,12 @@ def random_homotopy(
     homogeneous: bool = False,
     zero_probability: float = 0.5,
     max_terms: int = 2,
-    degree_bound: int = 4,
 ) -> Homotopy:
     """Sparse random homotopy: each basis image is 0 with the given
     probability, otherwise a short sum of monomial multiples of target
-    generators.  With homogeneous=True every entry gets the exact
-    degree-(-1) monomial degree (impossible choices are skipped)."""
+    generators, each monomial of total degree at most 4.  With
+    homogeneous=True every entry gets the exact degree-(-1) monomial
+    degree (impossible choices are skipped)."""
     ring = source.ring
     f = ring.field
     entries = {}  # (i, j) -> exponent dict; a cancelled entry is deleted, so a
@@ -140,7 +140,7 @@ def random_homotopy(
                     continue
                 total = need // ring.var_weight
             else:
-                total = rng.randint(0, degree_bound)
+                total = rng.randint(0, 4)
             exps = tuple(_random_composition(rng, total, ring.num_vars))
             terms = entries.setdefault((i, j), {})
             axpy(terms, f.one, {exps: _random_nonzero_scalar(ring, rng)}, f)
@@ -168,16 +168,13 @@ def _random_nonzero_scalar(ring: RingSpec, rng):
     return rng.randrange(1, p)
 
 
-def rank_six_fixture(ring: RingSpec = None):
+def rank_six_fixture():
     """The explicit rank-6 perturbation of iota at r = 3, m = 1 over F_2.
 
     Returns (gamma, iota, homotopy, x, dx, Km, K0) where x is the
     element gamma kills.
     """
-    if ring is None:
-        ring = RingSpec(FieldSpec(2), 3, 1)
-    if ring.num_vars != 3:
-        raise ValueError("the fixture needs r = 3")
+    ring = RingSpec(FieldSpec(2), 3, 1)
     iota, Km, K0 = standard_iota(ring, 1)
     H = PolyMatrix(ring, K0.n, Km.n)
     # h(s_1) = s0_123, h(s_23) = t3 * s0_12, otherwise 0

@@ -95,8 +95,7 @@ def cmd_fixture(args):
 
 def cmd_fixture_weight2(args):
     """The same homotopy data under the weight-2 grading convention."""
-    ring = RingSpec(FieldSpec(2), 3, 1)
-    _, _, h, *_ = rank_six_fixture(ring)
+    _, _, h, *_ = rank_six_fixture()
     ring2 = RingSpec(FieldSpec(2), 3, 2)
     Km2 = koszul(ring2, 1)
     K02 = koszul(ring2, 0)
@@ -190,7 +189,7 @@ def cmd_search_low_rank(args):
 
 
 def cmd_verify_bounds(args):
-    C, aug, dga = read_complex(args.complex)
+    C, aug, _ = read_complex(args.complex)
     lines = [f"input {args.complex}", f"m {args.m}"]
     rep = verify_bounds(C, args.m, aug)
     for key, (got, want, ok) in report_checks(rep).items():
@@ -282,16 +281,14 @@ def cmd_lift(args):
         _fmt_check("rank >= 2r", rank, 2 * r, rank >= 2 * r),
     ]
     if args.out:
-        src = args.out + ".source.cx"
         kmp = args.out + ".km.cx"
         k0p = args.out + ".k0.cx"
         modelp = args.out + ".model.cx"
-        write_complex(src, C, aug)
         Km = parts["koszul_m"]
         write_complex(kmp, Km.base, canonical_augmentation(Km))
         write_complex(k0p, parts["koszul_0"].base)
         write_complex(modelp, parts["minimal"].model, parts["model_augmentation"])
-        write_map(args.out + ".alpha.map", parts["alpha"], kmp, src)
+        write_map(args.out + ".alpha.map", parts["alpha"], kmp, modelp)
         write_map(args.out + ".beta.map", parts["beta"], modelp, k0p)
         lines.append(f"maps written to {args.out}.alpha.map / {args.out}.beta.map")
     ok = rank >= 2 * r

@@ -5,12 +5,12 @@ column j is d(e_j) in the generator basis.  An element of a free module
 is a dict {generator index: nonzero Polynomial}; a missing generator has
 coordinate 0 (see RingSpec.element); `linear_combination` sums R multiples
 of elements.  Koszul complexes carry the exterior product (signs keyed to
-exterior length) so they are honest dgas; tensor_quotient and HomologyData
-provide the finite-dimensional coefficient reductions everything
-downstream is checked against, `tensor_columns` reducing any polynomial
-matrix mod t^a.  A FiniteComplex holds the degree of each basis vector
-and its boundary by column; a tensor quotient's `tensor_info` maps its
-basis to (generator, monomial) pairs.
+exterior length) so they are honest dgas.  tensor_quotient reduces a
+complex mod t^a for `min_generators_of_homology`, and `tensor_columns`
+any polynomial matrix; HomologyData, the homology of such a quotient
+with certificates, serves the tests' oracles.  A FiniteComplex holds
+the degree of each basis vector and its boundary by column; a tensor
+quotient's `tensor_info` maps its basis to (generator, monomial) pairs.
 """
 
 from __future__ import annotations
@@ -159,9 +159,9 @@ class KoszulComplex:
             key=lambda I: (len(I), I),
         )
         self.subset_index = {I: i for i, I in enumerate(self.subsets)}
+        # d(s_i) = t_i^(m+1) has degree w(m+1), so deg s_i = w(m+1) - 1
         w = ring.var_weight
-        gen_degree = (lambda I: len(I) * m) if w == 1 else (lambda I: len(I) * (2 * m + 1))
-        gens = [(_subset_name(I, r), gen_degree(I)) for I in self.subsets]
+        gens = [(_subset_name(I, r), len(I) * (w * (m + 1) - 1)) for I in self.subsets]
         n = len(self.subsets)
         D = PolyMatrix(ring, n, n)
         for j, I in enumerate(self.subsets):

@@ -1,5 +1,6 @@
-"""Lifting pipeline: alpha into an annihilator complex, beta back onto
-the weight-zero Koszul complex, and the rank/dimension bound reports.
+"""Lifting pipeline: alpha from the Koszul complex K_r(m) into the
+minimal model, beta from the model onto the weight-zero Koszul complex
+K_r(0), and the rank/dimension bound reports on gamma = beta ∘ alpha.
 
 All lifts are produced by graded k-linear solves: a boundary equation
 d(y) = b with y homogeneous of a prescribed degree has finitely many
@@ -222,7 +223,8 @@ def _solve_in_koszul(
 
 
 def lift_alpha(C: FreeComplex, augmentation: Augmentation, Km: KoszulComplex) -> ChainMap:
-    """Chain map from the weight-m Koszul complex Km into C.
+    """Chain map from the weight-m Koszul complex Km into C, which
+    `pipeline` takes to be the minimal model that beta starts from.
 
     The image of the empty generator is an augmentation-1 cycle; higher
     generators are lifted inductively over exterior length.  A failed
@@ -381,21 +383,23 @@ def beta_respects_filtration(beta: ChainMap, F: Filtration, K0: KoszulComplex):
 
 
 def pipeline(C: FreeComplex, m: int, augmentation: Augmentation = None):
-    """minimal_model (which validates C) -> alpha -> filtration -> beta;
-    returns a dict of parts, with the Koszul complexes K_r(m) and K_r(0)
-    that alpha and beta use as "koszul_m" and "koszul_0".  alpha comes
-    before the filtration: a C with zero homology has no augmentation-1
-    cycle, and that is the failure to report."""
+    """minimal_model (which validates C) -> alpha -> filtration -> beta,
+    every stage after the first on the model: alpha maps K_r(m) into it,
+    beta maps it onto K_r(0), and gamma = beta ∘ alpha.  Returns a dict
+    of parts, with the Koszul complexes K_r(m) and K_r(0) as "koszul_m"
+    and "koszul_0".  alpha comes before the filtration: a C with zero
+    homology has no augmentation-1 cycle, and that is the failure to
+    report."""
     mm = minimal_model(C)
     if augmentation is None:
         augmentation = _default_augmentation(C)
-    Km = koszul(C.ring, m)
-    alpha = lift_alpha(C, augmentation, Km)
     model_aug = mm.model_augmentation(augmentation)
+    Km = koszul(C.ring, m)
+    alpha = lift_alpha(mm.model, model_aug, Km)
     F = compute_filtration(mm.model)
     K0 = koszul(C.ring, 0)
     beta = lift_beta(F, model_aug, K0)
-    gamma = beta.compose(mm.projection).compose(alpha)
+    gamma = beta.compose(alpha)
     return {
         "minimal": mm,
         "model_augmentation": model_aug,

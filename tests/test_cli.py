@@ -7,11 +7,11 @@ from pathlib import Path
 import pytest
 
 from koszulalg import cli, fileio, lift
-from koszulalg.chainmaps import is_chain_map
+from koszulalg.chainmaps import ChainMap, is_chain_map
 from koszulalg.cli import build_parser, main
 from koszulalg.complexes import Augmentation, FreeComplex, canonical_augmentation, koszul
-from koszulalg.fileio import write_complex
-from koszulalg.linalg import PolyMatrix
+from koszulalg.fileio import read_map, write_complex
+from koszulalg.linalg import PolyMatrix, rank_exact
 from koszulalg.minimal import minimal_model
 from koszulalg.ring import FieldSpec, RingSpec
 
@@ -490,6 +490,24 @@ def test_lift_checks_each_chain_map_once(tmp_path, capsys, monkeypatch):
     assert code == 0
     assert "alpha chain map: True\nbeta chain map: True\n" in out
     assert len(calls) == 2
+
+
+def test_lift_maps_compose_to_the_reported_gamma(tmp_path, capsys):
+    """On a noisy K_3(1)/Q, `lift --out` writes alpha into the model file
+    that beta starts from, so the two written maps compose into the gamma
+    whose rank the report prints."""
+    C = noisy_complex(koszul(RingSpec(FieldSpec(0), 3, 1), 1).base, random.Random(1), pairs=4)
+    cx = str(tmp_path / "noisy.cx")
+    write_complex(cx, C)
+    prefix = str(tmp_path / "run")
+    code, out, _ = run(["lift", cx, "--out", prefix], capsys)
+    assert code == 0
+    alpha, _, alpha_target = read_map(prefix + ".alpha.map")
+    beta, beta_source, _ = read_map(prefix + ".beta.map")
+    assert alpha_target == beta_source
+    gamma = ChainMap(alpha.source, beta.target, beta.matrix @ alpha.matrix)
+    assert is_chain_map(gamma) is None
+    assert f"rank(beta . alpha) {rank_exact(gamma.matrix)}\n" in out
 
 
 def test_verify_bounds_koszul_r8(tmp_path, capsys):

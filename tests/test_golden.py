@@ -15,7 +15,8 @@ written while the filtration's graded bases still came from per-degree
 nullspaces of its annihilator.  The `verify-bounds --m 1` report of
 K_3(0)/Q, whose every generator meets a term of d that survives mod
 t^2, was written while the generator count still built the whole
-quotient.
+quotient.  The three `lift` alpha maps were written later, when alpha
+moved into the minimal model that beta starts from.
 `golden_outputs` builds every pinned text; `tests/golden/` holds one
 file per name it returns.
 """
@@ -116,7 +117,7 @@ def golden_outputs():
         out[f"filtration.{name}.txt"] = _cli(["filtration", f"{name}.cx"])
     for name in ("K3(1)-Q", "noisy-K3(1)-Q", "noisy-K3(1)-F3"):
         out[f"lift.{name}.txt"] = _cli(["lift", f"{name}.cx", "--out", f"lift-{name}"])
-        for part in ("alpha.map", "beta.map", "source.cx", "km.cx", "k0.cx", "model.cx"):
+        for part in ("alpha.map", "beta.map", "km.cx", "k0.cx", "model.cx"):
             out[f"lift.{name}.{part}"] = Path(f"lift-{name}.{part}").read_text()
     name = "noisy-K3(1)-Q"
     out[f"minimal.{name}.txt"] = _cli(["minimal", f"{name}.cx", "--out", f"minimal-{name}.cx"])

@@ -228,6 +228,9 @@ class TestPipeline:
         rep = verify_bounds(C, 1, Augmentation(C, aug_vals))
         assert rep["dim_H"] == 4
         assert rep["passed"]
+        # alpha lands in the model that beta starts from, not in C
+        parts = rep["parts"]
+        assert parts["alpha"].target is parts["minimal"].model is parts["beta"].source
 
     def test_weight2_char0(self):
         ring = RingSpec(Q, 2, 2)
