@@ -53,6 +53,7 @@ KOSZUL_INPUTS = [
     ("K5(1)-F2", 2, 5, 1, 1),
 ]
 NOISY_INPUTS = [("noisy-K3(1)-Q", 0), ("noisy-K3(1)-F3", 3)]
+LIFT_INPUTS = ["K3(1)-Q", "noisy-K3(1)-Q", "noisy-K3(1)-F3"]
 # with an augmentation; not minimal ("reduced 16 -> 8"); nontrivial lambda
 FILTRATION_INPUTS = ["K3(1)-F2", "noisy-K3(1)-Q", "K3(0)-Q"]
 
@@ -115,7 +116,7 @@ def golden_outputs():
         out[f"verify-bounds.{name}.txt"] = _cli(["verify-bounds", f"{name}.cx"])
     for name in FILTRATION_INPUTS:
         out[f"filtration.{name}.txt"] = _cli(["filtration", f"{name}.cx"])
-    for name in ("K3(1)-Q", "noisy-K3(1)-Q", "noisy-K3(1)-F3"):
+    for name in LIFT_INPUTS:
         out[f"lift.{name}.txt"] = _cli(["lift", f"{name}.cx", "--out", f"lift-{name}"])
         for part in ("alpha.map", "beta.map", "km.cx", "k0.cx", "model.cx"):
             out[f"lift.{name}.{part}"] = Path(f"lift-{name}.{part}").read_text()
@@ -135,9 +136,14 @@ def golden_outputs():
 
 
 @pytest.fixture(scope="module")
-def outputs(tmp_path_factory):
+def workdir(tmp_path_factory):
+    return tmp_path_factory.mktemp("golden")
+
+
+@pytest.fixture(scope="module")
+def outputs(workdir):
     cwd = os.getcwd()
-    os.chdir(tmp_path_factory.mktemp("golden"))
+    os.chdir(workdir)
     try:
         yield golden_outputs()
     finally:
@@ -151,3 +157,11 @@ def test_every_golden_file_is_produced(outputs):
 @pytest.mark.parametrize("name", sorted(p.name for p in GOLDEN.iterdir()))
 def test_output_matches_golden(outputs, name):
     assert outputs[name] == (GOLDEN / name).read_text()
+
+
+@pytest.mark.parametrize("part", ["alpha.map", "beta.map"])
+@pytest.mark.parametrize("name", LIFT_INPUTS)
+def test_written_lift_map_verifies(outputs, workdir, name, part):
+    """verify-map re-reads each map `lift --out` wrote, with the complexes
+    its header names, and finds a chain map."""
+    assert "chain map: True\n" in _cli(["verify-map", str(workdir / f"lift-{name}.{part}")])
