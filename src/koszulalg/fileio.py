@@ -19,7 +19,6 @@ read-then-write round-trips byte-identically.
 
 from __future__ import annotations
 
-import contextlib
 import os
 
 from .ring import _NAME, FieldSpec, RingSpec, parse_combination
@@ -32,15 +31,6 @@ FORMAT_VERSION = 1
 
 class FileFormatError(ValueError):
     pass
-
-
-@contextlib.contextmanager
-def _line(number):
-    """Report a malformed input line as a FileFormatError naming it."""
-    try:
-        yield
-    except ValueError as e:
-        raise FileFormatError(f"line {number}: {e}") from None
 
 
 def _checked_name(name):
@@ -136,12 +126,12 @@ def complex_from_text(text: str):
     header = {}
     gens = []
     body = []
-    for number, ln in enumerate(lines[1:], start=2):
-        ln = ln.strip()
-        if not ln or ln.startswith("#"):
-            continue
-        key, _, rest = ln.partition(" ")
-        with _line(number):
+    try:  # a malformed line is a FileFormatError naming it, here and below
+        for number, ln in enumerate(lines[1:], start=2):
+            ln = ln.strip()
+            if not ln or ln.startswith("#"):
+                continue
+            key, _, rest = ln.partition(" ")
             if key in ("char", "r", "weight"):
                 header[key] = int(rest)
             elif key == "gen":
@@ -149,6 +139,8 @@ def complex_from_text(text: str):
                 gens.append((_checked_name(name), int(q)))
             else:
                 body.append((number, key, rest))
+    except ValueError as e:
+        raise FileFormatError(f"line {number}: {e}") from None
     for k in ("char", "r", "weight"):
         if k not in header:
             raise FileFormatError(f"missing ring field {k!r}")
@@ -165,8 +157,8 @@ def complex_from_text(text: str):
     parity = [0] * n
     table = {}
     seen = set()
-    for number, key, rest in body:
-        with _line(number):
+    try:
+        for number, key, rest in body:
             head, _, expr = rest.partition("=")
             if key == "d":
                 j = _generator(gen_index, head.strip())
@@ -191,6 +183,8 @@ def complex_from_text(text: str):
             else:
                 raise FileFormatError(f"unknown directive {key!r}")
             _first_line(seen, key, "" if key == "unit" else head)
+    except ValueError as e:
+        raise FileFormatError(f"line {number}: {e}") from None
     augmentation = Augmentation(C, aug_values) if aug_values is not None else None
     dga = DgaStructure(C, parity, unit, table) if unit is not None else None
     return C, augmentation, dga
@@ -217,15 +211,14 @@ def read_map(path):
     base = os.path.dirname(os.path.abspath(path))
     header = {}  # "source"/"target" -> (line number, path)
     assignments = []
-    seen = set()
     for number, ln in enumerate(lines[1:], start=2):
         ln = ln.strip()
         if not ln or ln.startswith("#"):
             continue
         key, _, rest = ln.partition(" ")
         if key in ("source", "target"):
-            with _line(number):
-                _first_line(seen, key, "")
+            if key in header:
+                raise FileFormatError(f"line {number}: second {key!r} line")
             header[key] = (number, os.path.join(base, rest.strip()))
         elif key == "f":
             name, _, expr = rest.partition("=")
@@ -241,12 +234,15 @@ def read_map(path):
     source_index = {name: j for j, (name, _) in enumerate(source.generators)}
     gen_index = {name: j for j, (name, _) in enumerate(target.generators)}
     M = PolyMatrix(source.ring, target.n, source.n)
-    for number, name, expr in assignments:
-        with _line(number):
+    seen = set()
+    try:
+        for number, name, expr in assignments:
             j = _generator(source_index, name)
             for i, p in parse_combination(source.ring, gen_index, expr).items():
                 M.entries[(i, j)] = p
             _first_line(seen, "f", name)
+    except ValueError as e:
+        raise FileFormatError(f"line {number}: {e}") from None
     return ChainMap(source, target, M), source_path, target_path
 
 

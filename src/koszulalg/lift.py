@@ -16,7 +16,7 @@ sparse rows for `linalg.solve`.
 
 from __future__ import annotations
 
-from operator import sub
+from operator import lt, sub
 
 from .ring import RingSpec
 from .complexes import (
@@ -77,14 +77,19 @@ def monomials_of_weighted_degree(ring: RingSpec, wdeg: int):
 
 class BoundaryCache:
     """What `solve_boundary_equation` reads of one complex, built once
-    for all the solves that share it: d by column, the number of terms
-    of each d(e_i), the exponent lists of each monomial degree, and the
-    image d(mu * e_i) of each unknown, built when a solve first needs it.
-    Its size grows with the distinct unknowns of those solves."""
+    for all the solves that share it: d by column, d by row (`rows[u]`
+    lists the (i, d_ui) with d_ui nonzero, i increasing), the number of
+    terms of each d(e_i), the exponent lists of each monomial degree, and
+    the image d(mu * e_i) of each unknown, built when a solve first needs
+    it.  Its size grows with the distinct unknowns of those solves."""
 
     def __init__(self, C: FreeComplex):
         self.complex = C
         self.columns = C.differential.columns()
+        self.rows = {}
+        for i, col in self.columns.items():  # i increasing
+            for u, p in col.items():
+                self.rows.setdefault(u, []).append((i, p))
         self.terms = {
             i: sum(len(p.terms) for p in col.values()) for i, col in self.columns.items()
         }
@@ -118,20 +123,26 @@ def solve_boundary_equation(
     complex C of `cache`, or None; rhs and y are module elements
     {generator: Polynomial}.
 
-    allowed restricts the generators y may involve; when an augmentation
-    and aug_value are given, epsilon(y) = aug_value is imposed as an
-    extra linear condition.  The unknowns are the monomial multiples
-    mu * e_i of degree `degree`, in the order of `allowed` and then of
-    `monomials_of_weighted_degree`.  Their images d(mu * e_i) come from
-    the cache, which may be shared with other solves and builds each
-    image at most once.  The shortcut asks only for the images that can
+    allowed, increasing, restricts the generators y may involve; when an
+    augmentation and aug_value are given, epsilon(y) = aug_value is
+    imposed as an extra linear condition.  The unknowns are the monomial
+    multiples mu * e_i of degree `degree`, in the order of `allowed` and
+    then of `monomials_of_weighted_degree`.  Their images d(mu * e_i)
+    come from the cache, which may be shared with other solves and builds
+    each image at most once.  The shortcut asks only for the images that can
     equal rhs up to a scalar, and the general solve, when it runs, for
     every unknown.
     """
     C = cache.complex
     ring = C.ring
     f = ring.field
-    allowed = range(C.n) if allowed is None else list(allowed)
+    if allowed is None:
+        allowed = admitted = range(C.n)
+    else:
+        allowed = list(allowed)
+        admitted = set(allowed)
+        # the shortcut walks the generators in index order: the order of allowed
+        assert all(map(lt, allowed, allowed[1:])), "allowed must be increasing"
     image = cache.image
     rhs_terms = {(u, e): c for u, p in rhs.items() for e, c in p.terms.items()}
     zero_exps = (0,) * ring.num_vars
@@ -142,15 +153,14 @@ def solve_boundary_equation(
     # shortcut: a single scaled generator already solves the equation.  The
     # image of mu * e_i has as many terms as d(e_i), and it holds the first
     # key (u, e) of rhs only if d(e_i) has a term t^e' at u and mu = t^(e - e'),
-    # so only those unknowns are tried.  The keys of the images of two
-    # distinct mu * e_i differ (a finite set is no translate of itself), so
-    # at most one unknown of each e_i can match: the first match is the one
-    # a scan of all unknowns in order would find.
+    # so only those unknowns are tried: the allowed i of row u.  The keys of
+    # the images of two distinct mu * e_i differ (a finite set is no
+    # translate of itself), so at most one unknown of each e_i can match:
+    # the first match is the one a scan of all unknowns in order would find.
     if rhs_terms:
         u, e = next(iter(rhs_terms))
-        for i in allowed:
-            p = cache.columns.get(i, {}).get(u)
-            if p is None or cache.terms[i] != len(rhs_terms):
+        for i, p in cache.rows.get(u, ()):
+            if i not in admitted or cache.terms[i] != len(rhs_terms):
                 continue
             mu_degree = degree - C.degree(i)
             for exps in (tuple(map(sub, e, term)) for term in p.terms):

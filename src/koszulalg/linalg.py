@@ -16,6 +16,8 @@ the slots wide enough that a product and its folds through the modulus
 never carry between them, so a product is one int multiply with packed
 folds: one byte a slot for F_{2^61} (`GF2ExtOps`, which inverts through
 the bit form), W bits for F_{p^k} with odd p (`GFPExtOps`, Itoh-Tsujii).
+The irreducible modulus of each field comes from one search
+(`_find_gfp_modulus`), Ben-Or's test on polynomials packed the same way.
 Every product and sum of PolyMatrix objects is one `sum_of_products`,
 which hands all its term products to `ring.add_product` in one call.
 
@@ -29,7 +31,7 @@ from __future__ import annotations
 
 import operator
 import random
-from itertools import count, islice, zip_longest
+from itertools import count, islice
 
 from .ring import (
     FieldSpec, Polynomial, RingSpec, RingMismatchError, ScalarField, _is_prime, add_product,
@@ -570,76 +572,143 @@ def _slot_bound(p, k, modulus):
     return bound
 
 
-# F_p[x] on coefficient lists, lowest degree first; results are trimmed
-# (no zero leading coefficient) and reduced mod p.
-
-
-def _fp_trim(a):
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def _fp_mul(a, b, p):
-    prod = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b, i):
-                prod[j] += x * y
-    return _fp_trim([c % p for c in prod])
-
-
-def _fp_sub(a, b, p):
-    return _fp_trim([(x - y) % p for x, y in zip_longest(a, b, fillvalue=0)])
-
-
-def _fp_divmod(a, b, p):
-    """Quotient and remainder of a by b; b must be trimmed and nonzero."""
-    db = len(b) - 1
-    r = list(a)
-    q = [0] * max(len(r) - db, 0)
-    inv_lead = pow(b[-1], -1, p)
-    for s in range(len(q) - 1, -1, -1):
-        c = r[s + db] * inv_lead % p
-        if c:
-            q[s] = c
-            for j, y in enumerate(b, s):
-                r[j] -= c * y
-    return _fp_trim(q), _fp_trim([x % p for x in r[:db]])
-
-
 def _find_gfp_modulus(p: int, k: int):
-    """Find x^k + g irreducible over F_p (p = 2 included); return coeffs f
-    with x^k = f mod it.
+    """Find x^k + g irreducible over F_p (p = 2 included); return coeffs m
+    with x^k = m mod it.
 
-    The candidates x^k + (base-p digits of c), c = 1, 2, ..., are tested by
-    Ben-Or: f is irreducible iff gcd(x^(p^i) - x, f) = 1 for each i <= k/2.
-    Most candidates fail at a small i.
+    The candidates x^k + (base-p digits of c), c = 1, 2, ..., are tested in
+    that order by Ben-Or's exact test (`_BenOr`), so the first candidate
+    that passes is the first irreducible one.
     """
+    test = _BenOr(p, k)
     for c in count(1):
         digits = []
-        n = c
-        for _ in range(k):
-            digits.append(n % p)
-            n //= p
-        f = digits + [1]
-        y = [0, 1]
-        for _ in range(k // 2):
-            # y <- y^p mod f by square and multiply, then g = gcd(y - x, f)
-            z, e = [1], p
-            while e:
-                if e & 1:
-                    z = _fp_divmod(_fp_mul(z, y, p), f, p)[1]
-                y = _fp_divmod(_fp_mul(y, y, p), f, p)[1]
-                e >>= 1
-            y = z
-            g, r = f, _fp_sub(y, [0, 1], p)
-            while r:
-                g, r = r, _fp_divmod(g, r, p)[1]
-            if len(g) != 1:
-                break
-        else:
-            return tuple((-d) % p for d in digits)
+        while c:
+            c, d = divmod(c, p)
+            digits.append(d)
+        if test.irreducible(digits):
+            return tuple((-d) % p for d in digits + [0] * (k - len(digits)))
+
+
+# Step 1 of Ben-Or is the root scan for p up to this: faster than its gcd
+# at p <= 61, slower from p = 101 on, where its tables of k*p powers cost more.
+_ROOT_SCAN = 64
+
+
+class _BenOr:
+    """Ben-Or's test of f = x^k + g over F_p, g of degree < k given by its
+    coefficients, lowest degree first: f is irreducible iff
+    gcd(x^(p^i) - x, f) = 1 for each i <= k/2.  y_i = x^(p^i) mod f is
+    y_(i-1)^p by square and multiply.
+
+    A polynomial of degree < 2k is one int, coefficient i in the W-bit
+    slot i, as in `GFPExtOps`.  A product of two polynomials reduced mod f
+    and p, each fold of x^k and up through x^k = -g, each step of a
+    division in `_coprime` and the root scan keep every slot at most
+    `bound` = k(p-1)^2 + p, so nothing carries between slots.  `_reduce`
+    takes every slot mod p at once: with n < 2^s and m = floor(2^s / p),
+    q = floor(n * m / 2^s) is floor(n / p) or one less, so n - q * p is in
+    [0, 2p), and one guard bit takes off the last p.  p = 2 takes the
+    same path.
+
+    Two more exact shortcuts.  gcd(x^p - x, f) != 1 exactly when f has a
+    root in F_p, so for small p step 1 is `_root_free`, which evaluates f
+    at every point of F_p at once, point a in slot a.  Each irreducible
+    factor of f is prime, so gcd(prod(y_i - x), f) = 1 exactly when every
+    gcd(y_i - x, f) = 1: one gcd of the product mod f ends each block of
+    steps i = 1, 2, 3-4, 5-8, ...
+    """
+
+    def __init__(self, p, k):
+        self.p, self.k = p, k
+        # step 1 exists for k >= 2; the scan packs p slots, the rest 2k
+        self._scan = k > 1 and p <= _ROOT_SCAN
+        bound = k * (p - 1) ** 2 + p
+        self._s = s = bound.bit_length()
+        self._m = (1 << s) // p
+        self._w = w = s + self._m.bit_length()  # n * m < 2^W in every slot
+        ones = self._ones(max(2 * k, p) if self._scan else 2 * k)
+        self._mask = (1 << w) - 1
+        self._q_mask = ((1 << w - s) - 1) * ones
+        self._top = w - 1
+        self._guards = ones << self._top
+        self._excess = ((1 << self._top) - p) * ones
+        self._kw = k * w
+        self._low = (1 << k * w) - 1
+        if self._scan:
+            # slot a of _powers[j] is a^j and of _x_k is a^k, all mod p
+            self._powers = [sum(pow(a, j, p) << a * w for a in range(p)) for j in range(k)]
+            self._x_k = sum(pow(a, k, p) << a * w for a in range(p))
+            ones = self._ones(p)
+            self._point_guards = ones << self._top
+            self._nonzero = ((1 << self._top) - 1) * ones  # sets the guard of a slot >= 1
+
+    def _ones(self, slots):
+        """1 in each of the lowest `slots` slots."""
+        return ((1 << slots * self._w) - 1) // ((1 << self._w) - 1)
+
+    def irreducible(self, digits):
+        if self._scan and not self._root_free(digits):
+            return False
+        p, w = self.p, self._w
+        f = sum(d << j * w for j, d in enumerate(digits)) | 1 << self._kw
+        fold = sum((-d) % p << j * w for j, d in enumerate(digits))  # x^k mod f
+        x = 1 << w
+        first = end = 2 if self._scan else 1  # the first step that takes a gcd
+        y, acc, last = x, None, self.k // 2
+        for i in range(1, last + 1):
+            power = y
+            for bit in bin(p)[3:]:
+                power = self._mul(power, power, fold)
+                if bit == "1":
+                    power = self._mul(power, y, fold)
+            y = power
+            if i < first:
+                continue
+            y_minus_x = y - x if y >> w & self._mask else y + (p - 1) * x
+            acc = y_minus_x if acc is None else self._mul(acc, y_minus_x, fold)
+            if i == end or i == last:
+                if not self._coprime(f, acc):
+                    return False
+                acc, end = None, 2 * end
+        return True
+
+    def _root_free(self, digits):
+        """Whether f(a) != 0 for every a in F_p."""
+        values = self._reduce(self._x_k + sum(map(operator.mul, digits, self._powers)))
+        return values + self._nonzero & self._point_guards == self._point_guards
+
+    def _mul(self, a, b, fold):
+        """a * b mod f and p, for `fold` = x^k mod f."""
+        n = self._reduce(a * b)
+        high = n >> self._kw
+        while high:
+            n = self._reduce((n & self._low) + high * fold)
+            high = n >> self._kw
+        return n
+
+    def _reduce(self, n):
+        """n with every slot taken mod p; no slot may exceed `bound`."""
+        p = self.p
+        n -= (n * self._m >> self._s & self._q_mask) * p
+        return n - ((n + self._excess & self._guards) >> self._top) * p
+
+    def _coprime(self, g, r):
+        """Whether gcd(g, r) = 1, by Euclid on reduced g and r, deg g > deg r.
+        A division adds at most (p-1)^2 to a slot per quotient term; the
+        slots it has cleared mod p are masked off at its end."""
+        w, p, mask = self._w, self.p, self._mask
+        while r:
+            dr = (r.bit_length() - 1) // w
+            if not dr:
+                return True
+            inv, shift = pow(r >> dr * w, -1, p), dr * w
+            for top in range((g.bit_length() - 1) // w * w, shift - 1, -w):
+                c = (g >> top & mask) * inv % p
+                if c:
+                    g += (p - c) * r << top - shift
+            g, r = r, self._reduce(g & (1 << shift) - 1)
+        return False
 
 
 _EXT_CACHE = {}  # characteristic -> evaluation field, built on first use

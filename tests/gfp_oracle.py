@@ -7,12 +7,88 @@ and every operation works coefficient by coefficient: `mul` multiplies
 by Kronecker substitution and folds x^(k+i) one slot at a time, and
 `inv` is extended Euclid over F_p[x].  `pack`/`unpack` of the packed
 field convert between the two forms.
+
+The modulus comes from `list_modulus`, Ben-Or's test on coefficient
+lists, one gcd per step: the independent reference for the packed search
+`koszulalg.linalg._find_gfp_modulus`.
 """
 
 import random
+from itertools import count, zip_longest
 from operator import lshift
 
-from koszulalg.linalg import _find_gfp_modulus, _fp_divmod, _fp_mul, _fp_sub, _fp_trim
+
+# F_p[x] on coefficient lists, lowest degree first; results are trimmed
+# (no zero leading coefficient) and reduced mod p.
+
+
+def _fp_trim(a):
+    while a and a[-1] == 0:
+        a.pop()
+    return a
+
+
+def _fp_mul(a, b, p):
+    prod = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b, i):
+                prod[j] += x * y
+    return _fp_trim([c % p for c in prod])
+
+
+def _fp_sub(a, b, p):
+    return _fp_trim([(x - y) % p for x, y in zip_longest(a, b, fillvalue=0)])
+
+
+def _fp_divmod(a, b, p):
+    """Quotient and remainder of a by b; b must be trimmed and nonzero."""
+    db = len(b) - 1
+    r = list(a)
+    q = [0] * max(len(r) - db, 0)
+    inv_lead = pow(b[-1], -1, p)
+    for s in range(len(q) - 1, -1, -1):
+        c = r[s + db] * inv_lead % p
+        if c:
+            q[s] = c
+            for j, y in enumerate(b, s):
+                r[j] -= c * y
+    return _fp_trim(q), _fp_trim([x % p for x in r[:db]])
+
+
+def list_modulus(p: int, k: int):
+    """The first x^k + g irreducible over F_p (p = 2 included) among the
+    candidates x^k + (base-p digits of c), c = 1, 2, ...; returns the
+    coefficients m with x^k = m mod it.
+
+    Ben-Or: f is irreducible iff gcd(x^(p^i) - x, f) = 1 for each
+    i <= k/2, with y = x^(p^i) mod f by square and multiply and one
+    Euclid per i.
+    """
+    for c in count(1):
+        digits = []
+        n = c
+        for _ in range(k):
+            digits.append(n % p)
+            n //= p
+        f = digits + [1]
+        y = [0, 1]
+        for _ in range(k // 2):
+            # y <- y^p mod f by square and multiply, then g = gcd(y - x, f)
+            z, e = [1], p
+            while e:
+                if e & 1:
+                    z = _fp_divmod(_fp_mul(z, y, p), f, p)[1]
+                y = _fp_divmod(_fp_mul(y, y, p), f, p)[1]
+                e >>= 1
+            y = z
+            g, r = f, _fp_sub(y, [0, 1], p)
+            while r:
+                g, r = r, _fp_divmod(g, r, p)[1]
+            if len(g) != 1:
+                break
+        else:
+            return tuple((-d) % p for d in digits)
 
 
 class TupleGFPExtOps:
@@ -30,7 +106,7 @@ class TupleGFPExtOps:
     def __init__(self, p: int, k: int):
         self.p = p
         self.k = k
-        self.modulus = _find_gfp_modulus(p, k)
+        self.modulus = list_modulus(p, k)
         self.zero = (0,) * k
         self.one = (1,) + (0,) * (k - 1)
         self._full = [(-m) % p for m in self.modulus] + [1]

@@ -526,3 +526,59 @@ def test_shared_cache_builds_each_image_once(field, monkeypatch):
         shared += built
     assert shared < uncached
 
+
+
+def _with_copies(C, rng):
+    """C with a copy of some of its generators appended: the same degree
+    and column, and nothing maps to it.  Returns (complex, {copy: original})."""
+    originals = sorted(rng.sample(range(C.n), max(1, C.n // 2)))
+    n = C.n + len(originals)
+    D = PolyMatrix(C.ring, n, n)
+    D.entries = dict(C.differential.entries)
+    gens = list(C.generators)
+    copies = {}
+    for i in originals:
+        copies[len(gens)] = i
+        gens.append((C.generators[i][0] + "_copy", C.degree(i)))
+        for (u, j), p in C.differential.entries.items():
+            if j == i:
+                D.entries[(u, len(gens) - 1)] = p
+    return FreeComplex(C.ring, gens, D), copies
+
+
+@pytest.mark.parametrize("field", [Q, F2, F3], ids=["Q", "F2", "F3"])
+def test_shortcut_takes_the_first_match_of_a_full_scan(field):
+    """The shortcut walks only the generators of one row of d, yet it
+    returns the unknown that a scan of every allowed unknown in order finds
+    first.  Each complex has copies of some generators, so a scaled image
+    of an original is one of its copy too, and the earlier one must win."""
+    rng = random.Random(22)
+    seen = {"shortcut": 0, "copy also matches": 0}
+    for C in _solver_complexes(field, rng):
+        D, copies = _with_copies(C, rng)
+        for rhs, q, allowed, aug, aug_value in _solver_inputs(D, rng):
+            want, how = _dense_solve_boundary(D, rhs, q, allowed, aug, aug_value)
+            if how != "shortcut":
+                continue
+            assert solve_boundary_equation(BoundaryCache(D), rhs, q, allowed, aug, aug_value) == want
+            seen["shortcut"] += 1
+            (i,) = want
+            seen["copy also matches"] += i in copies.values() and any(
+                copies[c] == i and (allowed is None or c in allowed) for c in copies
+            )
+    assert all(seen.values()), seen
+
+
+def test_shortcut_needs_increasing_allowed():
+    """d b = d c = t1 a: t1 * b and t1 * c both solve d y = t1^2 a, and the
+    shortcut returns the first allowed one in index order."""
+    ring = RingSpec(Q, 1, 1)
+    D = PolyMatrix(ring, 3, 3)
+    D.entries = {(0, 1): ring.var(1), (0, 2): ring.var(1)}
+    cache = BoundaryCache(FreeComplex(ring, [("a", 0), ("b", 0), ("c", 0)], D))
+    rhs = {0: ring.var(1, 2)}
+    assert solve_boundary_equation(cache, rhs, 1) == {1: ring.var(1)}
+    assert solve_boundary_equation(cache, rhs, 1, allowed=[1, 2]) == {1: ring.var(1)}
+    assert solve_boundary_equation(cache, rhs, 1, allowed=[2]) == {2: ring.var(1)}
+    with pytest.raises(AssertionError):
+        solve_boundary_equation(cache, rhs, 1, allowed=[2, 1])

@@ -1,5 +1,6 @@
 import functools
 import importlib.util
+import itertools
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -27,7 +28,7 @@ from koszulalg.linalg import (
 from bareiss import bareiss_rank
 from conftest import scalar_rank
 from gf2_oracle import WindowGF2ExtOps
-from gfp_oracle import TupleGFPExtOps
+from gfp_oracle import TupleGFPExtOps, list_modulus
 
 Q = FieldSpec(0)
 F2 = FieldSpec(2)
@@ -652,6 +653,20 @@ def test_gfp_modulus_is_pinned():
     assert evaluation_domain(F2).modulus == GF2_MODULI[61]
 
 
+def _evaluation_degree(p):
+    """The least k with p^k >= 2^61, as `evaluation_domain` picks it."""
+    return next(k for k in itertools.count(2) if p**k >= 2**61)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13, 17, 31, 101])
+def test_packed_modulus_search_matches_list_search(p):
+    """The packed Ben-Or search returns the modulus of the list search in
+    `gfp_oracle`, which takes one gcd per step on coefficient lists, for
+    k = 1..12 and at the evaluation degree of p."""
+    for k in [*range(1, 13), _evaluation_degree(p)]:
+        assert _find_gfp_modulus(p, k) == list_modulus(p, k), k
+
+
 # ---------------------------------------------------------------------------
 # F_{p^k} arithmetic against schoolbook multiplication and Fermat inversion
 # ---------------------------------------------------------------------------
@@ -683,7 +698,7 @@ def fermat_inv(dom, a):
     return acc
 
 
-@pytest.mark.parametrize("p", [3, 5, 7, 83, P61])
+@pytest.mark.parametrize("p", [3, 5, 7, 13, 83, P61])
 def test_gfp_ext_matches_schoolbook(p):
     """mul and inv of the evaluation field of F_p equal the references, on
     the extreme elements and on seeded dense and sparse random ones.  The
@@ -717,7 +732,7 @@ def _tuple_oracle(p):
     return TupleGFPExtOps(p, evaluation_domain(FieldSpec(p)).k)
 
 
-@pytest.mark.parametrize("p", [3, 5, 7, 83, P61])
+@pytest.mark.parametrize("p", [3, 5, 7, 13, 83, P61])
 def test_packed_field_matches_tuple_oracle(p):
     """Every operation of the packed field equals the tuple oracle's on 0,
     1, the element with every coefficient p - 1, x^(k-1), and seeded sparse
