@@ -19,7 +19,9 @@ the bit form), W bits for F_{p^k} with odd p (`GFPExtOps`, Itoh-Tsujii).
 The irreducible modulus of each field comes from one search
 (`_find_gfp_modulus`), Ben-Or's test on polynomials packed the same way.
 Every product and sum of PolyMatrix objects is one `sum_of_products`,
-which hands all its term products to `ring.add_product` in one call.
+which hands all its term products to `ring.add_product` in one call, on
+the packed row lists that `ring` builds; those of a right factor are
+kept on it while its entries do not change.
 
 Also hosts the scalar linear algebra used by the homology, filtration
 and lifting code: one sparse-row elimination kernel (`Echelon`, rows kept
@@ -35,20 +37,21 @@ from itertools import count, islice
 
 from .ring import (
     FieldSpec, Polynomial, RingSpec, RingMismatchError, ScalarField, _is_prime, add_product,
-    evaluator, triples,
+    evaluator, row_triples, triples, unit_rows,
 )
 
 
 class PolyMatrix:
     """Sparse matrix over k[t_1..t_r]; entries: (i, j) -> nonzero Polynomial."""
 
-    __slots__ = ("ring", "rows", "cols", "entries")
+    __slots__ = ("ring", "rows", "cols", "entries", "_kept_rows")
 
     def __init__(self, ring: RingSpec, rows: int, cols: int):
         self.ring = ring
         self.rows = rows
         self.cols = cols
         self.entries = {}
+        self._kept_rows = None  # (entries they were built from, row lists)
 
     @classmethod
     def identity(cls, ring, n):
@@ -108,9 +111,10 @@ class PolyMatrix:
     def apply(self, element):
         """Matrix times a module element {j: nonzero Polynomial}, as one."""
         one = self.ring.field.one
-        rows = {k: triples({0: p}) for k, p in element.items()}  # element as a column
+        by_row = row_triples({(k, 0): p for k, p in element.items()})  # element as a column
         sums = add_product(
-            ((i, one, p, rows[k]) for (i, k), p in self.entries.items() if k in rows), self.ring
+            ((i, one, p, by_row[k]) for (i, k), p in self.entries.items() if k in by_row),
+            self.ring,
         )
         return {i: p for (i, _), p in sorted(sums.items())}
 
@@ -125,30 +129,41 @@ def sum_of_products(terms):
     """The PolyMatrix sum of c*A*B over the list of (c, A, B) `terms`; B None
     stands for the identity, so (c, A, None) adds c*A.
 
-    Each row k of B is one list of (j, exponents, coefficient) triples, and
-    every entry (i, k) of A is one product of `add_product`, which sums
-    them all in one call; the entries come in the order their (i, j) was
-    first reached.
+    Each row k of B is one list of (j, packed monomial, coefficient)
+    triples (`ring.row_triples`, kept on B by `_row_triples`; the identity
+    has `ring.unit_rows`), and every entry (i, k) of A is one product of
+    `add_product`, which sums them all in one call; the entries come in
+    the order their (i, j) was first reached.
     """
     _, A, B = terms[0]
     ring, rows, cols = A.ring, A.rows, (A if B is None else B).cols
     products = []
     for c, A, B in terms:
-        if B is None:
-            B = PolyMatrix.identity(ring, A.cols)
-        if A.ring != ring or B.ring != ring:
+        if A.ring != ring or (B is not None and B.ring != ring):
             raise RingMismatchError("matrices over different rings")
-        if A.cols != B.rows or (A.rows, B.cols) != (rows, cols):
+        inner, width = (A.cols, A.cols) if B is None else (B.rows, B.cols)
+        if A.cols != inner or (A.rows, width) != (rows, cols):
             raise ValueError("shape mismatch in a sum of products")
-        by_row = {}
-        for (k, j), q in B.entries.items():
-            row = by_row.setdefault(k, [])
-            for e, v in q.terms.items():
-                row.append((j, e, v))
+        by_row = unit_rows(A.cols) if B is None else _row_triples(B)
         products += [(i, c, a, by_row[k]) for (i, k), a in A.entries.items() if k in by_row]
     out = PolyMatrix(ring, rows, cols)
     out.entries = add_product(products, ring)
     return out
+
+
+def _row_triples(B):
+    """`ring.row_triples` of B's entries, kept on B for as long as its
+    entries equal those they were built from: a fixed differential is the
+    right factor of many products.  The check is one dict comparison,
+    which passes on identical Polynomials without comparing their terms,
+    and equal Polynomials have the same triples, so a change to B by any
+    path rebuilds them."""
+    kept = B._kept_rows
+    if kept is not None and kept[0] == B.entries:
+        return kept[1]
+    by_row = row_triples(B.entries)
+    B._kept_rows = (dict(B.entries), by_row)
+    return by_row
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,17 @@ mapping exponent tuples to nonzero scalars; all arithmetic is exact.
 products of many entries in one call and reduces each total mod p once;
 every product of polynomials, matrices and module elements goes through it.
 
+Products run on packed monomials (Monagan and Pearce, "Polynomial
+division using dynamic arrays, heaps, and packed exponent vectors",
+CASC 2007): one int holds the total degree in its top bits and then one
+32-bit slot per variable, t_1 highest, so that int order is the grlex
+order and the product of two monomials is one int add.  No exponent of
+a Polynomial may pass `EXPONENT_LIMIT` = 2**31 - 1, so the sum of two
+never carries out of its slot; a product that passes it raises
+ValueError.  Only this module builds or reads the packed form: each
+Polynomial packs its terms at most once and caches them, which is sound
+because no code changes `Polynomial.terms` after construction.
+
 The text form of polynomials and module elements is defined here once:
 `Polynomial.__str__` writes it, and one tokenizer and one term loop
 (`parse_combination`) read it, for `RingSpec.parse` (no generator names)
@@ -19,9 +30,11 @@ from __future__ import annotations
 
 import operator
 import re
+import struct
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add
+from functools import cache
+from heapq import heapify, heappop, heappush
 
 
 def _is_prime(n: int) -> bool:
@@ -90,7 +103,9 @@ class FieldSpec(ScalarField):
 
     def parse_scalar(self, text: str):
         num, slash, den = text.strip().partition("/")
-        den = int(den) if slash else 1
+        if not slash:
+            return self.of(int(num))
+        den = int(den)
         if den == 0:
             raise ValueError(f"zero denominator in {text.strip()!r}")
         return self.of(Fraction(int(num), den))
@@ -227,18 +242,89 @@ def _grlex_key(exps):
     return (sum(exps), exps)
 
 
+EXPONENT_LIMIT = 2**31 - 1  # the largest exponent a Polynomial may hold
+_MEMO_SIZE = 1 << 14  # a bound on a memo's memory, far above the monomials a computation reuses
+
+
+class _Memo(dict):
+    """A dict that fills a missing key with compute(key), emptied when it
+    holds _MEMO_SIZE keys.  Nearly every monomial a computation packs or
+    decodes recurs, and a dict hit costs less than a struct pack or
+    unpack."""
+
+    def __init__(self, compute):
+        super().__init__()
+        self.compute = compute
+
+    def __missing__(self, key):
+        if len(self) >= _MEMO_SIZE:
+            self.clear()
+        value = self[key] = self.compute(key)
+        return value
+
+
+class _MonomialCodec:
+    """The packed monomials of r variables: the degree in 8 bytes, then a
+    4-byte slot per variable.  A slot holds at most EXPONENT_LIMIT in a
+    Polynomial, so at most 2 * EXPONENT_LIMIT in a sum of two, and a sum
+    over the limit sets the slot's top bit, one of the bits of `high`.
+    `packed` maps an exponent tuple to its packed monomial and `exponents`
+    maps back, each computing a monomial once."""
+
+    def __init__(self, r):
+        layout = struct.Struct(f">Q{r}i")  # 'i' refuses an exponent over the limit
+        unpack = struct.Struct(f">8x{r}I").unpack
+        high = sum(1 << (32 * s + 31) for s in range(r))
+
+        def encode(e):
+            try:
+                k = int.from_bytes(layout.pack(sum(e), *e), "big")
+            except struct.error:
+                k = high
+            if k & high:  # a negative exponent sets its slot's top bit
+                raise ValueError(f"exponent vector {e} not in 0..{EXPONENT_LIMIT}")
+            return k
+
+        def decode(k):
+            if k & high:
+                raise ValueError(f"a product has an exponent over {EXPONENT_LIMIT}")
+            return unpack(k.to_bytes(layout.size, "big"))
+
+        self.high = high
+        self.packed = _Memo(encode)
+        self.exponents = _Memo(decode)
+
+
+_codec = cache(_MonomialCodec)  # one codec a number of variables
+
+
+def _pack(p):
+    """The packed terms {packed monomial: coefficient} of the Polynomial p,
+    in the order of its terms, cached on p."""
+    packed = _codec(p.ring.num_vars).packed
+    p._packed = {packed[e]: c for e, c in p.terms.items()}
+    return p._packed
+
+
 class RingMismatchError(ValueError):
     pass
 
 
 class Polynomial:
-    """Sparse homogeneous-or-not polynomial; terms: exponent tuple -> nonzero scalar."""
+    """Sparse homogeneous-or-not polynomial; terms: exponent tuple -> nonzero scalar.
 
-    __slots__ = ("ring", "terms")
+    A Polynomial is immutable: no code changes `terms` after construction,
+    so the packed view of its terms (`_packed`, None until the first
+    product that reads it) stays valid.  An exponent over EXPONENT_LIMIT
+    is refused, with ValueError, when the terms are packed.
+    """
+
+    __slots__ = ("ring", "terms", "_packed")
 
     def __init__(self, ring: RingSpec, terms: dict):
         self.ring = ring
         self.terms = terms
+        self._packed = None
 
     # -- predicates and bookkeeping --
 
@@ -314,39 +400,62 @@ class Polynomial:
 
     # -- operations used by the elimination kernels --
 
-    def leading(self):
-        """(exps, coeff) of the grlex-leading term (t1 > ... > t_r)."""
-        e = max(self.terms, key=_grlex_key)
-        return e, self.terms[e]
-
     def divide_exact(self, other: "Polynomial") -> "Polynomial":
-        """Quotient self/other when the division is exact; raises otherwise."""
+        """Quotient self/other when the division is exact; raises otherwise.
+
+        The remainder is kept packed, its monomials in a heap, so each
+        quotient term finds the remainder's grlex-leading term (the largest
+        packed monomial) without a rescan.  An exact division never makes
+        an exponent larger than self has, so a slot that passes the limit,
+        like a quotient monomial with a negative exponent, means the
+        division is inexact.
+        """
         self._check(other)
         if other.is_zero():
             raise ZeroDivisionError("division by zero polynomial")
         if self.is_zero():
             return self.ring.zero()
         f = self.ring.field
-        le, lc = other.leading()
-        rem = dict(self.terms)
+        codec = _codec(self.ring.num_vars)
+        high = codec.high
+        divisor = other._packed or _pack(other)
+        lk = max(divisor)
+        lc = divisor[lk]
+        tail = [(k, c) for k, c in divisor.items() if k != lk]
+        rem = dict(self._packed or _pack(self))
+        heap = [-k for k in rem]  # every key of rem, and some it has dropped
+        heapify(heap)
         quo = {}
         while rem:
-            re = max(rem, key=_grlex_key)
-            rc = rem[re]
-            qe = tuple(a - b for a, b in zip(re, le))
-            if any(x < 0 for x in qe):
+            k = -heappop(heap)
+            rc = rem.pop(k, None)
+            if rc is None:
+                continue
+            # k - lk, each slot borrowing from its own top bit
+            qk = (k | high) - lk
+            if (qk & high) != high:
                 raise ValueError("inexact polynomial division")
+            qk ^= high
             qc = f.div(rc, lc)
-            quo[qe] = qc
-            # rem -= (qc * t^qe) * other
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(qe, e2))
-                s = f.sub(rem.get(e, f.zero), f.mul(qc, c2))
-                if f.is_zero(s):
-                    rem.pop(e, None)
+            quo[qk] = qc
+            # rem -= (qc * t^qk) * (other - its leading term)
+            for k2, c2 in tail:
+                key = qk + k2
+                if key & high:
+                    raise ValueError("inexact polynomial division")
+                if key in rem:
+                    s = f.sub(rem[key], f.mul(qc, c2))
+                    if f.is_zero(s):
+                        del rem[key]
+                    else:
+                        rem[key] = s
                 else:
-                    rem[e] = s
-        return Polynomial(self.ring, quo)
+                    rem[key] = f.neg(f.mul(qc, c2))
+                    heappush(heap, -key)
+        exponents = codec.exponents
+        q = Polynomial(self.ring, {exponents[k]: c for k, c in quo.items()})
+        q._packed = quo
+        return q
 
     def evaluate(self, points, ops):
         """The value at `points` (one per variable) in the scalar field `ops`."""
@@ -383,38 +492,65 @@ def add_product(products, ring):
     """The sums of c * p * row over the (i, c, p, row) `products`, as
     {(i, j): nonzero Polynomial}: the one loop over products of terms.
 
-    c is a scalar, p a Polynomial and row the (j, exponents, coefficient)
-    triples of a module element (`triples`).  Every term product
-    c * c1 * c2, with * and + on the raw int and Fraction scalars, goes
-    into one dict keyed (i, j, e1 + e2), zeros left in place; one collect
-    step then reduces each total mod p once and builds a Polynomial for
-    each nonzero (i, j), in the order its (i, j) was first reached.  Term
-    order inside a Polynomial is free: `evaluator`, `__str__`,
-    `divide_exact` and `linalg._rank_at_most` ignore it.
+    c is a scalar, p a Polynomial and row the (j, packed monomial,
+    coefficient) triples of a module element (`triples`).  Every term
+    product c * c1 * c2, with * and + on the raw int and Fraction scalars,
+    goes into one dict keyed (i, j, k1 + k2), the packed monomials added
+    as ints, zeros left in place; one collect step then reduces each total
+    mod p once, decodes each distinct monomial of a nonzero total once and
+    builds a Polynomial, packed view set, for each nonzero (i, j), in the
+    order its (i, j) was first reached.  A nonzero total with an exponent
+    over EXPONENT_LIMIT raises ValueError.  Term order inside a Polynomial is free: `evaluator`,
+    `__str__`, `divide_exact` and `linalg._rank_at_most` ignore it.
     """
-    acc = {}  # (i, j, exponents) -> unreduced coefficient, zeros included
+    acc = {}  # (i, j, packed monomial) -> unreduced coefficient, zeros included
     get = acc.get
     for i, c, p, row in products:
-        for e1, c1 in p.terms.items():
+        for k1, c1 in (p._packed or _pack(p)).items():
             c1 *= c
-            for j, e2, c2 in row:
-                key = (i, j, tuple(map(add, e1, e2)))
+            for j, k2, c2 in row:
+                key = (i, j, k1 + k2)
                 acc[key] = get(key, 0) + c1 * c2
     char = ring.field.characteristic
     sums = {}
-    for (i, j, e), v in acc.items():
+    for (i, j, k), v in acc.items():
         t = sums.setdefault((i, j), {})
         if char:
             v %= char
         if v:
-            t[e] = v
-    return {key: Polynomial(ring, t) for key, t in sums.items() if t}
+            t[k] = v
+    exponents = _codec(ring.num_vars).exponents
+    out = {}
+    for key, t in sums.items():
+        if t:
+            p = out[key] = Polynomial(ring, {exponents[k]: v for k, v in t.items()})
+            p._packed = t
+    return out
 
 
 def triples(element):
-    """The (j, exponents, coefficient) triples of a module element
+    """The (j, packed monomial, coefficient) triples of a module element
     {j: Polynomial}: the `row` of an `add_product`."""
-    return [(j, e, v) for j, p in element.items() for e, v in p.terms.items()]
+    return [(j, k, v) for j, p in element.items() for k, v in (p._packed or _pack(p)).items()]
+
+
+def row_triples(entries):
+    """{k: the triples of row k} of a matrix held as entries {(k, j):
+    Polynomial}: the `row`s of `add_product` for a product by that matrix."""
+    out = {}
+    for (k, j), q in entries.items():
+        row = out.get(k)
+        if row is None:
+            row = out[k] = []
+        for e, v in (q._packed or _pack(q)).items():
+            row.append((j, e, v))
+    return out
+
+
+def unit_rows(n):
+    """The rows of the n x n identity matrix as `row_triples` gives them:
+    row k is the one triple (k, the packed monomial 1, 1)."""
+    return {k: [(k, 0, 1)] for k in range(n)}
 
 
 def evaluator(points, ops):
@@ -518,6 +654,8 @@ def parse_combination(ring: RingSpec, gen_index, text: str) -> dict:
                         f"no variable {_spelling(tokens[i])!r} when r = {ring.num_vars}"
                     )
                 exps[int(var) - 1] += int(power) if power else 1
+                if exps[int(var) - 1] > EXPONENT_LIMIT:
+                    raise ValueError(f"exponent of t{var} over {EXPONENT_LIMIT}")
             elif scalar:
                 coeff = f.mul(coeff, f.parse_scalar(scalar))
             elif name in names:

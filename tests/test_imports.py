@@ -11,6 +11,7 @@ public re-exports.
 
 import ast
 import importlib.util
+import re
 from pathlib import Path
 
 import pytest
@@ -240,3 +241,49 @@ def test_detects_a_dead_field():
     assert dead_fields(library, users) == [
         ("m.py", 4, "A.written"), ("m.py", 5, "A.dead"), ("m.py", 9, "B.unread")
     ]
+
+
+def packed_form_names(ring_source):
+    """The names ring.py gives the packed form of its monomials: each
+    class and function, each module-level name and each attribute it
+    assigns, that says pack, codec or memo."""
+    tree = ast.parse(ring_source)
+    names = {node.name for node in tree.body if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    names |= {t.id for node in tree.body if isinstance(node, ast.Assign)
+              for t in node.targets if isinstance(t, ast.Name)}
+    names |= {node.attr for node in ast.walk(tree)
+              if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)}
+    return {name for name in names if re.search("pack|codec|memo", name, re.IGNORECASE)}
+
+
+def packed_form_readers(names, sources):
+    """(module, line, name) of each use of one of `names` in the
+    `sources` ({module: source}), as a name or an attribute."""
+    return sorted(
+        (module, node.lineno, name)
+        for module, source in sources.items()
+        for node in ast.walk(ast.parse(source))
+        for name in [getattr(node, "id", None) if isinstance(node, ast.Name)
+                     else getattr(node, "attr", None)]
+        if name in names
+    )
+
+
+def test_only_ring_reads_the_packed_form():
+    """The packed monomials (the cache on a Polynomial and the codec)
+    stay inside ring.py, so no second term-product loop grows elsewhere;
+    other modules reach products only through add_product and the row
+    builders."""
+    names = packed_form_names((PACKAGE / "ring.py").read_text())
+    assert {"_packed", "_pack", "_codec", "_MonomialCodec", "packed"} <= names
+    others = {p.name: p.read_text() for p in sorted(PACKAGE.glob("*.py")) if p.name != "ring.py"}
+    assert packed_form_readers(names, others) == []
+
+
+def test_detects_a_packed_form_reader():
+    ring = ("class _Codec:\n    def __init__(self):\n        self.packed = {}\n"
+            "_codec = _Codec()\ndef _pack(p):\n    p._packed = 1\ndef triples(x): pass\n")
+    names = packed_form_names(ring)
+    assert names == {"_Codec", "_codec", "_pack", "_packed", "packed"}
+    user = "from .ring import triples\ntriples(x)\ny = x._packed or 0\n"
+    assert packed_form_readers(names, {"m.py": user}) == [("m.py", 3, "_packed")]

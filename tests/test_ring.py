@@ -1,4 +1,5 @@
 import copy
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from koszulalg.complexes import FreeComplex
 from koszulalg.fileio import format_combination
+from koszulalg import ring as ring_module
 from koszulalg.linalg import PolyMatrix
 from koszulalg.ring import FieldSpec, RingSpec, Polynomial, evaluator, parse_combination
 
@@ -31,6 +33,22 @@ class TestFieldSpec:
             f = FieldSpec(p)
             for a in range(1, p):
                 assert f.mul(a, f.inv(a)) == 1
+
+    @pytest.mark.parametrize("char", [0, 5])
+    def test_parse_scalar(self, char):
+        """An integral text goes to `of` as an int, with no Fraction."""
+        f = FieldSpec(char)
+        for text, value in [("3", 3), ("-6/4", Fraction(-3, 2)), ("6/3", 2)]:
+            got = f.parse_scalar(text)
+            assert got == f.of(value)
+            assert type(got) is type(f.of(value))
+        assert type(f.parse_scalar("3")) is int
+        with pytest.raises(ValueError, match="zero denominator in '1/0'"):
+            f.parse_scalar("1/0")
+
+    def test_parse_scalar_without_a_residue(self):
+        with pytest.raises(ValueError, match="1/3 has no residue mod 3"):
+            FieldSpec(3).parse_scalar("1/3")
 
     def test_composite_characteristic_rejected(self):
         with pytest.raises(ValueError):
@@ -190,12 +208,19 @@ class TestPolynomialArithmetic:
         with pytest.raises(ValueError):
             r1.zero().weighted_degree()
 
-    def test_leading_term_graded_lex(self):
+    def test_packed_order_is_graded_lex(self):
+        """Packed monomials compare as their grlex keys (t1 > ... > t_r),
+        so the largest is the leading term that divide_exact divides by."""
         ring = RingSpec(Q, 3, 1)
-        p = ring.parse("t3^3 + t1*t2")
-        assert p.leading()[0] == (0, 0, 3)  # higher total degree wins
-        q = ring.parse("t1*t2 + t2*t3")
-        assert q.leading()[0] == (1, 1, 0)  # ties broken lexicographically
+        codec = ring_module._codec(3)
+
+        def leading(p):
+            return codec.exponents[max(ring_module._pack(p))]
+
+        assert leading(ring.parse("t3^3 + t1*t2")) == (0, 0, 3)  # higher total degree wins
+        assert leading(ring.parse("t1*t2 + t2*t3")) == (1, 1, 0)  # ties broken lexicographically
+        exps = list(itertools.product(range(4), repeat=3))
+        assert sorted(exps, key=codec.packed.__getitem__) == sorted(exps, key=ring_module._grlex_key)
 
     def test_exact_division(self):
         ring = RingSpec(Q, 2, 1)
