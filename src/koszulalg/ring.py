@@ -248,9 +248,10 @@ _MEMO_SIZE = 1 << 14  # a bound on a memo's memory, far above the monomials a co
 
 class _Memo(dict):
     """A dict that fills a missing key with compute(key), emptied when it
-    holds _MEMO_SIZE keys.  Nearly every monomial a computation packs or
-    decodes recurs, and a dict hit costs less than a struct pack or
-    unpack."""
+    holds _MEMO_SIZE keys; a compute that raises stores nothing.  Nearly
+    every monomial a computation packs, decodes or evaluates recurs, and a
+    dict hit costs less than a struct pack or unpack or a product in an
+    evaluation field."""
 
     def __init__(self, compute):
         super().__init__()
@@ -560,13 +561,13 @@ def evaluator(points, ops):
     Every power of a coordinate, the value of every monomial and the image
     of every coefficient (`ops.of`) is computed once and shared by all the
     polynomials the map is applied to, such as the entries of one matrix.
+    The values of monomials and of coefficients are each kept in a
+    `_Memo`, so a map kept across many matrices holds a bounded number.
     `ops.of` raises ValueError on a rational coefficient with no residue
     mod p.
     """
     one, mul, add = ops.one, ops.mul, ops.add
     powers = [[one, x] for x in points]
-    monomials = {}
-    coeffs = {}
 
     def monomial(e):
         m = None
@@ -575,18 +576,16 @@ def evaluator(points, ops):
                 while len(row) <= k:
                     row.append(mul(row[-1], row[1]))
                 m = row[k] if m is None else mul(m, row[k])
-        monomials[e] = m = one if m is None else m
-        return m
+        return one if m is None else m
+
+    monomials = _Memo(monomial)
+    coeffs = _Memo(ops.of)
 
     def evaluate(poly):
         acc = ops.zero
         for e, c in poly.terms.items():
-            m = monomials.get(e)
-            if m is None:
-                m = monomial(e)
-            a = coeffs.get(c)
-            if a is None:
-                a = coeffs[c] = ops.of(c)
+            m = monomials[e]
+            a = coeffs[c]
             acc = add(acc, m if a == one else mul(a, m))
         return acc
 

@@ -1,6 +1,7 @@
 import functools
 import importlib.util
 import itertools
+import json
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from koszulalg import chainmaps, linalg
-from koszulalg.ring import FieldSpec, RingSpec
+from koszulalg.ring import FieldSpec, RingSpec, evaluator
 from koszulalg.linalg import (
     Echelon,
     GF2ExtOps,
@@ -27,6 +28,7 @@ from koszulalg.linalg import (
 
 from bareiss import bareiss_rank
 from conftest import scalar_rank
+from echelon_rows import echelon_rows_at_point
 from gf2_oracle import WindowGF2ExtOps
 from gfp_oracle import TupleGFPExtOps, list_modulus
 
@@ -54,6 +56,31 @@ def _random_matrix(ring, rng, rows, cols, density=0.4, max_deg=3):
             if not p.is_zero():
                 M.entries[(i, j)] = p
     return M
+
+
+@pytest.fixture(autouse=True)
+def _kept_evaluators_are_the_library_fields():
+    """No test leaves behind an evaluator that rank_exact keeps for a
+    field other than the library's own evaluation fields, such as an
+    oracle field a test put into `_EXT_CACHE`."""
+    yield
+    fields = {id(ops) for ops in linalg._EXT_CACHE.values()}
+    assert all(isinstance(ops, FieldSpec) or id(ops) in fields for ops, _ in linalg._EVALUATORS)
+
+
+def _cores(M):
+    """The peeled core of M and all of M, as rows {i: {j: entry}}."""
+    whole = {}
+    for (i, j), entry in M.entries.items():
+        whole.setdefault(i, {})[j] = entry
+    return linalg._peel(M)[1], whole
+
+
+def _value_at(ops, seed, num_vars):
+    """The evaluator at the first point that a Random(seed) draws in `ops`,
+    the point rank_probabilistic(M, seed) tries first."""
+    rng = random.Random(seed)
+    return evaluator([ops.random_element(rng) for _ in range(num_vars)], ops)
 
 
 def _transpose(M):
@@ -164,6 +191,14 @@ class TestRankRetries:
         assert rank_exact(M) == 2 == bareiss_rank(M)
         assert fields[0] == P61 and len(fields) == 2 and fields[1] < P61
         assert rank_probabilistic(M, seed=0) == 1  # a lower bound, here strict
+
+    def test_denominator_divisible_by_the_prime_twice(self, monkeypatch):
+        """The ValueError of a coefficient with no residue leaves nothing
+        half-filled in the evaluator that rank_exact keeps at that point:
+        a second run in the same process takes the same path."""
+        for _ in range(2):
+            self.test_denominator_divisible_by_the_prime(monkeypatch)
+            monkeypatch.undo()
 
     def test_denominator_divisible_by_the_prime(self, monkeypatch):
         ring = RingSpec(Q, 2, 1)
@@ -797,13 +832,11 @@ def test_packed_field_gives_the_same_ranks(p, random_poly_matrix, monkeypatch):
     packed, oracle = evaluation_domain(ring.field), _tuple_oracle(p)
     matrices = [random_poly_matrix(ring, random.Random(seed)) for seed in range(30)]
     for seed, M in enumerate(matrices):
-        whole = {}
-        for (i, j), entry in M.entries.items():
-            whole.setdefault(i, {})[j] = entry
-        for rows in (linalg._peel(M)[1], whole):
-            assert (linalg._rows_at_point(rows, packed, random.Random(seed), ring.num_vars)
-                    == linalg._rows_at_point(rows, oracle, random.Random(seed), ring.num_vars))
+        for rows in _cores(M):
+            assert (linalg._rows_at_point(rows, packed, _value_at(packed, seed, ring.num_vars))
+                    == linalg._rows_at_point(rows, oracle, _value_at(oracle, seed, ring.num_vars)))
     ranks = [(rank_exact(M), rank_probabilistic(M, seed)) for seed, M in enumerate(matrices)]
+    monkeypatch.setattr(linalg, "_EVALUATORS", {})
     monkeypatch.setitem(linalg._EXT_CACHE, p, oracle)
     assert evaluation_domain(ring.field) is oracle
     assert [(rank_exact(M), rank_probabilistic(M, seed))
@@ -896,18 +929,34 @@ def test_gf2_random_element_matches_window_oracle(degree):
         assert mine.getstate() == theirs.getstate()
 
 
-def _survey_f2_maps():
-    """The 120 F_2 maps of the survey benchmark: perturbations of iota at
-    r = 4 (dense homotopies) and r = 5 (sparse ones), seeds 0..59."""
+# The kinds of map of the survey benchmark, as in perfbench/workloads.py:
+# label, field, r, random_homotopy options
+SURVEY_KINDS = [
+    ("F2-r4-dense", F2, 4, {}),
+    ("Q-r4-dense", Q, 4, {}),
+    ("F2-r5-sparse", F2, 5, {"zero_probability": 0.75, "max_terms": 2}),
+]
+
+
+@functools.cache
+def _survey_maps():
+    """The 180 maps of the survey benchmark, (label, seed, matrix):
+    perturbations of iota at r = 4 over F_2 and Q (dense homotopies) and
+    at r = 5 over F_2 (sparse ones), seeds 0..59."""
     out = []
-    for r, options in ((4, {}), (5, {"zero_probability": 0.75, "max_terms": 2})):
-        iota, Km, K0 = chainmaps.standard_iota(RingSpec(F2, r, 1), 1)
+    for label, field, r, options in SURVEY_KINDS:
+        iota, Km, K0 = chainmaps.standard_iota(RingSpec(field, r, 1), 1)
         for seed in range(60):
             h = chainmaps.random_homotopy(
                 Km.base, K0.base, random.Random(seed), homogeneous=True, **options
             )
-            out.append((seed, chainmaps.perturb(iota, h).matrix))
+            out.append((f"{label}#{seed}", seed, chainmaps.perturb(iota, h).matrix))
     return out
+
+
+def _survey_f2_maps():
+    """The 120 F_2 maps of the survey benchmark, (seed, matrix)."""
+    return [(seed, M) for _, seed, M in _survey_maps() if M.ring.field == F2]
 
 
 def test_gf2_field_gives_the_same_ranks(random_poly_matrix, monkeypatch):
@@ -922,14 +971,148 @@ def test_gf2_field_gives_the_same_ranks(random_poly_matrix, monkeypatch):
     cases = _survey_f2_maps()
     cases += [(seed, random_poly_matrix(ring, random.Random(seed))) for seed in range(30)]
     for seed, M in cases:
-        whole = {}
-        for (i, j), entry in M.entries.items():
-            whole.setdefault(i, {})[j] = entry
         r = M.ring.num_vars
-        for rows in (linalg._peel(M)[1], whole):
-            assert (linalg._rows_at_point(rows, packed, random.Random(seed), r)
-                    == linalg._rows_at_point(rows, oracle, random.Random(seed), r))
+        for rows in _cores(M):
+            assert (linalg._rows_at_point(rows, packed, _value_at(packed, seed, r))
+                    == linalg._rows_at_point(rows, oracle, _value_at(oracle, seed, r)))
     ranks = [(rank_exact(M), rank_probabilistic(M, seed)) for seed, M in cases]
+    monkeypatch.setattr(linalg, "_EVALUATORS", {})
     monkeypatch.setitem(linalg._EXT_CACHE, 2, oracle)
     assert evaluation_domain(F2) is oracle
     assert [(rank_exact(M), rank_probabilistic(M, seed)) for seed, M in cases] == ranks
+
+
+# ---------------------------------------------------------------------------
+# the rows at a point against the reduced row echelon form, and the
+# evaluators that rank_exact keeps
+# ---------------------------------------------------------------------------
+
+
+def _check_rows_at_point(core, ops, value):
+    """The forward-only elimination names the rows that Echelon does;
+    returns how many rows of the core are dependent."""
+    rows = linalg._rows_at_point(core, ops, value)
+    assert rows == echelon_rows_at_point(core, ops, value)
+    return len(core) - len(rows)
+
+
+def test_rows_at_point_on_the_survey_maps():
+    ops = evaluation_domain(F2)
+    for seed, M in _survey_f2_maps():
+        for core in _cores(M):
+            _check_rows_at_point(core, ops, _value_at(ops, seed, M.ring.num_vars))
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_rows_at_point_on_the_rank_oracle_matrices(p, random_poly_matrix):
+    ring = RingSpec(FieldSpec(p), 3, 1)
+    ops = evaluation_domain(ring.field)
+    dependent = 0
+    for seed in range(30):
+        M = random_poly_matrix(ring, random.Random(seed))
+        for core in _cores(M):
+            dependent += _check_rows_at_point(core, ops, _value_at(ops, seed, 3))
+    assert dependent  # some rows are in the span of those before them
+
+
+def _rank_deficient_products(count):
+    """Products A @ B over Q, A n x k and B k x n with k < n."""
+    ring = RingSpec(Q, 3, 1)
+    rng = random.Random(24)
+    out = []
+    for _ in range(count):
+        n = rng.randint(3, 8)
+        k = rng.randint(1, n - 1)
+        A = _random_matrix(ring, rng, n, k, max_deg=1)
+        out.append(A @ _random_matrix(ring, rng, k, n, max_deg=1))
+    return out
+
+
+def test_rows_at_point_on_rank_deficient_products():
+    """At 2**61 - 1 and at the next prime, the field rank_exact tries next
+    over Q."""
+    fields = list(itertools.islice(linalg._domains(Q), 2))
+    dependent = 0
+    for seed, M in enumerate(_rank_deficient_products(20)):
+        for ops, core in itertools.product(fields, _cores(M)):
+            dependent += _check_rows_at_point(core, ops, _value_at(ops, seed, 3))
+    assert dependent
+
+
+def test_rows_at_point_with_duplicated_and_vanishing_rows(random_poly_matrix):
+    """Cores in which every row comes twice, and cores with rows that are
+    zero at the point: multiples of the prime, and multiples of t1 - x1
+    for the point's first coordinate x1."""
+    ring = RingSpec(Q, 3, 1)
+    ops = evaluation_domain(Q)
+    t1 = ring.var(1)
+    matrices = [random_poly_matrix(ring, random.Random(seed)) for seed in range(15)]
+    matrices += _rank_deficient_products(15)
+    for seed, M in enumerate(matrices):
+        value = _value_at(ops, seed, 3)
+        x1 = ops.random_element(random.Random(seed))
+        vanishing = t1 - ring.constant(x1)
+        for core in _cores(M):
+            twice = {}
+            for i, row in core.items():
+                twice[2 * i] = row
+                twice[2 * i + 1] = dict(row)
+            assert _check_rows_at_point(twice, ops, value) >= len(core)
+            mixed = {}
+            for i, row in core.items():
+                mixed[3 * i] = {j: p * ring.constant(P61) for j, p in row.items()}
+                mixed[3 * i + 1] = {j: p * vanishing for j, p in row.items()}
+                mixed[3 * i + 2] = row
+            assert _check_rows_at_point(mixed, ops, value) >= 2 * len(core)
+
+
+class TestKeptEvaluators:
+    """rank_exact keeps the evaluator of each of its fixed points."""
+
+    def test_ranks_are_the_same_warm_cleared_and_by_bareiss(self, monkeypatch):
+        cases = []
+        rng = random.Random(2024)
+        for field in (Q, F2, F3):
+            ring = RingSpec(field, 3, 1)
+            cases += [_random_matrix(ring, rng, rng.randint(2, 7), rng.randint(2, 7))
+                      for _ in range(21)]
+        expected = [bareiss_rank(M) for M in cases]
+        assert [rank_exact(M) for M in cases] == expected
+        built = _spy(monkeypatch, "evaluator")
+        assert [rank_exact(M) for M in cases] == expected  # warm
+        assert built == []  # every point's evaluator was kept
+        cleared = []
+        for M in cases:
+            monkeypatch.setattr(linalg, "_EVALUATORS", {})
+            cleared.append(rank_exact(M))
+        assert cleared == expected
+
+    def test_rank_probabilistic_keeps_none(self):
+        """Its points change with the seed, so it keeps no evaluator."""
+        ring = RingSpec(F2, 2, 1)
+        M = PolyMatrix(ring, 2, 2)
+        M.entries = {
+            (0, 0): ring.var(1), (0, 1): ring.var(2), (1, 0): ring.var(2), (1, 1): ring.var(1),
+        }
+        kept = list(linalg._EVALUATORS)
+        assert [rank_probabilistic(M, seed) for seed in range(1000)] == [2] * 1000
+        assert list(linalg._EVALUATORS) == kept
+
+
+def test_benchmark_ranks_match_the_recorded_answers(random_poly_matrix):
+    """rank_exact and rank_probabilistic on the 90 matrices of the oracle
+    benchmark, and rank_exact on the 180 maps of the survey benchmark,
+    give the answers recorded in perfbench/expected.json."""
+    expected = json.loads(
+        (Path(__file__).resolve().parents[1] / "perfbench" / "expected.json").read_text()
+    )
+    oracle = {}
+    for p in (2, 3, 5):
+        ring = RingSpec(FieldSpec(p), 3, 1)
+        for k in range(30):
+            M = random_poly_matrix(ring, random.Random(k))
+            oracle[f"F{p}#{k}"] = [rank_exact(M), rank_probabilistic(M, k),
+                                   rank_probabilistic(M, k + 100)]
+    assert oracle == {label: [rank] * 3 for label, rank in expected["oracle"].items()}
+    survey = {label: rank_exact(M) for label, _, M in _survey_maps()}
+    assert survey == expected["survey"]

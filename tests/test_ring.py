@@ -253,6 +253,23 @@ class TestPolynomialArithmetic:
         assert value(ring.parse("4*t1^2")) == Fraction(16)
         assert len(products) == first + 1  # only the coefficient 4
 
+    def test_evaluator_memos_stay_at_their_bound(self, monkeypatch):
+        """An evaluator fed more distinct monomials and coefficients than
+        the memo bound holds at most that many of each, and its values
+        stay right."""
+        monkeypatch.setattr(ring_module, "_MEMO_SIZE", 8)
+        ring = RingSpec(Q, 2, 1)
+        point = [Fraction(2), Fraction(-5, 3)]
+        value = evaluator(point, Q)
+        memos = [cell.cell_contents for cell in value.__closure__
+                 if isinstance(cell.cell_contents, ring_module._Memo)]
+        assert len(memos) == 2  # monomial values, coefficient images
+        for a in range(30):
+            p = ring.monomial((a, 30 - a), Fraction(a + 1, 7)) + ring.monomial((a, 0), a + 2)
+            x, y = point
+            assert value(p) == sum(c * x**i * y**j for (i, j), c in p.terms.items())
+            assert all(len(memo) <= 8 for memo in memos)
+
 
 class TestRingSpec:
     @pytest.mark.parametrize("text", ["t0", "t0^2", "t3", "2*t1*t4^2"])
