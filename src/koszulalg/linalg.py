@@ -19,9 +19,10 @@ An element of an extension field is one int, coefficient i in slot i,
 the slots wide enough that a product and its folds through the modulus
 never carry between them, so a product is one int multiply with packed
 folds: one byte a slot for F_{2^61} (`GF2ExtOps`, which inverts through
-the bit form), W bits for F_{p^k} with odd p (`GFPExtOps`, Itoh-Tsujii).
-The irreducible modulus of each field comes from one search
-(`_find_gfp_modulus`), Ben-Or's test on polynomials packed the same way.
+the bit form), W bits for F_{p^k} with odd p (`GFPExtOps`).  Polynomials
+over F_p packed the same way (`_FpPolys`) have one extended Euclid, which
+inverts in F_{p^k} and runs Ben-Or's test in the one search for the
+irreducible modulus of each field (`_find_gfp_modulus`).
 Every product and sum of PolyMatrix objects is one `sum_of_products`,
 which hands all its term products to `ring.add_product` in one call, on
 the packed row lists that `ring` builds; those of a right factor are
@@ -499,13 +500,10 @@ class GFPExtOps(_PackedField):
     the top bit of a slot of n + (2^(W-1) - p) is set exactly where the
     slot of n is at least p.
 
-    `inv` is Itoh-Tsujii: with r = 1 + p + ... + p^(k-1), N(a) = a^r is
-    in F_p, so a^-1 = a^(r-1) * N(a)^-1 and a^(r-1) = a^(p + ... + p^(k-1)).
-    That power takes O(log k) products and Frobenius maps
-    sigma^j(a) = a^(p^j), through e_j = a^(1 + p + ... + p^(j-1)) and
-    e_(i+j) = sigma^j(e_i) * e_j.  sigma^j is F_p-linear, so it is
-    sum_i a_i * x^(i*p^j) over a table of k packed powers; the tables of
-    the j that the chain uses are built with the field.  (k >= 2.)
+    `inv` is the extended Euclid on f and a (von zur Gathen and Gerhard,
+    Modern Computer Algebra, ch. 3), the one Euclid over F_p, which the
+    modulus search runs too: `_FpPolys.inverse`, whose slots have a width
+    of their own, so a is unpacked and its inverse packed.
     """
 
     def __init__(self, p: int, k: int):
@@ -524,24 +522,8 @@ class GFPExtOps(_PackedField):
         self._guards = ones << self._top
         self._excess = ((1 << self._top) - p) * ones
         self._ps = p * ones  # p in every slot
-        # Itoh-Tsujii on k - 1 from its top bit: (j, False) takes e_j to
-        # e_2j = sigma^j(e_j) * e_j, (1, True) takes e_j to sigma(e_j) * a
-        steps, j = [], 1
-        for bit in bin(k - 1)[3:]:
-            steps.append((j, False))
-            j *= 2
-            if bit == "1":
-                steps.append((1, True))
-                j += 1
-        needed = {j for j, _ in steps}
-        image = self._power(1 << w, p)  # x^p, then x^(p^j) for j = 2, 3, ...
-        tables = {1: self._powers(image)}
-        for j in range(2, max(needed, default=1) + 1):
-            image = self._frobenius(image, tables[1])
-            if j in needed:
-                tables[j] = self._powers(image)
-        self._sigma = tables[1]
-        self._chain = [(tables[j], times_a) for j, times_a in steps]
+        self._polys = _FpPolys(p, k)
+        self._f = self._polys.pack([(-m) % p for m in self.modulus] + [1])
 
     def pack(self, coefficients):
         """The element with the given coefficients in [0, p), lowest degree first."""
@@ -578,34 +560,10 @@ class GFPExtOps(_PackedField):
         p = self.p
         return self.pack([c % p for c in self.unpack(n)])
 
-    def _frobenius(self, a, table):
-        """sum_i a_i * table[i]: sigma^j(a) for the table of x^(i*p^j)."""
-        return self._reduce(sum(map(operator.mul, self.unpack(a), table)))
-
-    def _power(self, a, e):
-        acc = 1
-        while e:
-            if e & 1:
-                acc = self.mul(acc, a)
-            a = self.mul(a, a)
-            e >>= 1
-        return acc
-
-    def _powers(self, g):
-        """[g^0, ..., g^(k-1)]."""
-        out = [1]
-        for _ in range(self.k - 1):
-            out.append(self.mul(out[-1], g))
-        return out
-
     def inv(self, a):
         if a == 0:
             raise ZeroDivisionError
-        e = a  # e_1
-        for table, times_a in self._chain:
-            e = self.mul(self._frobenius(e, table), a if times_a else e)
-        e = self._frobenius(e, self._sigma)  # a^(r-1)
-        return self.mul(e, pow(self.mul(a, e), -1, self.p))
+        return self.pack(self._polys.inverse(self._f, self.unpack(a)))
 
     def random_element(self, rng: random.Random):
         return self.pack([rng.randrange(self.p) for _ in range(self.k)])
@@ -633,16 +591,16 @@ def _find_gfp_modulus(p: int, k: int):
     with x^k = m mod it.
 
     The candidates x^k + (base-p digits of c), c = 1, 2, ..., are tested in
-    that order by Ben-Or's exact test (`_BenOr`), so the first candidate
-    that passes is the first irreducible one.
+    that order by Ben-Or's exact test (`_FpPolys.irreducible`), so the
+    first candidate that passes is the first irreducible one.
     """
-    test = _BenOr(p, k)
+    polys = _FpPolys(p, k)
     for c in count(1):
         digits = []
         while c:
             c, d = divmod(c, p)
             digits.append(d)
-        if test.irreducible(digits):
+        if polys.irreducible(digits):
             return tuple((-d) % p for d in digits + [0] * (k - len(digits)))
 
 
@@ -651,39 +609,40 @@ def _find_gfp_modulus(p: int, k: int):
 _ROOT_SCAN = 64
 
 
-class _BenOr:
-    """Ben-Or's test of f = x^k + g over F_p, g of degree < k given by its
-    coefficients, lowest degree first: f is irreducible iff
-    gcd(x^(p^i) - x, f) = 1 for each i <= k/2.  y_i = x^(p^i) mod f is
-    y_(i-1)^p by square and multiply.
+class _FpPolys:
+    """Polynomials over F_p of one degree k packed in ints, coefficient i
+    in the W-bit slot i: Ben-Or's test of f = x^k + g (`irreducible`) and
+    the inverse mod f (`inverse`), both on one extended Euclid (`_euclid`).
+    It keeps a remainder in slots 0..k and its cofactor in the slots from
+    k + 1 up, so one multiply-add per quotient term updates both and one
+    `_reduce` per division reduces both.  p = 2 takes the same path.
 
-    A polynomial of degree < 2k is one int, coefficient i in the W-bit
-    slot i, as in `GFPExtOps`.  A product of two polynomials reduced mod f
-    and p, each fold of x^k and up through x^k = -g, each step of a
-    division in `_coprime` and the root scan keep every slot at most
-    `bound` = k(p-1)^2 + p, so nothing carries between slots.  `_reduce`
-    takes every slot mod p at once: with n < 2^s and m = floor(2^s / p),
-    q = floor(n * m / 2^s) is floor(n / p) or one less, so n - q * p is in
-    [0, 2p), and one guard bit takes off the last p.  p = 2 takes the
-    same path.
+    A product of two polynomials reduced mod f and p, each fold of x^k and
+    up through x^k = -g, each division (at most k quotient terms, each
+    adding at most (p-1)^2 to a slot) and the root scan keep every slot at
+    most `bound` = k(p-1)^2 + p, so nothing carries between slots.
+    `_reduce` takes every slot mod p at once: with n < 2^s and
+    m = floor(2^s / p), q = floor(n * m / 2^s) is floor(n / p) or one
+    less, so n - q * p is in [0, 2p), and one guard bit takes off the last p.
 
-    Two more exact shortcuts.  gcd(x^p - x, f) != 1 exactly when f has a
-    root in F_p, so for small p step 1 is `_root_free`, which evaluates f
-    at every point of F_p at once, point a in slot a.  Each irreducible
-    factor of f is prime, so gcd(prod(y_i - x), f) = 1 exactly when every
-    gcd(y_i - x, f) = 1: one gcd of the product mod f ends each block of
-    steps i = 1, 2, 3-4, 5-8, ...
+    Ben-Or: f is irreducible iff gcd(x^(p^i) - x, f) = 1 for each i <= k/2,
+    and y_i = x^(p^i) mod f is y_(i-1)^p by square and multiply.  For
+    small p step 1 is `_root_free`, which evaluates f at every point of
+    F_p at once, point a in slot a: gcd(x^p - x, f) != 1 exactly when f
+    has a root in F_p.  Each irreducible factor of f is prime, so
+    gcd(prod(y_i - x), f) = 1 exactly when every gcd(y_i - x, f) = 1: one
+    gcd of the product mod f ends each block of steps i = 1, 2, 3-4, 5-8, ...
     """
 
     def __init__(self, p, k):
         self.p, self.k = p, k
-        # step 1 exists for k >= 2; the scan packs p slots, the rest 2k
+        # step 1 exists for k >= 2; the scan packs p slots, the Euclid 2k + 1
         self._scan = k > 1 and p <= _ROOT_SCAN
         bound = k * (p - 1) ** 2 + p
         self._s = s = bound.bit_length()
         self._m = (1 << s) // p
         self._w = w = s + self._m.bit_length()  # n * m < 2^W in every slot
-        ones = self._ones(max(2 * k, p) if self._scan else 2 * k)
+        ones = self._ones(max(2 * k + 1, p) if self._scan else 2 * k + 1)
         self._mask = (1 << w) - 1
         self._q_mask = ((1 << w - s) - 1) * ones
         self._top = w - 1
@@ -691,6 +650,9 @@ class _BenOr:
         self._excess = ((1 << self._top) - p) * ones
         self._kw = k * w
         self._low = (1 << k * w) - 1
+        self._cofactor = (k + 1) * w  # the Euclid's cofactor starts at this bit
+        # what a division down to degree < d keeps: those slots and the cofactor's
+        self._kept = [(1 << d * w) - 1 | -1 << self._cofactor for d in range(k + 1)]
         if self._scan:
             # slot a of _powers[j] is a^j and of _x_k is a^k, all mod p
             self._powers = [sum(pow(a, j, p) << a * w for a in range(p)) for j in range(k)]
@@ -703,12 +665,16 @@ class _BenOr:
         """1 in each of the lowest `slots` slots."""
         return ((1 << slots * self._w) - 1) // ((1 << self._w) - 1)
 
+    def pack(self, coefficients):
+        """The polynomial with these coefficients, lowest degree first."""
+        return sum(c << j * self._w for j, c in enumerate(coefficients))
+
     def irreducible(self, digits):
         if self._scan and not self._root_free(digits):
             return False
         p, w = self.p, self._w
-        f = sum(d << j * w for j, d in enumerate(digits)) | 1 << self._kw
-        fold = sum((-d) % p << j * w for j, d in enumerate(digits))  # x^k mod f
+        f = self.pack(digits) | 1 << self._kw
+        fold = self.pack([(-d) % p for d in digits])  # x^k mod f
         x = 1 << w
         first = end = 2 if self._scan else 1  # the first step that takes a gcd
         y, acc, last = x, None, self.k // 2
@@ -724,10 +690,18 @@ class _BenOr:
             y_minus_x = y - x if y >> w & self._mask else y + (p - 1) * x
             acc = y_minus_x if acc is None else self._mul(acc, y_minus_x, fold)
             if i == end or i == last:
-                if not self._coprime(f, acc):
+                if not self._euclid(f, acc):  # no cofactor: only the gcd is read
                     return False
                 acc, end = None, 2 * end
         return True
+
+    def inverse(self, f, coefficients):
+        """The coefficients of a^-1 mod the packed f, for the nonzero a of
+        degree < k with these coefficients, lowest degree first."""
+        w, p, mask, shift = self._w, self.p, self._mask, self._cofactor
+        r = self._euclid(f, self.pack(coefficients) | 1 << shift)  # cofactor 1
+        c = pow(r & mask, -1, p)
+        return [(r >> s & mask) * c % p for s in range(shift, shift + self._kw, w)]
 
     def _root_free(self, digits):
         """Whether f(a) != 0 for every a in F_p."""
@@ -749,22 +723,26 @@ class _BenOr:
         n -= (n * self._m >> self._s & self._q_mask) * p
         return n - ((n + self._excess & self._guards) >> self._top) * p
 
-    def _coprime(self, g, r):
-        """Whether gcd(g, r) = 1, by Euclid on reduced g and r, deg g > deg r.
-        A division adds at most (p-1)^2 to a slot per quotient term; the
-        slots it has cleared mod p are masked off at its end."""
-        w, p, mask = self._w, self.p, self._mask
-        while r:
-            dr = (r.bit_length() - 1) // w
-            if not dr:
-                return True
-            inv, shift = pow(r >> dr * w, -1, p), dr * w
-            for top in range((g.bit_length() - 1) // w * w, shift - 1, -w):
+    def _euclid(self, f, r):
+        """Euclid on f, of degree k, and a reduced r of lower degree, whose
+        cofactor sits in the slots from k + 1 up: the last nonzero
+        remainder with its cofactor if that is a constant (gcd 1), else 0.
+        The slots a division clears, multiples of p, are masked off."""
+        w, p, mask, kept = self._w, self.p, self._mask, self._kept
+        low = (1 << self._cofactor) - 1  # the remainder's slots
+        g, dg = f, self._kw  # dg: the bit of g's leading slot
+        while rest := r & low:
+            d = (rest.bit_length() - 1) // w
+            if not d:
+                return r
+            dr = d * w
+            inv = pow(rest >> dr, -1, p)
+            for top in range(dg, dr - 1, -w):
                 c = (g >> top & mask) * inv % p
                 if c:
-                    g += (p - c) * r << top - shift
-            g, r = r, self._reduce(g & (1 << shift) - 1)
-        return False
+                    g += (p - c) * r << top - dr
+            g, dg, r = r, dr, self._reduce(g & kept[d])
+        return 0
 
 
 _EXT_CACHE = {}  # characteristic -> evaluation field, built on first use

@@ -206,9 +206,11 @@ class RingSpec:
         return Polynomial(self, {(0,) * self.num_vars: c})
 
     def var(self, i: int, power: int = 1) -> "Polynomial":
-        """t_i (1-based) to the given power."""
+        """t_i (1-based) to the given power, at most EXPONENT_LIMIT."""
         if not 1 <= i <= self.num_vars:
             raise ValueError(f"variable index {i} out of range")
+        if power > EXPONENT_LIMIT:
+            raise ValueError(f"exponent of t{i} over {EXPONENT_LIMIT}")
         exps = [0] * self.num_vars
         exps[i - 1] = power
         return Polynomial(self, {tuple(exps): self.field.one})
@@ -258,9 +260,10 @@ class _Memo(dict):
         self.compute = compute
 
     def __missing__(self, key):
+        value = self.compute(key)  # which may fill this memo too
         if len(self) >= _MEMO_SIZE:
             self.clear()
-        value = self[key] = self.compute(key)
+        self[key] = value
         return value
 
 
@@ -561,23 +564,30 @@ def evaluator(points, ops):
     Every power of a coordinate, the value of every monomial and the image
     of every coefficient (`ops.of`) is computed once and shared by all the
     polynomials the map is applied to, such as the entries of one matrix.
-    The values of monomials and of coefficients are each kept in a
-    `_Memo`, so a map kept across many matrices holds a bounded number.
-    `ops.of` raises ValueError on a rational coefficient with no residue
-    mod p.
+    Each is kept in a `_Memo`, so a map kept across many matrices holds a
+    bounded number.  A power is built by square and multiply, x^(2j) =
+    (x^j)^2 and x^(2j+1) = x^(2j) * x, so x^k costs at most 2 log2(k)
+    products.  `ops.of` raises ValueError on a rational coefficient with
+    no residue mod p.
     """
     one, mul, add = ops.one, ops.mul, ops.add
-    powers = [[one, x] for x in points]
+
+    def power(key):  # key (i, k): coordinate i to the power k >= 1
+        i, k = key
+        if k & 1:
+            return points[i] if k == 1 else mul(powers[i, k - 1], points[i])
+        half = powers[i, k >> 1]
+        return mul(half, half)
 
     def monomial(e):
         m = None
-        for row, k in zip(powers, e):
+        for i, k in enumerate(e):
             if k:
-                while len(row) <= k:
-                    row.append(mul(row[-1], row[1]))
-                m = row[k] if m is None else mul(m, row[k])
+                x = powers[i, k]
+                m = x if m is None else mul(m, x)
         return one if m is None else m
 
+    powers = _Memo(power)
     monomials = _Memo(monomial)
     coeffs = _Memo(ops.of)
 

@@ -82,7 +82,7 @@ def test_detects_a_dead_definition():
 
 # Definitions that may have tests as their only users, each with its reason.
 KEPT = {
-    "multiplicative_alpha": "the multiplicative bound, which ROADMAP item 4 gives a CLI caller",
+    "multiplicative_alpha": "the multiplicative bound, which ROADMAP item 7 gives a CLI caller",
     "parse": "RingSpec.parse, the documented reader of the polynomial text form",
 }
 

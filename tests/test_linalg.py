@@ -14,6 +14,7 @@ from koszulalg.ring import FieldSpec, RingSpec, evaluator
 from koszulalg.linalg import (
     Echelon,
     GF2ExtOps,
+    GFPExtOps,
     PolyMatrix,
     _find_gfp_modulus,
     dense,
@@ -762,6 +763,70 @@ def test_gfp_ext_matches_schoolbook(p):
         dom.inv(dom.zero)
 
 
+@pytest.mark.parametrize("p, k", [(3, 2), (3, 5), (5, 3), (7, 2), (13, 2)])
+def test_gfp_inv_on_every_element(p, k):
+    """Every nonzero a of a small F_{p^k} has mul(a, inv(a)) = 1 and the
+    inverse of Fermat's square and multiply."""
+    dom = GFPExtOps(p, k)
+    for a in itertools.product(range(p), repeat=k):
+        if any(a):
+            inv = dom.inv(dom.pack(a))
+            assert dom.mul(dom.pack(a), inv) == dom.one
+            assert tuple(dom.unpack(inv)) == fermat_inv(dom, a)
+
+
+def _euclid_slots(p, k, f, a):
+    """The slot lists that the packed extended Euclid of `linalg._FpPolys`
+    hands to its `_reduce` when it inverts a mod f (coefficient lists,
+    lowest degree first), computed on lists with no reduction inside a
+    division: slots 0..k hold the remainder, slots k+1.. its cofactor."""
+    g = f + [0] * k
+    r = a + [0] * (k + 1 - len(a)) + [1] + [0] * (k - 1)
+    out = []
+    while any(r[: k + 1]):
+        dr = max(i for i in range(k + 1) if r[i])
+        if not dr:
+            break
+        inv = pow(r[dr], -1, p)
+        for top in range(max(i for i in range(k + 1) if g[i]), dr - 1, -1):
+            c = g[top] * inv % p
+            if c:
+                for i, x in enumerate(r):
+                    if x:
+                        g[i + top - dr] += (p - c) * x
+        n = g[:dr] + [0] * (k + 1 - dr) + g[k + 1:]
+        out.append(n)
+        g, r = r, [x % p for x in n]
+    return out
+
+
+@pytest.mark.parametrize("p, k", [(3, 2), (3, 5), (5, 3), (13, 2), (3, 39), (5, 27), (83, 10),
+                                  (P61, 2)])
+def test_euclid_slots_never_carry(p, k, monkeypatch):
+    """The remainder and cofactor slots of `inv`'s Euclid stay apart: on
+    the elements with every coefficient p - 1, x^(k-1) and the constants,
+    every int handed to `_reduce` holds exactly the slots of the same
+    steps on lists, each at most k(p-1)^2 + p < 2^s, Barrett's bound."""
+    dom = GFPExtOps(p, k)
+    polys = dom._polys
+    w, bound = polys._w, k * (p - 1) ** 2 + p
+    assert bound < 1 << polys._s
+    f = [(-m) % p for m in dom.modulus] + [1]
+    seen = []
+    reduce = polys._reduce
+    monkeypatch.setattr(polys, "_reduce", lambda n: seen.append(n) or reduce(n))
+    for a in ([p - 1] * k, [0] * (k - 1) + [1], [1], [2 % p], [p - 1]):
+        seen.clear()
+        inv = dom.inv(dom.pack(a + [0] * (k - len(a))))
+        assert dom.mul(dom.pack(a + [0] * (k - len(a))), inv) == dom.one
+        slots = _euclid_slots(p, k, f, list(a))
+        assert len(seen) == len(slots)
+        for n, c in zip(seen, slots):
+            assert n >> w * (2 * k + 1) == 0
+            assert [n >> w * i & (1 << w) - 1 for i in range(2 * k + 1)] == c
+            assert max(c) <= bound
+
+
 @functools.cache
 def _tuple_oracle(p):
     return TupleGFPExtOps(p, evaluation_domain(FieldSpec(p)).k)
@@ -1098,6 +1163,19 @@ class TestKeptEvaluators:
         assert [rank_probabilistic(M, seed) for seed in range(1000)] == [2] * 1000
         assert list(linalg._EVALUATORS) == kept
 
+    def test_a_high_power_gives_the_bareiss_rank(self):
+        """A 2x2 matrix over F_2 with the entry t1^200000, of full rank and
+        of rank 1: the kept evaluator builds the power by square and
+        multiply, and both ranks are Bareiss's."""
+        ring = RingSpec(F2, 2, 1)
+        t1, t2, big = ring.var(1), ring.var(2), ring.var(1, 200000)
+        for entries in ([[big, t2], [t1, t1 * t2 + ring.one()]],
+                        [[big, big * t1], [t2, t1 * t2]]):
+            M = PolyMatrix(ring, 2, 2)
+            for (i, j), p in zip([(0, 0), (0, 1), (1, 0), (1, 1)], sum(entries, [])):
+                M.set(i, j, p)
+            assert rank_exact(M) == bareiss_rank(M)
+        assert bareiss_rank(M) == 1
 
 def test_benchmark_ranks_match_the_recorded_answers(random_poly_matrix):
     """rank_exact and rank_probabilistic on the 90 matrices of the oracle

@@ -7,6 +7,7 @@ import random
 import pytest
 
 from koszulalg.cli import main
+from koszulalg.complexes import koszul
 from koszulalg.linalg import PolyMatrix, sum_of_products
 from koszulalg.ring import (
     EXPONENT_LIMIT as L, FieldSpec, Polynomial, RingSpec, add_product, triples,
@@ -137,6 +138,25 @@ def test_verify_bounds_refuses_an_exponent_over_the_limit(tmp_path, capsys):
     assert out.out == ""
     assert out.err == f"error: line 7: exponent of t1 over {L}\n"
 
+
+
+def test_var_refuses_an_exponent_over_the_limit():
+    ring = RingSpec(FieldSpec(2), 2, 1)
+    assert ring.var(1, L).terms == {(L, 0): 1}
+    with pytest.raises(ValueError, match=f"exponent of t1 over {L}"):
+        ring.var(1, L + 1)
+    assert koszul(ring, L - 1).base.differential.entry(0, 1) == ring.var(1, L)
+
+
+@pytest.mark.parametrize("command", [["koszul", "--out", "k.cx"], ["rank-survey", "--trials", "1"]])
+def test_koszul_past_the_limit_is_refused(command, tmp_path, monkeypatch, capsys):
+    """d(s_1) = t_1^(m+1) for m = EXPONENT_LIMIT is refused before any
+    file is written or any homotopy drawn: exit 2 and one error line."""
+    monkeypatch.chdir(tmp_path)
+    assert main([*command, "--rank", "2", "--m", str(L)]) == 2
+    out = capsys.readouterr()
+    assert (out.out, out.err) == ("", f"error: exponent of t1 over {L}\n")
+    assert list(tmp_path.iterdir()) == []
 
 def _small_poly(ring, rng, degree=2):
     terms = {}

@@ -1,5 +1,6 @@
 import copy
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -252,6 +253,33 @@ class TestPolynomialArithmetic:
         assert value(ring.parse("t1^2 + t1^3*t2^2")) == Fraction(204)
         assert value(ring.parse("4*t1^2")) == Fraction(16)
         assert len(products) == first + 1  # only the coefficient 4
+
+    def test_evaluator_builds_a_power_by_square_and_multiply(self, monkeypatch):
+        """t1^200000 costs at most 2 * ceil(log2 200000) products, and the
+        powers it builds stay within the memo bound, which a memo filled
+        while it computes must keep too."""
+        products = []
+
+        class Counting(type(F2)):
+            def mul(self, a, b):
+                products.append((a, b))
+                return super().mul(a, b)
+
+        monkeypatch.setattr(ring_module, "_MEMO_SIZE", 8)
+        ring = RingSpec(F2, 2, 1)
+        value = evaluator([1, 0], Counting(2))
+        assert value(ring.var(1, 200000)) == 1
+        assert 0 < len(products) <= 2 * math.ceil(math.log2(200000))
+        memos = [cell.cell_contents for cell in value.__closure__
+                 if isinstance(cell.cell_contents, ring_module._Memo)]
+        (powers,) = [cell.cell_contents for memo in memos
+                     for cell in getattr(memo.compute, "__closure__", None) or ()
+                     if isinstance(cell.cell_contents, ring_module._Memo)]
+        assert 0 < len(powers) <= 8
+        x = Fraction(3, 2)
+        value = evaluator([x, x], Q)
+        for k in [*range(1, 40), 1000, 1001]:
+            assert value(RingSpec(Q, 2, 1).var(1, k)) == x**k
 
     def test_evaluator_memos_stay_at_their_bound(self, monkeypatch):
         """An evaluator fed more distinct monomials and coefficients than
