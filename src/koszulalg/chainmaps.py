@@ -8,22 +8,19 @@ identity, checked exactly as a PolyMatrix identity.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 
 from .ring import FieldSpec, Polynomial, RingSpec
 from .complexes import FreeComplex, koszul
 from .linalg import PolyMatrix, axpy, rank_exact, rank_probabilistic, sum_of_products
 
 
-@dataclass
 class ChainMap:
-    source: FreeComplex
-    target: FreeComplex
-    matrix: PolyMatrix  # target.n x source.n; column j = image of e_j
-
-    def __post_init__(self):
-        if self.matrix.rows != self.target.n or self.matrix.cols != self.source.n:
+    def __init__(self, source: FreeComplex, target: FreeComplex, matrix: PolyMatrix):
+        if matrix.rows != target.n or matrix.cols != source.n:
             raise ValueError("chain map matrix has wrong shape")
+        self.source = source
+        self.target = target
+        self.matrix = matrix  # target.n x source.n; column j = image of e_j
 
     def apply(self, element):
         return self.matrix.apply(element)
@@ -43,17 +40,15 @@ class ChainMap:
         ])
 
 
-@dataclass
 class Homotopy:
     """Any R-linear map source -> target; no constraints beyond shape."""
 
-    source: FreeComplex
-    target: FreeComplex
-    matrix: PolyMatrix
-
-    def __post_init__(self):
-        if self.matrix.rows != self.target.n or self.matrix.cols != self.source.n:
+    def __init__(self, source: FreeComplex, target: FreeComplex, matrix: PolyMatrix):
+        if matrix.rows != target.n or matrix.cols != source.n:
             raise ValueError("homotopy matrix has wrong shape")
+        self.source = source
+        self.target = target
+        self.matrix = matrix
 
 
 def standard_iota(ring: RingSpec, m: int):

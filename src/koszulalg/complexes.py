@@ -16,7 +16,6 @@ quotient's `tensor_info` maps its basis to (generator, monomial) pairs.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from operator import add, lt
 
 from .ring import RingSpec, _grlex_key, add_product, triples
@@ -202,16 +201,14 @@ def canonical_augmentation(K: KoszulComplex) -> "Augmentation":
     return Augmentation(K.base, values)
 
 
-@dataclass
 class Augmentation:
     """k-linear functional per generator, extended R-linearly via t_i -> 0."""
 
-    source: FreeComplex
-    values: list
-
-    def __post_init__(self):
-        if len(self.values) != self.source.n:
+    def __init__(self, source: FreeComplex, values: list):
+        if len(values) != source.n:
             raise ValueError("one scalar per generator required")
+        self.source = source
+        self.values = values
 
     def of_scalars(self, vector):
         """epsilon applied to a sparse vector {generator: scalar} (a constant element)."""
@@ -235,14 +232,14 @@ class Augmentation:
         ]
 
 
-@dataclass
 class DgaStructure:
     """Associative product on a FreeComplex; parity drives the Leibniz sign."""
 
-    complex: FreeComplex
-    parity: list
-    unit: int
-    table: dict  # (i, j) -> the module element e_i e_j; a missing cell is 0
+    def __init__(self, complex: FreeComplex, parity: list, unit: int, table: dict):
+        self.complex = complex
+        self.parity = parity
+        self.unit = unit
+        self.table = table  # (i, j) -> the module element e_i e_j; a missing cell is 0
 
     def multiply(self, x, y):
         table = self.table
@@ -386,7 +383,6 @@ class HomologyData:
         self.field = complex.field
         self.dims = {}
         self.representatives = []
-        self.rep_degrees = []
         self.degree_reps = {}
         self.projection_rows = []
         self._compute()
@@ -434,7 +430,6 @@ class HomologyData:
                         proj[c - F.n][b] = x
             self.degree_reps[q] = list(range(self.total_dim, self.total_dim + len(reps)))
             self.representatives += reps
-            self.rep_degrees += [q] * len(reps)
             self.projection_rows += proj
 
     @property

@@ -11,8 +11,6 @@ level is one Echelon.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .complexes import FreeComplex, Augmentation, monomial_slices
 from .linalg import Echelon, apply_columns, span
 from .minimal import is_minimal, lambda_ops, lambda_length
@@ -28,11 +26,11 @@ def slice_images(slices, v, ops):
     return out
 
 
-@dataclass
 class Filtration:
-    model_complex: FreeComplex
-    subspaces: list  # Echelons; subspaces[i] spans F_{i+1}
-    slices: dict  # monomial_slices(model_complex)
+    def __init__(self, model_complex: FreeComplex, subspaces: list, slices: dict):
+        self.model_complex = model_complex
+        self.subspaces = subspaces  # Echelons; subspaces[i] spans F_{i+1}
+        self.slices = slices  # monomial_slices(model_complex)
 
     @property
     def length(self):
@@ -106,22 +104,32 @@ def check_properties(F: Filtration, augmentation: Augmentation = None):
     failures = []
     # (a) strict ascent, exhaustion, stabilization
     prev_dim = 0
+    contained = [True]  # contained[i]: F_{i-1} lies in F_i
     for i, level in enumerate(F.subspaces, start=1):
         if level.rank <= prev_dim:
             failures.append(f"(a) F_{i} does not strictly contain F_{i-1}")
-        if any(level.reduce(v) for v in F.basis(i - 1)):
+        contained.append(not any(level.reduce(v) for v in F.basis(i - 1)))
+        if not contained[i]:
             failures.append(f"(a) F_{i-1} not contained in F_{i}")
         prev_dim = level.rank
     if F.subspaces and F.subspaces[-1].rank != model.n:
         failures.append("(a) filtration does not exhaust the model")
-    # (b) every slice of d(F_i) lies in F_{i-1}
+    # (b) every slice of d(F_i) lies in F_{i-1}.  When F_{i-2} ⊂ F_{i-1} ⊂ F_i
+    # and (b) held at i-1, the slices keep F_{i-1} inside F_{i-1}, and F_i
+    # is F_{i-1} plus its rows whose pivot is not one of F_{i-1}: only
+    # those rows need checking.
+    held = True  # (b) at level 0, the zero space
     for i in range(1, F.length + 1):
-        prev = F.level(i - 1)
-        if any(
+        level, prev = F.level(i), F.level(i - 1)
+        pivots = sorted(level.rows)
+        if held and contained[i] and contained[i - 1]:
+            pivots = [c for c in pivots if c not in prev.rows]
+        held = not any(
             prev.reduce(img)
-            for v in F.basis(i)
-            for img in slice_images(slices, v, ops).values()
-        ):
+            for c in pivots
+            for img in slice_images(slices, level.rows[c], ops).values()
+        )
+        if not held:
             failures.append(f"(b) d(F_{i}) escapes F_{i-1} x R")
     # (c) augmentation surjective on F_1, when one is attached
     if augmentation is not None:

@@ -18,21 +18,20 @@ equivalence data satisfies exact matrix identities (MinimalModel.verify).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .ring import add_product, triples
 from .complexes import FreeComplex, Augmentation
 from .linalg import PolyMatrix, apply_columns, span, sum_of_products
 from .chainmaps import ChainMap, Homotopy
 
 
-@dataclass
 class MinimalModel:
-    model: FreeComplex
-    inclusion: ChainMap  # model -> source
-    projection: ChainMap  # source -> model
-    homotopy: Homotopy  # source -> source
-    source: FreeComplex
+    def __init__(self, model: FreeComplex, inclusion: ChainMap, projection: ChainMap,
+                 homotopy: Homotopy, source: FreeComplex):
+        self.model = model
+        self.inclusion = inclusion  # model -> source
+        self.projection = projection  # source -> model
+        self.homotopy = homotopy  # source -> source
+        self.source = source
 
     def model_augmentation(self, augmentation: Augmentation) -> Augmentation:
         """The augmentation of the source carried to the model (ε ∘ inclusion)."""
@@ -164,7 +163,6 @@ def _assemble(ring, rows, cols, entries):
     return M
 
 
-@dataclass
 class LambdaAction:
     """The degree-preserving linear-in-t_i parts of a minimal differential.
 
@@ -175,8 +173,9 @@ class LambdaAction:
     part (and hence the whole action) vanishes.
     """
 
-    model: FreeComplex
-    maps: list  # one scalar matrix, by column, per variable
+    def __init__(self, model: FreeComplex, maps: list):
+        self.model = model
+        self.maps = maps  # one scalar matrix, by column, per variable
 
     def is_trivial(self) -> bool:
         return not any(self.maps)

@@ -31,7 +31,6 @@ from __future__ import annotations
 import operator
 import re
 import struct
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from heapq import heapify, heappop, heappush
@@ -75,7 +74,6 @@ class ScalarField:
         return self.mul(a, self.inv(b))
 
 
-@dataclass(frozen=True)
 class FieldSpec(ScalarField):
     """The coefficient field: Q (characteristic 0) or F_p (p prime, p < 2**61).
 
@@ -84,19 +82,33 @@ class FieldSpec(ScalarField):
     characteristic.
     """
 
-    characteristic: int = 0
-
     def __new__(cls, characteristic=0):
         if cls is FieldSpec:
             cls = RationalField if characteristic == 0 else PrimeField
         return object.__new__(cls)
 
-    def __post_init__(self):
-        c = self.characteristic
+    def __init__(self, characteristic=0):
+        c = characteristic
         if c != 0 and not _is_prime(c):
             raise ValueError(f"characteristic must be 0 or prime, got {c}")
         if c >= 2**61:
             raise ValueError("prime characteristic must be < 2**61")
+        object.__setattr__(self, "characteristic", c)
+
+    # a frozen value: equal to a field of its class with its characteristic
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.characteristic == other.characteristic
+
+    def __hash__(self):
+        return hash((self.characteristic,))
+
+    def __repr__(self):
+        return f"{self.__class__.__qualname__}(characteristic={self.characteristic!r})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
 
     def format_scalar(self, a) -> str:
         return str(a)
@@ -116,7 +128,6 @@ def _integral(q: Fraction):
     return q.numerator if q.denominator == 1 else q
 
 
-@dataclass(frozen=True)
 class RationalField(FieldSpec):
     """Q, with each scalar an int when integral and a `fractions.Fraction`
     otherwise.  `of`, `inv`, `div` and `parse_scalar` return an int for an
@@ -140,7 +151,6 @@ class RationalField(FieldSpec):
         return _integral(Fraction(a, b))
 
 
-@dataclass(frozen=True)
 class PrimeField(FieldSpec):
     """F_p, with scalars as ints in [0, p)."""
 
@@ -174,7 +184,6 @@ class PrimeField(FieldSpec):
         return rng.randrange(self.characteristic)
 
 
-@dataclass(frozen=True)
 class RingSpec:
     """k[t_1,...,t_r] with a uniform variable weight (deg t_i = 1 or 2).
 
@@ -183,15 +192,33 @@ class RingSpec:
     still be computed with.
     """
 
-    field: FieldSpec
-    num_vars: int
-    var_weight: int = 1
-
-    def __post_init__(self):
-        if self.num_vars < 1:
+    def __init__(self, field: FieldSpec, num_vars: int, var_weight: int = 1):
+        if num_vars < 1:
             raise ValueError("need at least one variable")
-        if self.var_weight not in (1, 2):
+        if var_weight not in (1, 2):
             raise ValueError("var_weight must be 1 or 2")
+        object.__setattr__(self, "field", field)
+        object.__setattr__(self, "num_vars", num_vars)
+        object.__setattr__(self, "var_weight", var_weight)
+
+    # a frozen value, like FieldSpec
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self is other or (
+            self.field == other.field
+            and self.num_vars == other.num_vars
+            and self.var_weight == other.var_weight
+        )
+
+    def __hash__(self):
+        return hash((self.field, self.num_vars, self.var_weight))
+
+    def __repr__(self):
+        return (f"RingSpec(field={self.field!r}, num_vars={self.num_vars!r}, "
+                f"var_weight={self.var_weight!r})")
+
+    __setattr__ = FieldSpec.__setattr__
 
     def zero(self) -> "Polynomial":
         return Polynomial(self, {})

@@ -12,6 +12,7 @@ from koszulalg.filtration import (
     compute_filtration,
     check_properties,
     bound_checks,
+    slice_images,
 )
 
 from conftest import random_free_complex
@@ -186,12 +187,67 @@ class TestComputeFiltration:
         assert F1.dims() == F2_.dims()
 
 
+def full_check_b(F):
+    """The (b) failures by the full check, the oracle of `check_properties`:
+    every slice image of every basis vector of F_i is reduced against F_{i-1}."""
+    ops = F.model_complex.ring.field
+    return [
+        f"(b) d(F_{i}) escapes F_{i-1} x R"
+        for i in range(1, F.length + 1)
+        if any(
+            F.level(i - 1).reduce(img)
+            for v in F.basis(i)
+            for img in slice_images(F.slices, v, ops).values()
+        )
+    ]
+
+
+def checked(F, augmentation=None):
+    """check_properties(F), after asserting that its (b) failures are the
+    full check's."""
+    rep = check_properties(F, augmentation)
+    assert [m for m in rep["failures"] if m.startswith("(b)")] == full_check_b(F)
+    return rep
+
+
+def _random_levels(F, rng):
+    """Levels drawn from those of the filtration F: each keeps a random
+    subset of its basis rows, and one in five also gets a random vector."""
+    ops, n = F.model_complex.ring.field, F.model_complex.n
+    levels = []
+    for i in range(1, F.length + 1):
+        E = Echelon(ops)
+        for v in F.basis(i):
+            if rng.random() < 0.8:
+                E.add(v)
+        if rng.random() < 0.2:
+            E.add({c: ops.one for c in rng.sample(range(n), 2)})
+        levels.append(E)
+    return Filtration(F.model_complex, levels, F.slices)
+
+
+def test_check_b_matches_the_full_check_on_random_levels():
+    """On seeded perturbations of true filtrations, the (b) failures of
+    `check_properties` are the full check's; some levels fail (b) and
+    some pass it."""
+    rng = random.Random(26)
+    outcomes = set()
+    for _ in range(100):
+        field = rng.choice([Q, F2, F3])
+        r, m = rng.choice([(2, 1), (3, 0), (3, 1), (4, 1)])
+        F = compute_filtration(koszul(RingSpec(field, r, 1), m).base)
+        bad = _random_levels(F, rng)
+        failures = checked(bad)["failures"]
+        outcomes |= {any(f"(b) d(F_{i})" in x for x in failures) for i in range(2, bad.length + 1)}
+    assert outcomes == {True, False}
+
+
 class TestProperties:
     def test_koszul_all_pass(self):
         for r, m in [(2, 0), (3, 1)]:
             K = koszul(RingSpec(Q, r, 1), m)
             F = compute_filtration(K.base)
-            rep = check_properties(F, canonical_augmentation(K))
+            rep = checked(F, canonical_augmentation(K))
             assert rep["passed"], rep["failures"]
             # property (d) witnesses exist for every consecutive quotient
             assert set(rep["quotient_witnesses"]) == set(range(2, F.length + 1))
@@ -203,7 +259,7 @@ class TestProperties:
         bad.subspaces[1] = Echelon(Q)
         for row in F.basis(2)[:-1]:
             bad.subspaces[1].add(row)
-        rep = check_properties(bad)
+        rep = checked(bad)
         assert not rep["passed"]
 
     @staticmethod
@@ -226,11 +282,29 @@ class TestProperties:
             [(), (1,), (2,), (3,), (1, 2), (1, 3), (2, 3)],
             [(), (1,), (2,), (3,), (1, 2), (1, 3), (2, 3), (1, 2, 3)],
         ])
-        rep = check_properties(F)
+        rep = checked(F)
         assert rep["failures"] == [
             "(b) d(F_2) escapes F_1 x R",
             "(b) d(F_3) escapes F_2 x R",
         ]
+
+    def test_check_b_needs_both_containments(self):
+        """A level whose rows all have pivots of the level before it must
+        still be checked when a containment fails: in each case check (b)
+        fails only through such a row."""
+        K = koszul(RingSpec(Q, 3, 1), 0)
+        e = lambda *subsets: {K.subset_index[I]: Q.one for I in subsets}  # noqa: E731
+        for levels in [
+            [[e(())], [e((1,))], [e((1,))]],  # F_1 not in F_2
+            [[e(())], [e(()), e((1,), (2,))], [e(()), e((1,), (1, 2))]],  # F_2 not in F_3
+        ]:
+            subspaces = []
+            for rows in levels:
+                subspaces.append(Echelon(Q))
+                for v in rows:
+                    subspaces[-1].add(v)
+            F = Filtration(K.base, subspaces, monomial_slices(K.base))
+            assert "(b) d(F_3) escapes F_2 x R" in checked(F)["failures"]
 
     def test_zero_quotient_map_detected(self):
         # F_3 / F_2 is spanned by s2 and s3, whose differentials lie in F_1
@@ -241,7 +315,7 @@ class TestProperties:
             [(), (1,), (2,), (3,), (1, 2), (1, 3), (2, 3)],
             [(), (1,), (2,), (3,), (1, 2), (1, 3), (2, 3), (1, 2, 3)],
         ])
-        rep = check_properties(F)
+        rep = checked(F)
         assert rep["failures"] == ["(d) induced map F_3/F_2 -> F_2/F_1 x R is zero"]
         assert set(rep["quotient_witnesses"]) == {2, 4, 5}
 
@@ -263,7 +337,7 @@ class TestProperties:
                 if mm.model.n == 0:
                     continue
                 F = compute_filtration(mm.model)
-                rep = check_properties(F)
+                rep = checked(F)
                 assert rep["passed"], rep["failures"]
 
 

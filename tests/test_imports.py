@@ -2,7 +2,8 @@
 function, class and method the library defines is used somewhere, and
 outside the tests too unless it is traced or `KEPT`, every parameter
 with a default is passed outside the tests unless it is in
-`KEPT_OPTIONS`, and every dataclass field it defines is read somewhere.
+`KEPT_OPTIONS`, and every field of a class it defines (an attribute
+its `__init__` assigns) is read somewhere.
 
 No linter runs on this package, so these stdlib-`ast` checks stand in for
 one.  `__init__.py` is exempt from the import check: its imports are the
@@ -12,6 +13,8 @@ public re-exports.
 import ast
 import importlib.util
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -202,15 +205,37 @@ def test_detects_a_test_only_option():
     ]
 
 
-def _is_dataclass(decorator):
-    target = decorator.func if isinstance(decorator, ast.Call) else decorator
-    return getattr(target, "id", getattr(target, "attr", None)) == "dataclass"
+def init_fields(source):
+    """(line, class, field) of each field of a class in `source`: an
+    attribute its `__init__` assigns on `self`, as `self.field = ...` or,
+    in a frozen value type, `object.__setattr__(self, "field", ...)`.  A
+    class whose `__init__` assigns none has the fields of its bases."""
+    fields = {}  # class name -> {field: line}
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.ClassDef):
+            continue
+        own = {}
+        for stmt in (s for init in node.body if getattr(init, "name", None) == "__init__"
+                     for s in ast.walk(init)):
+            if isinstance(stmt, ast.Attribute) and isinstance(stmt.ctx, ast.Store):
+                target, name = stmt.value, stmt.attr
+            elif (isinstance(stmt, ast.Call) and ast.unparse(stmt.func) == "object.__setattr__"
+                  and isinstance(stmt.args[1], ast.Constant)):
+                target, name = stmt.args[0], stmt.args[1].value
+            else:
+                continue
+            if getattr(target, "id", None) == "self":
+                own.setdefault(name, stmt.lineno)
+        for base in () if own else node.bases:
+            own.update(fields.get(getattr(base, "id", None), {}))
+        fields[node.name] = own
+    return sorted((line, cls, name) for cls, own in fields.items() for name, line in own.items())
 
 
 def dead_fields(library, users):
-    """(module, line, class.field) of each dataclass field defined in the
-    `library` sources ({module: source}) that no source in `users` reads
-    as an attribute."""
+    """(module, line, class.field) of each field (`init_fields`) of a
+    class defined in the `library` sources ({module: source}) that no
+    source in `users` reads as an attribute."""
     read = {
         node.attr
         for source in users
@@ -218,29 +243,57 @@ def dead_fields(library, users):
         if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
     }
     return sorted(
-        (module, stmt.lineno, f"{node.name}.{stmt.target.id}")
+        (module, line, f"{cls}.{name}")
         for module, source in library.items()
-        for node in ast.walk(ast.parse(source))
-        if isinstance(node, ast.ClassDef) and any(map(_is_dataclass, node.decorator_list))
-        for stmt in node.body
-        if isinstance(stmt, ast.AnnAssign) and stmt.target.id not in read
+        for line, cls, name in init_fields(source)
+        if name not in read
     )
+
+
+# The plain records and value types of the library, which once were
+# dataclasses; the check must keep reaching their fields.
+RECORDS = {
+    "ChainMap", "Homotopy", "Augmentation", "DgaStructure", "MinimalModel", "LambdaAction",
+    "Filtration", "FieldSpec", "RationalField", "PrimeField", "RingSpec",
+}
 
 
 def test_no_dead_fields():
     library = {p.name: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
+    covered = {cls for source in library.values() for _, cls, _ in init_fields(source)}
+    assert RECORDS <= covered
     assert dead_fields(library, [p.read_text() for p in USERS]) == []
 
 
 def test_detects_a_dead_field():
-    library = {"m.py": "@dataclass\nclass A:\n    read: int\n    written: int\n"
-                       "    dead: int = 0\n\n"
-                       "@dataclass(frozen=True)\nclass B:\n    unread: int\n\n"
-                       "class Plain:\n    ignored: int\n"}
+    library = {"m.py": "class A:\n    def __init__(self, read, written, dead=0):\n"
+                       "        self.read = read\n        self.written = written\n"
+                       "        self.dead = dead\n\n"
+                       "class B:\n    def __init__(self, unread):\n"
+                       "        object.__setattr__(self, 'unread', unread)\n\n"
+                       "class Plain:\n    ignored: int\n"
+                       "    def later(self):\n        self.not_a_field = 1\n"}
     users = list(library.values()) + ["a = A(1, 2, dead=3)\na.written = a.read\n"]
     assert dead_fields(library, users) == [
         ("m.py", 4, "A.written"), ("m.py", 5, "A.dead"), ("m.py", 9, "B.unread")
     ]
+
+
+def test_a_class_without_fields_of_its_own_has_its_base_fields():
+    source = ("class A:\n    def __init__(self):\n        self.x = 1\n"
+              "class B(A):\n    pass\nclass C(A):\n    def __init__(self):\n        self.y = 2\n")
+    assert init_fields(source) == [(3, "A", "x"), (3, "B", "x"), (8, "C", "y")]
+
+
+def test_cold_start_loads_no_dataclasses():
+    """A fresh interpreter that imports the library and its CLI loads
+    neither `dataclasses` nor `inspect` (which pulls in `ast`, `dis` and
+    `tokenize`): each CLI run is a new process and pays for its imports."""
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import koszulalg, koszulalg.cli; "
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    run = subprocess.run([sys.executable, "-S", "-c", code, str(ROOT / "src")],
+                         capture_output=True, text=True, check=True)
+    assert run.stdout == "[]\n"
 
 
 def packed_form_names(ring_source):

@@ -1,6 +1,7 @@
 import copy
 import itertools
 import math
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -10,7 +11,9 @@ from koszulalg.complexes import FreeComplex
 from koszulalg.fileio import format_combination
 from koszulalg import ring as ring_module
 from koszulalg.linalg import PolyMatrix
-from koszulalg.ring import FieldSpec, RingSpec, Polynomial, evaluator, parse_combination
+from koszulalg.ring import (
+    FieldSpec, PrimeField, RationalField, RingSpec, Polynomial, evaluator, parse_combination,
+)
 
 
 Q = FieldSpec(0)
@@ -70,7 +73,39 @@ class TestFieldSpec:
         assert hash(FieldSpec(3)) == hash(FieldSpec(3))
         assert FieldSpec(3) != FieldSpec(5)
         assert FieldSpec(0) != FieldSpec(3)
+        assert PrimeField(3) == FieldSpec(characteristic=3) and RationalField() == Q
+        assert PrimeField(3) != RationalField()
+        assert len({FieldSpec(3), PrimeField(3), FieldSpec(0), RationalField()}) == 2
         assert copy.deepcopy(F7) == F7 and type(copy.deepcopy(F7)) is type(F7)
+
+    def test_field_and_ring_are_frozen_values(self):
+        """Equal and equally hashed when built apart, shown by their
+        fields, never assigned to, and equal after a copy or a pickle."""
+        a, b = RingSpec(FieldSpec(2), 3), RingSpec(field=PrimeField(2), num_vars=3, var_weight=1)
+        assert a == b and hash(a) == hash(b) and a is not b
+        assert a != RingSpec(F2, 3, 2) and a != RingSpec(F2, 2) and a != RingSpec(Q, 3)
+        assert a != (F2, 3, 1) and a.__eq__(object()) is NotImplemented
+        assert repr(a) == "RingSpec(field=PrimeField(characteristic=2), num_vars=3, var_weight=1)"
+        assert repr(Q) == "RationalField(characteristic=0)"
+        for value in (a, F7, Q):
+            assert copy.deepcopy(value) == value
+            assert pickle.loads(pickle.dumps(value)) == value
+            assert type(pickle.loads(pickle.dumps(value))) is type(value)
+            with pytest.raises(AttributeError):
+                value.characteristic = 5
+        with pytest.raises(AttributeError):
+            a.num_vars = 4
+        assert a.num_vars == 3 and F7.characteristic == 7
+
+    def test_constructor_errors(self):
+        with pytest.raises(ValueError, match="characteristic must be 0 or prime, got 4"):
+            FieldSpec(4)
+        with pytest.raises(ValueError, match=r"prime characteristic must be < 2\*\*61"):
+            FieldSpec(2**89 - 1)
+        with pytest.raises(ValueError, match="need at least one variable"):
+            RingSpec(F7, 0)
+        with pytest.raises(ValueError, match="var_weight must be 1 or 2"):
+            RingSpec(F7, 2, 3)
 
     def test_scalar_format_parse_roundtrip(self):
         for f, vals in [(Q, [Fraction(0), Fraction(-3, 7), Fraction(5)]), (F7, [0, 3, 6])]:
