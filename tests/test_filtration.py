@@ -293,7 +293,10 @@ class TestProperties:
         still be checked when a containment fails: in each case check (b)
         fails only through such a row."""
         K = koszul(RingSpec(Q, 3, 1), 0)
-        e = lambda *subsets: {K.subset_index[I]: Q.one for I in subsets}  # noqa: E731
+
+        def e(*subsets):
+            return {K.subset_index[I]: Q.one for I in subsets}
+
         for levels in [
             [[e(())], [e((1,))], [e((1,))]],  # F_1 not in F_2
             [[e(())], [e(()), e((1,), (2,))], [e(()), e((1,), (1, 2))]],  # F_2 not in F_3
