@@ -250,8 +250,8 @@ def dead_fields(library, users):
     )
 
 
-# The plain records and value types of the library, which once were
-# dataclasses; the check must keep reaching their fields.
+# The records and frozen value types of the library: the check must
+# reach the fields of each.
 RECORDS = {
     "ChainMap", "Homotopy", "Augmentation", "DgaStructure", "MinimalModel", "LambdaAction",
     "Filtration", "FieldSpec", "RationalField", "PrimeField", "RingSpec",
