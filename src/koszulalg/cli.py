@@ -316,10 +316,9 @@ def cmd_verify_map(args):
 
 
 def cmd_koszul(args):
-    ring = _ring(args)
-    K = koszul(ring, args.m)
     if not args.out:
         raise UsageError("koszul requires --out")
+    K = koszul(_ring(args), args.m)
     write_complex(args.out, K.base, canonical_augmentation(K), K.dga())
     lines = [
         f"ring char={args.char} r={args.rank} weight={args.weight} m={args.m}",

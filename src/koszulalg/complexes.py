@@ -109,9 +109,9 @@ def direct_sum(A: FreeComplex, B: FreeComplex) -> FreeComplex:
     gens = list(A.generators)
     used = {n for n, _ in gens}
     for name, deg in B.generators:
-        new = name if name not in used else "b_" + name
+        new = name
         while new in used:
-            new += "'"
+            new = "b_" + new
         used.add(new)
         gens.append((new, deg))
     n_a = A.n
@@ -151,7 +151,6 @@ class KoszulComplex:
         if m < 0:
             raise ValueError("m must be >= 0")
         self.ring = ring
-        self.m = m
         r = ring.num_vars
         self.subsets = sorted(
             (tuple(c) for q in range(r + 1) for c in itertools.combinations(range(1, r + 1), q)),
@@ -224,12 +223,21 @@ class Augmentation:
         ]
 
     def validate(self):
+        """Every way epsilon fails to be a degree-0 map to k that kills d,
+        as messages; [] means ok."""
         C = self.source
-        return [
+        is_zero = C.ring.field.is_zero
+        problems = [
+            f"augmentation is nonzero on {name} of degree {q}"
+            for (name, q), v in zip(C.generators, self.values)
+            if q != 0 and not is_zero(v)
+        ]
+        problems += [
             f"augmentation does not kill d({name})"
             for (name, _), v in zip(C.generators, self.on_columns(C.differential))
-            if not C.ring.field.is_zero(v)
+            if not is_zero(v)
         ]
+        return problems
 
 
 class DgaStructure:

@@ -117,17 +117,16 @@ def solve_boundary_equation(
     degree: int,
     allowed=None,
     augmentation: Augmentation = None,
-    aug_value=None,
 ):
     """Homogeneous solution y of d(y) = rhs with deg(y) = degree in the
     complex C of `cache`, or None; rhs and y are module elements
     {generator: Polynomial}.
 
     allowed, increasing, restricts the generators y may involve; when an
-    augmentation and aug_value are given, epsilon(y) = aug_value is
-    imposed as an extra linear condition.  The unknowns are the monomial
-    multiples mu * e_i of degree `degree`, in the order of `allowed` and
-    then of `monomials_of_weighted_degree`.  Their images d(mu * e_i)
+    augmentation is given, epsilon(y) = 1 is imposed as an extra linear
+    condition.  The unknowns are the monomial multiples mu * e_i of degree
+    `degree`, in the order of `allowed` and then of
+    `monomials_of_weighted_degree`.  Their images d(mu * e_i)
     come from the cache, which may be shared with other solves and builds
     each image at most once.  The shortcut asks only for the images that can
     equal rhs up to a scalar, and the general solve, when it runs, for
@@ -177,7 +176,7 @@ def solve_boundary_equation(
                 ):
                     continue
                 if augmentation is not None and not f.is_zero(
-                    f.sub(f.mul(c, epsilon(i, exps)), aug_value)
+                    f.sub(f.mul(c, epsilon(i, exps)), f.one)
                 ):
                     continue
                 return {i: ring.monomial(exps, c)}
@@ -194,7 +193,7 @@ def solve_boundary_equation(
     rows = list(by_key.values())
     if augmentation is not None:
         eps = {j: epsilon(i, exps) for j, (i, exps) in enumerate(unknowns)}
-        eps[n] = aug_value
+        eps[n] = f.one
         rows.append({j: c for j, c in eps.items() if not f.is_zero(c)})
     x = solve(rows, n, f)
     if x is None:
@@ -242,10 +241,9 @@ def lift_alpha(C: FreeComplex, augmentation: Augmentation, Km: KoszulComplex) ->
     the acyclicity hypothesis failing in that degree.
     """
     ring = C.ring
-    f = ring.field
     cache = BoundaryCache(C)
     images = []
-    one = solve_boundary_equation(cache, {}, 0, augmentation=augmentation, aug_value=f.one)
+    one = solve_boundary_equation(cache, {}, 0, augmentation=augmentation)
     if one is None:
         raise LiftError(
             "no augmentation-1 cycle of degree 0 exists", degree=0
@@ -311,10 +309,6 @@ def lift_beta(F: Filtration, augmentation: Augmentation, K0: KoszulComplex) -> C
             for v in graded[q]:
                 if coordinates(v) is not None:
                     continue
-                eps_v = augmentation.of_scalars(v)
-                if level == 1:
-                    define(v, {} if f.is_zero(eps_v) else {k0: ring.constant(eps_v)})
-                    continue
                 pairs = []
                 for exps, w in slice_images(slices, v, f).items():
                     coords = coordinates(w)
@@ -333,17 +327,11 @@ def lift_beta(F: Filtration, augmentation: Augmentation, K0: KoszulComplex) -> C
                         degree=q,
                         obstruction=rhs,
                     )
-                got_eps = sol[k0].constant_coeff() if k0 in sol else f.zero
-                if not f.is_zero(f.sub(got_eps, eps_v)):
-                    if q != 0:
-                        raise LiftError(
-                            "augmentation is nonzero on a positive-degree "
-                            "filtration vector; no degree-preserving lift"
-                        )
-                    # adjust by a multiple of the augmentation cycle s_0
-                    shift = ring.constant(f.sub(eps_v, got_eps))
-                    sol = linear_combination(ring, [(ring.one(), sol), (shift, {k0: ring.one()})])
-                define(v, sol)
+                # sol lies in exterior length >= 1, so has no s0 term, and
+                # epsilon is 0 off degree 0 (check (c) above): adding
+                # epsilon(v) * s0 makes beta commute with the augmentations.
+                # The linear combinations that read it drop a zero s0 entry.
+                define(v, {k0: ring.constant(augmentation.of_scalars(v)), **sol})
     # express the standard basis through the processed one
     images = []
     for j in range(n):
@@ -423,13 +411,11 @@ def pipeline(C: FreeComplex, m: int, augmentation: Augmentation = None):
 
 
 def _default_augmentation(C: FreeComplex) -> Augmentation:
-    """The indicator of the first degree-0 generator, in generator order,
-    whose indicator passes `Augmentation.validate` (no d(e_k) has a
-    nonzero constant coefficient at it); the name plays no part."""
+    """The indicator of the first generator, in generator order, that
+    passes `Augmentation.validate` (degree 0, and no d(e_k) has a nonzero
+    constant coefficient at it); the name plays no part."""
     f = C.ring.field
-    for j, (name, q) in enumerate(C.generators):
-        if q != 0:
-            continue
+    for j in range(C.n):
         values = [f.zero] * C.n
         values[j] = f.one
         aug = Augmentation(C, values)

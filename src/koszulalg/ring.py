@@ -93,6 +93,8 @@ class FieldSpec(ScalarField):
             raise ValueError(f"characteristic must be 0 or prime, got {c}")
         if c >= 2**61:
             raise ValueError("prime characteristic must be < 2**61")
+        if (c == 0) != isinstance(self, RationalField):
+            raise ValueError(f"{self.__class__.__qualname__} cannot have characteristic {c}")
         object.__setattr__(self, "characteristic", c)
 
     # a frozen value: equal to a field of its class with its characteristic

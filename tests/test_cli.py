@@ -299,6 +299,14 @@ class TestFilePipeline:
         assert f"model written to {model}" in out
         assert not model.read_text().startswith("# koszulalg report")
 
+    def test_koszul_without_out_exits_2_before_building(self, capsys, monkeypatch):
+        def build(*args):
+            raise AssertionError("built the complex")
+
+        monkeypatch.setattr(cli, "koszul", build)
+        code, out, err = run(["koszul", "--rank", "9"], capsys)
+        assert (code, out, err) == (2, "", "error: koszul requires --out\n")
+
     def test_verify_bounds_runs_the_pipeline_once(self, tmp_path, capsys, monkeypatch):
         cx = str(tmp_path / "k.cx")
         run(["koszul", "--char", "0", "--rank", "3", "--weight", "2", "--out", cx], capsys)
@@ -330,6 +338,28 @@ class TestWeight2Bounds:
         assert code == 0
         assert "restricted rank (improved bound): 4 vs 4 -> PASS" in out
         assert "improved_total_bound 8" in out
+
+    @pytest.mark.parametrize("name, force, failure, line", [
+        ("beta_respects_filtration", lambda got: [(1, 0)], "beta filtration violations", None),
+        ("bound_checks", lambda got: {**got, "passed": False}, "bound_checks",
+         "bound_checks passed False"),
+        ("_improved_bound", lambda got: {**got, "passed": False}, "improved bound",
+         "restricted rank (improved bound): 4 vs 4 -> FAIL"),
+    ])
+    def test_each_failed_report_check_fails_the_run(
+        self, tmp_path, capsys, monkeypatch, name, force, failure, line
+    ):
+        """Each check that `verify_bounds` adds to the bound table fails
+        the run alone when it fails: forced here, since K_3(1) passes."""
+        cx = str(tmp_path / "k32.cx")
+        run(["koszul", "--char", "0", "--rank", "3", "--weight", "2", "--out", cx], capsys)
+        original = getattr(lift, name)
+        monkeypatch.setattr(lift, name, lambda *args: force(original(*args)))
+        code, out, err = run(["verify-bounds", cx, "--m", "1"], capsys)
+        assert code == 1
+        assert out.endswith(f"result FAIL: {failure}\n")
+        assert line is None or f"{line}\n" in out
+        assert err == f"assertion failed: {failure}\n"
 
 
 K1 = "# complex v1\nchar 0\nr 1\nweight 1\ngen s0 0\ngen s1 1\nd s1 = t1^2*s0\naugment s0 = 1\n"
@@ -367,6 +397,22 @@ def test_malformed_map_exits_2(tmp_path, capsys):
     code, _, err = run(["verify-map", str(bad)], capsys)
     assert code == 2
     assert err == "error: line 4: unknown generator 'zz'\n"
+
+
+def test_unsupported_version_exits_2(tmp_path, capsys):
+    cx = tmp_path / "v2.cx"
+    cx.write_text(K1.replace("# complex v1", "# complex v2"))
+    code, out, err = run(["verify-bounds", str(cx)], capsys)
+    assert (code, out, err) == (2, "", "error: unsupported version: '# complex v2'\n")
+
+
+def test_map_between_rings_exits_2(tmp_path, capsys):
+    (tmp_path / "q.cx").write_text(K1)
+    (tmp_path / "f2.cx").write_text(K1.replace("char 0", "char 2"))
+    bad = tmp_path / "bad.map"
+    bad.write_text("# map v1\nsource q.cx\ntarget f2.cx\nf s0 = s0\n")
+    code, out, err = run(["verify-map", str(bad)], capsys)
+    assert (code, out, err) == (2, "", "error: source and target rings differ\n")
 
 
 @pytest.mark.parametrize(
@@ -446,6 +492,22 @@ def test_filtration_checks_the_augmentation_on_the_model(tmp_path, capsys):
     code, _, err = run(["verify-bounds", cx], capsys)
     assert code == 1
     assert "no augmentation-1 cycle" in err
+
+
+def test_augmentation_off_degree_0_is_unfit_for_lifting(tmp_path, capsys):
+    """x is a cycle of degree 2 with epsilon(x) = 1: no degree-preserving
+    beta sends it to epsilon(x) * s0, so the lift is refused, and
+    `filtration` reports the same check (c)."""
+    cx = tmp_path / "x.cx"
+    cx.write_text("# complex v1\nchar 2\nr 1\nweight 1\ngen s0 0\ngen s1 1\ngen x 2\n"
+                  "d s1 = t1^2*s0\naugment s0 = 1\naugment x = 1\n")
+    code, out, err = run(["verify-bounds", str(cx), "--m", "1"], capsys)
+    assert (code, out) == (1, "")
+    assert err == ("assertion failed: filtration unfit for lifting: "
+                   "(c) augmentation is nonzero on x of degree 2\n")
+    code, out, _ = run(["filtration", str(cx)], capsys)
+    assert code == 1
+    assert "property failure: (c) augmentation is nonzero on x of degree 2\n" in out
 
 
 @pytest.mark.parametrize("command", ["verify-bounds", "lift"])

@@ -94,6 +94,21 @@ class TestFreeComplex:
         assert S.n == A.n + B.n
         assert S.validate() == []
 
+    def test_direct_sum_names_read_back(self):
+        """A name of B already taken gets b_ prefixes until it is free, so
+        the sum's file reads back to the same complex."""
+        ring = RingSpec(F2, 1, 1)
+        A = FreeComplex(ring, [("x", 0), ("b_x", 0), ("y", 0)], PolyMatrix(ring, 3, 3))
+        D = PolyMatrix(ring, 2, 2)
+        D.entries[(0, 1)] = ring.var(1)
+        B = FreeComplex(ring, [("x", 1), ("y", 0)], D)
+        S = direct_sum(A, B)
+        assert [name for name, _ in S.generators] == ["x", "b_x", "y", "b_b_x", "b_y"]
+        text = complex_to_text(S)
+        C, _, _ = complex_from_text(text)
+        assert C.generators == S.generators and C.differential == S.differential
+        assert complex_to_text(C) == text
+
 
 def _random_polynomial(ring, rng, terms=3):
     """A nonzero polynomial of a few terms of degree <= 2; over Q its
@@ -206,6 +221,25 @@ class TestKoszul:
     def test_canonical_augmentation_valid(self):
         K = koszul(RingSpec(Q, 2, 1), 1)
         assert canonical_augmentation(K).validate() == []
+
+    def test_augmentation_is_a_degree_0_map_that_kills_d(self):
+        """epsilon may be nonzero only in degree 0, and on K_2(1) it kills
+        d, which has no constant terms; in the second complex d(b) = 2a
+        has one.  Each value off the rule is reported."""
+        K = koszul(RingSpec(F3, 2, 1), 1)
+        values = {"s0": 1, "s1": 2, "s12": 1}
+        aug = Augmentation(K.base, [values.get(name, 0) for name, _ in K.base.generators])
+        assert aug.validate() == [
+            "augmentation is nonzero on s1 of degree 1",
+            "augmentation is nonzero on s12 of degree 2",
+        ]
+        ring = RingSpec(F3, 1, 1)
+        D = PolyMatrix(ring, 2, 2)
+        D.entries[(0, 1)] = ring.constant(2)  # d(b) = 2a, a and b of degree 1 and 0
+        C = FreeComplex(ring, [("a", 1), ("b", 0)], D)
+        assert Augmentation(C, [1, 1]).validate() == [
+            "augmentation is nonzero on a of degree 1", "augmentation does not kill d(b)",
+        ]
 
 
 class TestTensorQuotient:

@@ -235,12 +235,14 @@ def init_fields(source):
 def dead_fields(library, users):
     """(module, line, class.field) of each field (`init_fields`) of a
     class defined in the `library` sources ({module: source}) that no
-    source in `users` reads as an attribute."""
+    source in `users` reads as an attribute.  A read off `args`, the
+    parsed command line, reads an option, not a field."""
     read = {
         node.attr
         for source in users
         for node in ast.walk(ast.parse(source))
         if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+        and getattr(node.value, "id", None) != "args"
     }
     return sorted(
         (module, line, f"{cls}.{name}")
@@ -272,10 +274,13 @@ def test_detects_a_dead_field():
                        "class B:\n    def __init__(self, unread):\n"
                        "        object.__setattr__(self, 'unread', unread)\n\n"
                        "class Plain:\n    ignored: int\n"
-                       "    def later(self):\n        self.not_a_field = 1\n"}
-    users = list(library.values()) + ["a = A(1, 2, dead=3)\na.written = a.read\n"]
+                       "    def later(self):\n        self.not_a_field = 1\n\n"
+                       "class K:\n    def __init__(self, m):\n        self.m = m\n"}
+    users = list(library.values()) + ["a = A(1, 2, dead=3)\na.written = a.read\n"
+                                      "def cmd(args):\n    return K(args.m)\n"]
     assert dead_fields(library, users) == [
-        ("m.py", 4, "A.written"), ("m.py", 5, "A.dead"), ("m.py", 9, "B.unread")
+        ("m.py", 4, "A.written"), ("m.py", 5, "A.dead"), ("m.py", 9, "B.unread"),
+        ("m.py", 18, "K.m"),
     ]
 
 

@@ -366,10 +366,11 @@ def _dense_column_image(ring, column, exps):
     return out
 
 
-def _dense_solve_boundary(C, rhs, degree, allowed=None, augmentation=None, aug_value=None):
+def _dense_solve_boundary(C, rhs, degree, allowed=None, augmentation=None):
     """The reference solver: the single-generator shortcut, then the dense
-    keys x unknowns system solved by Gauss-Jordan.  Returns (y, how) with
-    how one of "shortcut", "system", "none"."""
+    keys x unknowns system solved by Gauss-Jordan, with epsilon(y) = 1 when
+    an augmentation is given.  Returns (y, how) with how one of
+    "shortcut", "system", "none"."""
     ring = C.ring
     f = ring.field
     if allowed is None:
@@ -395,7 +396,7 @@ def _dense_solve_boundary(C, rhs, degree, allowed=None, augmentation=None, aug_v
                 continue
             if augmentation is not None:
                 eps = f.mul(c, augmentation.values[i]) if exps == zero_exps else f.zero
-                if not f.is_zero(f.sub(eps, aug_value)):
+                if not f.is_zero(f.sub(eps, f.one)):
                     continue
             return {i: ring.monomial(exps, c)}, "shortcut"
     keys = sorted(set(rhs_terms) | {k for col in cols for k in col})
@@ -408,7 +409,7 @@ def _dense_solve_boundary(C, rhs, degree, allowed=None, augmentation=None, aug_v
     if augmentation is not None:
         rows.append([augmentation.values[i] if exps == zero_exps else f.zero
                      for i, exps in unknowns])
-        b.append(aug_value)
+        b.append(f.one)
     if not unknowns:
         return (None, "none") if any(not f.is_zero(x) for x in b) else ({}, "system")
     x = _oracle_solve(rows, b, f)
@@ -432,7 +433,7 @@ def _random_element(C, degree, rng, allowed=None, density=0.4):
 
 
 def _solver_inputs(C, rng):
-    """(rhs, degree, allowed, augmentation, aug_value) cases on C: boundaries,
+    """(rhs, degree, allowed, augmentation) cases on C: boundaries,
     non-boundaries, allowed subsets, the augmentation condition, and scaled
     images of one unknown (shortcut candidates)."""
     ring = C.ring
@@ -441,24 +442,23 @@ def _solver_inputs(C, rng):
     degrees = sorted({C.degree(i) + w * k for i in range(C.n) for k in range(2)})
     for q in degrees:
         z = _random_element(C, q, rng)
-        yield C.d(z), q, None, None, None
-        yield _random_element(C, q + 1, rng), q, None, None, None
+        yield C.d(z), q, None, None
+        yield _random_element(C, q + 1, rng), q, None, None
         allowed = sorted(rng.sample(range(C.n), rng.randint(1, C.n)))
-        yield C.d(_random_element(C, q, rng, allowed)), q, allowed, None, None
-        yield C.d(z), q, allowed, None, None
+        yield C.d(_random_element(C, q, rng, allowed)), q, allowed, None
+        yield C.d(z), q, allowed, None
         unknowns = [(i, e) for i in range(C.n)
                     for e in monomials_of_weighted_degree(ring, q - C.degree(i))]
         if unknowns:
             i, exps = rng.choice(unknowns)
             one = {i: ring.monomial(exps, _nonzero_scalar(ring, rng))}
-            yield C.d(one), q, None, None, None
-            yield C.d(one), q, [i], None, None
+            yield C.d(one), q, None, None
+            yield C.d(one), q, [i], None
     values = [f.of(rng.randrange(3)) for _ in range(C.n)]
     aug = Augmentation(C, values)
     for q in sorted({C.degree(i) for i in range(C.n)}):
         for rhs in ({}, C.d(_random_element(C, q, rng))):
-            for aug_value in (f.zero, f.one, f.of(2)):
-                yield rhs, q, None, aug, aug_value
+            yield rhs, q, None, aug
 
 
 def _solver_complexes(field, rng):
@@ -481,10 +481,10 @@ def test_solve_boundary_equation_matches_dense_system(field, monkeypatch):
     rng = random.Random(2008)
     seen = {"shortcut": 0, "system": 0, "none": 0, "augmented": 0, "images skipped": 0}
     for C in _solver_complexes(field, rng):
-        for rhs, q, allowed, aug, aug_value in _solver_inputs(C, rng):
-            want, how = _dense_solve_boundary(C, rhs, q, allowed, aug, aug_value)
+        for rhs, q, allowed, aug in _solver_inputs(C, rng):
+            want, how = _dense_solve_boundary(C, rhs, q, allowed, aug)
             calls.clear()
-            got = solve_boundary_equation(BoundaryCache(C), rhs, q, allowed, aug, aug_value)
+            got = solve_boundary_equation(BoundaryCache(C), rhs, q, allowed, aug)
             assert got == want
             gens = range(C.n) if allowed is None else allowed
             n_unknowns = sum(
@@ -515,12 +515,12 @@ def test_shared_cache_builds_each_image_once(field, monkeypatch):
     for C in _solver_complexes(field, rng):
         cache = BoundaryCache(C)
         built = 0
-        for rhs, q, allowed, aug, aug_value in _solver_inputs(C, rng):
+        for rhs, q, allowed, aug in _solver_inputs(C, rng):
             calls.clear()
-            want = solve_boundary_equation(BoundaryCache(C), rhs, q, allowed, aug, aug_value)
+            want = solve_boundary_equation(BoundaryCache(C), rhs, q, allowed, aug)
             uncached += len(calls)
             calls.clear()
-            assert solve_boundary_equation(cache, rhs, q, allowed, aug, aug_value) == want
+            assert solve_boundary_equation(cache, rhs, q, allowed, aug) == want
             built += len(calls)
         assert built == len(cache._images)
         shared += built
@@ -556,11 +556,11 @@ def test_shortcut_takes_the_first_match_of_a_full_scan(field):
     seen = {"shortcut": 0, "copy also matches": 0}
     for C in _solver_complexes(field, rng):
         D, copies = _with_copies(C, rng)
-        for rhs, q, allowed, aug, aug_value in _solver_inputs(D, rng):
-            want, how = _dense_solve_boundary(D, rhs, q, allowed, aug, aug_value)
+        for rhs, q, allowed, aug in _solver_inputs(D, rng):
+            want, how = _dense_solve_boundary(D, rhs, q, allowed, aug)
             if how != "shortcut":
                 continue
-            assert solve_boundary_equation(BoundaryCache(D), rhs, q, allowed, aug, aug_value) == want
+            assert solve_boundary_equation(BoundaryCache(D), rhs, q, allowed, aug) == want
             seen["shortcut"] += 1
             (i,) = want
             seen["copy also matches"] += i in copies.values() and any(

@@ -107,6 +107,18 @@ class TestFieldSpec:
         with pytest.raises(ValueError, match="var_weight must be 1 or 2"):
             RingSpec(F7, 2, 3)
 
+    def test_field_class_must_match_its_characteristic(self):
+        """Only `FieldSpec(c)` picks the class; a subclass named directly
+        refuses a characteristic that its arithmetic would get wrong."""
+        with pytest.raises(ValueError, match="RationalField cannot have characteristic 5"):
+            RationalField(5)
+        with pytest.raises(ValueError, match="PrimeField cannot have characteristic 0"):
+            PrimeField()
+        with pytest.raises(ValueError, match="characteristic must be 0 or prime, got 4"):
+            PrimeField(4)
+        assert RationalField(0) == FieldSpec(0) and PrimeField(5) == FieldSpec(5)
+        assert RationalField().add(3, 4) == 7 and PrimeField(5).add(3, 4) == 2
+
     def test_scalar_format_parse_roundtrip(self):
         for f, vals in [(Q, [Fraction(0), Fraction(-3, 7), Fraction(5)]), (F7, [0, 3, 6])]:
             for v in vals:
