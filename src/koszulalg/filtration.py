@@ -96,6 +96,11 @@ def compute_filtration(model: FreeComplex) -> Filtration:
     return Filtration(model_complex=model, subspaces=levels, slices=slices)
 
 
+def augmentation_failures(augmentation: Augmentation):
+    """The `Augmentation.validate` problems, as check (c) reports them."""
+    return ["(c) " + p for p in augmentation.validate()]
+
+
 def check_properties(F: Filtration, augmentation: Augmentation = None):
     """Report dict; 'failures' is empty iff everything holds."""
     model = F.model_complex
@@ -133,9 +138,7 @@ def check_properties(F: Filtration, augmentation: Augmentation = None):
             failures.append(f"(b) d(F_{i}) escapes F_{i-1} x R")
     # (c) augmentation surjective on F_1, when one is attached
     if augmentation is not None:
-        probs = augmentation.validate()
-        if probs:
-            failures.extend("(c) " + p for p in probs)
+        failures += augmentation_failures(augmentation)
         hit = any(
             not ops.is_zero(augmentation.of_scalars(v)) for v in F.basis(1)
         )

@@ -2,21 +2,23 @@
 minimal model, beta from the model onto the weight-zero Koszul complex
 K_r(0), and the rank/dimension bound reports on gamma = beta ∘ alpha.
 
-All lifts are produced by graded k-linear solves: a boundary equation
-d(y) = b with y homogeneous of a prescribed degree has finitely many
-monomial unknowns, whose images under d are sparse columns read off the
+alpha is lifted by graded k-linear solves: a boundary equation d(y) = b
+with y homogeneous of a prescribed degree has finitely many monomial
+unknowns, whose images under d are sparse columns read off the
 differential by column.  A `BoundaryCache` holds what the solves read of
 one complex: each lift makes one and shares it across its solves, so
 each image is built at most once per lift, not once per solve.  A
 single-generator proportionality shortcut is tried first so the
 canonical fixtures get their minimal-support solutions (e.g. the
 diagonal t^m maps) exactly; otherwise the images are transposed into
-sparse rows for `linalg.solve`.
+sparse rows for `linalg.solve`.  beta solves nothing: K_r(0) has a
+contracting homotopy, `_contract`, and each of its lift steps is one
+pass of it.
 """
 
 from __future__ import annotations
 
-from operator import lt, sub
+from operator import sub
 
 from .ring import RingSpec
 from .complexes import (
@@ -38,6 +40,7 @@ from .filtration import (
     compute_filtration,
     check_properties,
     slice_images,
+    augmentation_failures,
     bound_checks,
     report_checks,
 )
@@ -115,17 +118,15 @@ def solve_boundary_equation(
     cache: BoundaryCache,
     rhs,
     degree: int,
-    allowed=None,
     augmentation: Augmentation = None,
 ):
     """Homogeneous solution y of d(y) = rhs with deg(y) = degree in the
     complex C of `cache`, or None; rhs and y are module elements
     {generator: Polynomial}.
 
-    allowed, increasing, restricts the generators y may involve; when an
-    augmentation is given, epsilon(y) = 1 is imposed as an extra linear
-    condition.  The unknowns are the monomial multiples mu * e_i of degree
-    `degree`, in the order of `allowed` and then of
+    When an augmentation is given, epsilon(y) = 1 is imposed as an extra
+    linear condition.  The unknowns are the monomial multiples mu * e_i of
+    degree `degree`, in the order of i and then of
     `monomials_of_weighted_degree`.  Their images d(mu * e_i)
     come from the cache, which may be shared with other solves and builds
     each image at most once.  The shortcut asks only for the images that can
@@ -135,13 +136,6 @@ def solve_boundary_equation(
     C = cache.complex
     ring = C.ring
     f = ring.field
-    if allowed is None:
-        allowed = admitted = range(C.n)
-    else:
-        allowed = list(allowed)
-        admitted = set(allowed)
-        # the shortcut walks the generators in index order: the order of allowed
-        assert all(map(lt, allowed, allowed[1:])), "allowed must be increasing"
     image = cache.image
     rhs_terms = {(u, e): c for u, p in rhs.items() for e, c in p.terms.items()}
     zero_exps = (0,) * ring.num_vars
@@ -152,14 +146,14 @@ def solve_boundary_equation(
     # shortcut: a single scaled generator already solves the equation.  The
     # image of mu * e_i has as many terms as d(e_i), and it holds the first
     # key (u, e) of rhs only if d(e_i) has a term t^e' at u and mu = t^(e - e'),
-    # so only those unknowns are tried: the allowed i of row u.  The keys of
-    # the images of two distinct mu * e_i differ (a finite set is no
+    # so only those unknowns are tried: the i of row u, in index order.  The
+    # keys of the images of two distinct mu * e_i differ (a finite set is no
     # translate of itself), so at most one unknown of each e_i can match:
     # the first match is the one a scan of all unknowns in order would find.
     if rhs_terms:
         u, e = next(iter(rhs_terms))
         for i, p in cache.rows.get(u, ()):
-            if i not in admitted or cache.terms[i] != len(rhs_terms):
+            if cache.terms[i] != len(rhs_terms):
                 continue
             mu_degree = degree - C.degree(i)
             for exps in (tuple(map(sub, e, term)) for term in p.terms):
@@ -183,7 +177,7 @@ def solve_boundary_equation(
     # general graded solve: one sparse row per (generator, exponent) key,
     # the right-hand side in column len(unknowns)
     unknowns = []
-    for i in allowed:
+    for i in range(C.n):
         unknowns.extend((i, exps) for exps in cache.monomials(degree - C.degree(i)))
     n = len(unknowns)
     by_key = {k: {n: b} for k, b in rhs_terms.items()}
@@ -203,32 +197,6 @@ def solve_boundary_equation(
         i, exps = unknowns[j]
         y.setdefault(i, {})[exps] = x[j]
     return ring.element(y)
-
-
-def _solve_in_koszul(
-    K: KoszulComplex, of_length, rhs, degree: int, max_length: int, cache: BoundaryCache
-):
-    """Graded solve inside a Koszul complex, split by exterior length.
-
-    The differential lowers exterior length by exactly one, so the
-    equation decouples into one system per length; each component of the
-    right-hand side at length l-1 is matched from length-l generators
-    (l <= max_length), listed in increasing index order by
-    `of_length[l]`.  cache is a BoundaryCache of K.base.
-    """
-    by_length = {}
-    for u, p in rhs.items():
-        by_length.setdefault(K.exterior_length(u), {})[u] = p
-    y = {}
-    for ell_minus_1, part in sorted(by_length.items()):
-        ell = ell_minus_1 + 1
-        if ell > max_length:
-            return None
-        sol = solve_boundary_equation(cache, part, degree, allowed=of_length.get(ell, []))
-        if sol is None:
-            return None
-        y.update(sol)  # each length has generators of its own
-    return y
 
 
 def lift_alpha(C: FreeComplex, augmentation: Augmentation, Km: KoszulComplex) -> ChainMap:
@@ -266,6 +234,26 @@ def lift_alpha(C: FreeComplex, augmentation: Augmentation, Km: KoszulComplex) ->
     return _chain_map(Km.base, C, images, "lift is not a chain map at column {}")
 
 
+def _contract(K0: KoszulComplex, x):
+    """H(x) for the contracting homotopy H of K0 = K_r(0), x a module
+    element: dH + Hd = id - ιπ, π the constant coefficient of s0.
+
+    With i the least index such that a_i > 0 or i is in I, H sends
+    t^a s_I to 0 when i is in I, and otherwise to t^(a - e_i) s_((i,) + I)
+    (Eisenbud, Commutative Algebra, ch. 17).  Distinct terms have distinct
+    images, so no two terms add up."""
+    out = {}
+    for u, p in x.items():
+        I = K0.subsets[u]
+        first = I[0] if I else K0.ring.num_vars + 1
+        for exps, c in p.terms.items():
+            i = next((k for k in range(1, first) if exps[k - 1]), None)
+            if i is not None:
+                lower = exps[:i - 1] + (exps[i - 1] - 1,) + exps[i:]
+                out.setdefault(K0.subset_index[(i,) + I], {})[lower] = c
+    return K0.ring.element(out)
+
+
 def lift_beta(F: Filtration, augmentation: Augmentation, K0: KoszulComplex) -> ChainMap:
     """Chain map from the filtered minimal model onto the weight-0
     Koszul complex K0, sending F_i into exterior length <= i-1 and
@@ -280,10 +268,6 @@ def lift_beta(F: Filtration, augmentation: Augmentation, K0: KoszulComplex) -> C
         raise LiftError("filtration unfit for lifting: " + "; ".join(rep["failures"]))
     n = model.n
     k0 = K0.subset_index[()]
-    cache = BoundaryCache(K0.base)
-    of_length = {}  # exterior length -> K0's generators of that length
-    for j in range(K0.n):
-        of_length.setdefault(K0.exterior_length(j), []).append(j)
     slices = F.slices
     # The processed part of the model: its k-basis d_j, each tagged by a
     # unit in column n + j.  The d_j are independent, so the residual of
@@ -319,19 +303,16 @@ def lift_beta(F: Filtration, augmentation: Augmentation, K0: KoszulComplex) -> C
                     pairs += [
                         (ring.monomial(exps, c), defined_images[j]) for j, c in coords.items()
                     ]
-                rhs = linear_combination(ring, pairs)
-                sol = _solve_in_koszul(K0, of_length, rhs, q, level - 1, cache)
-                if sol is None:
-                    raise LiftError(
-                        f"no exterior-length <= {level - 1} preimage in degree {q}",
-                        degree=q,
-                        obstruction=rhs,
-                    )
-                # sol lies in exterior length >= 1, so has no s0 term, and
+                # rhs = beta(dv) is a cycle, and it lies in (t) K0: the model
+                # is minimal, so no slice has t^0.  dH + Hd = id - ιπ then
+                # gives d(H(rhs)) = rhs, and H raises exterior length by one,
+                # so F_i lands in length <= i - 1.  H(rhs) has no s0 term, and
                 # epsilon is 0 off degree 0 (check (c) above): adding
                 # epsilon(v) * s0 makes beta commute with the augmentations.
                 # The linear combinations that read it drop a zero s0 entry.
-                define(v, {k0: ring.constant(augmentation.of_scalars(v)), **sol})
+                rhs = linear_combination(ring, pairs)
+                define(v, {k0: ring.constant(augmentation.of_scalars(v)),
+                           **_contract(K0, rhs)})
     # express the standard basis through the processed one
     images = []
     for j in range(n):
@@ -387,10 +368,15 @@ def pipeline(C: FreeComplex, m: int, augmentation: Augmentation = None):
     of parts, with the Koszul complexes K_r(m) and K_r(0) as "koszul_m"
     and "koszul_0".  alpha comes before the filtration: a C with zero
     homology has no augmentation-1 cycle, and that is the failure to
-    report."""
+    report.  A given augmentation is checked on C, by check (c), before it
+    is carried to the model: the model keeps no trace of where it fails
+    on generators the model cancels."""
     mm = minimal_model(C)
     if augmentation is None:
         augmentation = _default_augmentation(C)
+    problems = augmentation_failures(augmentation)
+    if problems:
+        raise LiftError("filtration unfit for lifting: " + "; ".join(problems))
     model_aug = mm.model_augmentation(augmentation)
     Km = koszul(C.ring, m)
     alpha = lift_alpha(mm.model, model_aug, Km)
@@ -516,7 +502,6 @@ def _improved_bound(gamma: ChainMap, Km: KoszulComplex):
     restricted = restricted_rank(gamma, sub)
     return {
         "r": r,
-        "restricted_basis_size": len(sub),
         "restricted_rank": restricted,
         "total_bound": 2 * (r + 1),
         "passed": restricted == r + 1,

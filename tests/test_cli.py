@@ -510,6 +510,26 @@ def test_augmentation_off_degree_0_is_unfit_for_lifting(tmp_path, capsys):
     assert "property failure: (c) augmentation is nonzero on x of degree 2\n" in out
 
 
+def test_augmentation_checked_before_the_model(tmp_path, capsys):
+    """epsilon breaks (c) only on the pair d b = a, which the minimal model
+    cancels: both commands check it on the input and report each problem
+    once."""
+    cx = tmp_path / "pair.cx"
+    cx.write_text("# complex v1\nchar 2\nr 1\nweight 1\ngen s0 0\ngen s1 1\ngen a 1\ngen b 0\n"
+                  "d s1 = t1^2*s0\nd b = a\naugment s0 = 1\naugment a = 1\n")
+    problems = ["(c) augmentation is nonzero on a of degree 1",
+                "(c) augmentation does not kill d(b)"]
+    code, out, err = run(["verify-bounds", str(cx), "--m", "1"], capsys)
+    assert (code, out) == (1, "")
+    assert err == "assertion failed: filtration unfit for lifting: " + "; ".join(problems) + "\n"
+    code, out, _ = run(["filtration", str(cx)], capsys)
+    assert code == 1
+    assert [line for line in out.splitlines() if line.startswith("property failure")] == [
+        "property failure: " + p for p in problems
+    ]
+    assert "result FAIL\n" in out
+
+
 @pytest.mark.parametrize("command", ["verify-bounds", "lift"])
 def test_zero_homology_is_a_failed_lift(tmp_path, capsys, command):
     """A well-formed complex with zero homology (d b = a) has no

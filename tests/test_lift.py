@@ -1,8 +1,9 @@
+import math
 import random
 
 import pytest
 
-from conftest import random_free_complex, _nonzero_scalar
+from conftest import noisy_complex, random_free_complex, _nonzero_scalar
 from test_linalg import _oracle_solve
 from koszulalg.ring import FieldSpec, RingSpec
 from koszulalg.complexes import (
@@ -11,11 +12,12 @@ from koszulalg.complexes import (
     Augmentation,
     FreeComplex,
     direct_sum,
+    linear_combination,
 )
 from koszulalg.linalg import PolyMatrix
 from koszulalg.chainmaps import ChainMap, is_chain_map, rank_of_map
 from koszulalg.minimal import minimal_model
-from koszulalg import lift
+from koszulalg import lift, linalg
 from koszulalg.filtration import compute_filtration, bound_checks
 from koszulalg.lift import (
     BoundaryCache,
@@ -204,6 +206,50 @@ class TestBeta:
             eps = aug0.of_scalars({i: p.constant_coeff() for i, p in img.items()})
             assert eps == aug.values[j]
 
+    @pytest.mark.parametrize("field", [Q, F2, F3], ids=["Q", "F2", "F3"])
+    @pytest.mark.parametrize("r", [1, 2, 3, 4])
+    def test_contraction_is_a_homotopy(self, field, r):
+        """dH + Hd = id - ιπ on every t^a s_I with |a| <= 3, ιπ keeping
+        only the constant s0 term, and H raises exterior length by one."""
+        ring = RingSpec(field, r, 1)
+        K0 = koszul(ring, 0)
+        d, one = K0.base.d, ring.one()
+        cases = 0
+        for total in range(4):
+            for exps in monomials_of_weighted_degree(ring, total):
+                for u, I in enumerate(K0.subsets):
+                    x = {u: ring.monomial(exps)}
+                    Hx = lift._contract(K0, x)
+                    assert {len(K0.subsets[w]) for w in Hx} <= {len(I) + 1}
+                    got = linear_combination(ring, [(one, d(Hx)), (one, lift._contract(K0, d(x)))])
+                    assert got == ({} if total == 0 and not I else x)
+                    cases += 1
+        assert cases == 2 ** r * math.comb(r + 3, 3)
+
+    @pytest.mark.parametrize("noisy", [False, True], ids=["K4(1)-F2", "noisy-K3(1)-Q"])
+    def test_beta_solves_nothing(self, noisy, monkeypatch):
+        """beta is one pass of the contraction per basis vector: no
+        boundary equation, no linear solve and no BoundaryCache."""
+        if noisy:
+            C = noisy_complex(koszul(RingSpec(Q, 3, 1), 1).base, random.Random(3), pairs=6)
+        else:
+            C = koszul(RingSpec(F2, 4, 1), 1).base
+        mm = minimal_model(C)
+        aug = mm.model_augmentation(lift._default_augmentation(C))
+        F = compute_filtration(mm.model)
+        K0 = koszul(C.ring, 0)
+        calls = []
+
+        def spy(name, real):
+            return lambda *args, **kwargs: calls.append(name) or real(*args, **kwargs)
+
+        for module, name in [(lift, "solve_boundary_equation"), (lift, "solve"),
+                             (linalg, "solve"), (lift, "BoundaryCache")]:
+            monkeypatch.setattr(module, name, spy(name, getattr(module, name)))
+        beta = lift_beta(F, aug, K0)
+        assert calls == []
+        assert beta_respects_filtration(beta, F, K0) == []
+
 
 class TestPipeline:
     @pytest.mark.parametrize("field", [Q, F2], ids=["Q", "F2"])
@@ -366,18 +412,16 @@ def _dense_column_image(ring, column, exps):
     return out
 
 
-def _dense_solve_boundary(C, rhs, degree, allowed=None, augmentation=None):
+def _dense_solve_boundary(C, rhs, degree, augmentation=None):
     """The reference solver: the single-generator shortcut, then the dense
     keys x unknowns system solved by Gauss-Jordan, with epsilon(y) = 1 when
     an augmentation is given.  Returns (y, how) with how one of
     "shortcut", "system", "none"."""
     ring = C.ring
     f = ring.field
-    if allowed is None:
-        allowed = range(C.n)
     unknowns = [
         (i, exps)
-        for i in allowed
+        for i in range(C.n)
         for exps in monomials_of_weighted_degree(ring, degree - C.degree(i))
     ]
     rhs_terms = {(u, e): c for u, p in rhs.items() for e, c in p.terms.items()}
@@ -422,10 +466,10 @@ def _dense_solve_boundary(C, rhs, degree, allowed=None, augmentation=None):
     return y, "system"
 
 
-def _random_element(C, degree, rng, allowed=None, density=0.4):
+def _random_element(C, degree, rng, density=0.4):
     ring = C.ring
     y = {}
-    for i in range(C.n) if allowed is None else allowed:
+    for i in range(C.n):
         for exps in monomials_of_weighted_degree(ring, degree - C.degree(i)):
             if rng.random() < density:
                 y[i] = y.get(i, ring.zero()) + ring.monomial(exps, _nonzero_scalar(ring, rng))
@@ -433,32 +477,28 @@ def _random_element(C, degree, rng, allowed=None, density=0.4):
 
 
 def _solver_inputs(C, rng):
-    """(rhs, degree, allowed, augmentation) cases on C: boundaries,
-    non-boundaries, allowed subsets, the augmentation condition, and scaled
-    images of one unknown (shortcut candidates)."""
+    """(rhs, degree, augmentation) cases on C: boundaries, non-boundaries,
+    the augmentation condition, and scaled images of one unknown (shortcut
+    candidates)."""
     ring = C.ring
     f = ring.field
     w = ring.var_weight
     degrees = sorted({C.degree(i) + w * k for i in range(C.n) for k in range(2)})
     for q in degrees:
         z = _random_element(C, q, rng)
-        yield C.d(z), q, None, None
-        yield _random_element(C, q + 1, rng), q, None, None
-        allowed = sorted(rng.sample(range(C.n), rng.randint(1, C.n)))
-        yield C.d(_random_element(C, q, rng, allowed)), q, allowed, None
-        yield C.d(z), q, allowed, None
+        yield C.d(z), q, None
+        yield _random_element(C, q + 1, rng), q, None
         unknowns = [(i, e) for i in range(C.n)
                     for e in monomials_of_weighted_degree(ring, q - C.degree(i))]
         if unknowns:
             i, exps = rng.choice(unknowns)
             one = {i: ring.monomial(exps, _nonzero_scalar(ring, rng))}
-            yield C.d(one), q, None, None
-            yield C.d(one), q, [i], None
+            yield C.d(one), q, None
     values = [f.of(rng.randrange(3)) for _ in range(C.n)]
     aug = Augmentation(C, values)
     for q in sorted({C.degree(i) for i in range(C.n)}):
         for rhs in ({}, C.d(_random_element(C, q, rng))):
-            yield rhs, q, None, aug
+            yield rhs, q, aug
 
 
 def _solver_complexes(field, rng):
@@ -481,14 +521,13 @@ def test_solve_boundary_equation_matches_dense_system(field, monkeypatch):
     rng = random.Random(2008)
     seen = {"shortcut": 0, "system": 0, "none": 0, "augmented": 0, "images skipped": 0}
     for C in _solver_complexes(field, rng):
-        for rhs, q, allowed, aug in _solver_inputs(C, rng):
-            want, how = _dense_solve_boundary(C, rhs, q, allowed, aug)
+        for rhs, q, aug in _solver_inputs(C, rng):
+            want, how = _dense_solve_boundary(C, rhs, q, aug)
             calls.clear()
-            got = solve_boundary_equation(BoundaryCache(C), rhs, q, allowed, aug)
+            got = solve_boundary_equation(BoundaryCache(C), rhs, q, aug)
             assert got == want
-            gens = range(C.n) if allowed is None else allowed
             n_unknowns = sum(
-                len(monomials_of_weighted_degree(C.ring, q - C.degree(i))) for i in gens
+                len(monomials_of_weighted_degree(C.ring, q - C.degree(i))) for i in range(C.n)
             )
             assert len(calls) <= n_unknowns
             if how == "system":
@@ -515,12 +554,12 @@ def test_shared_cache_builds_each_image_once(field, monkeypatch):
     for C in _solver_complexes(field, rng):
         cache = BoundaryCache(C)
         built = 0
-        for rhs, q, allowed, aug in _solver_inputs(C, rng):
+        for rhs, q, aug in _solver_inputs(C, rng):
             calls.clear()
-            want = solve_boundary_equation(BoundaryCache(C), rhs, q, allowed, aug)
+            want = solve_boundary_equation(BoundaryCache(C), rhs, q, aug)
             uncached += len(calls)
             calls.clear()
-            assert solve_boundary_equation(cache, rhs, q, allowed, aug) == want
+            assert solve_boundary_equation(cache, rhs, q, aug) == want
             built += len(calls)
         assert built == len(cache._images)
         shared += built
@@ -549,36 +588,19 @@ def _with_copies(C, rng):
 @pytest.mark.parametrize("field", [Q, F2, F3], ids=["Q", "F2", "F3"])
 def test_shortcut_takes_the_first_match_of_a_full_scan(field):
     """The shortcut walks only the generators of one row of d, yet it
-    returns the unknown that a scan of every allowed unknown in order finds
+    returns the unknown that a scan of every unknown in order finds
     first.  Each complex has copies of some generators, so a scaled image
     of an original is one of its copy too, and the earlier one must win."""
     rng = random.Random(22)
     seen = {"shortcut": 0, "copy also matches": 0}
     for C in _solver_complexes(field, rng):
         D, copies = _with_copies(C, rng)
-        for rhs, q, allowed, aug in _solver_inputs(D, rng):
-            want, how = _dense_solve_boundary(D, rhs, q, allowed, aug)
+        for rhs, q, aug in _solver_inputs(D, rng):
+            want, how = _dense_solve_boundary(D, rhs, q, aug)
             if how != "shortcut":
                 continue
-            assert solve_boundary_equation(BoundaryCache(D), rhs, q, allowed, aug) == want
+            assert solve_boundary_equation(BoundaryCache(D), rhs, q, aug) == want
             seen["shortcut"] += 1
             (i,) = want
-            seen["copy also matches"] += i in copies.values() and any(
-                copies[c] == i and (allowed is None or c in allowed) for c in copies
-            )
+            seen["copy also matches"] += i in copies.values()
     assert all(seen.values()), seen
-
-
-def test_shortcut_needs_increasing_allowed():
-    """d b = d c = t1 a: t1 * b and t1 * c both solve d y = t1^2 a, and the
-    shortcut returns the first allowed one in index order."""
-    ring = RingSpec(Q, 1, 1)
-    D = PolyMatrix(ring, 3, 3)
-    D.entries = {(0, 1): ring.var(1), (0, 2): ring.var(1)}
-    cache = BoundaryCache(FreeComplex(ring, [("a", 0), ("b", 0), ("c", 0)], D))
-    rhs = {0: ring.var(1, 2)}
-    assert solve_boundary_equation(cache, rhs, 1) == {1: ring.var(1)}
-    assert solve_boundary_equation(cache, rhs, 1, allowed=[1, 2]) == {1: ring.var(1)}
-    assert solve_boundary_equation(cache, rhs, 1, allowed=[2]) == {2: ring.var(1)}
-    with pytest.raises(AssertionError):
-        solve_boundary_equation(cache, rhs, 1, allowed=[2, 1])
